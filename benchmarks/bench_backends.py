@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the numba and numpy backends on the two hot kernels:
-payoff-matrix fill and Monte Carlo trial loops.
+"""Benchmark the numba and numpy backends on the Monte Carlo trial loops.
 
 Usage:
   python benchmarks/bench_backends.py            # default sizes
@@ -25,12 +24,10 @@ def timed(fn, repeats=3):
 
 def main():
     quick = "--quick" in sys.argv
-    N = 800 if quick else 2000
     trials = 10**5 if quick else 10**6
 
     from prophet_sharp import DiscreteDistribution, SimConfig, ThresholdRule
     from prophet_sharp._backend import HAS_NUMBA
-    from prophet_sharp.kernel import payoff_matrix
     from prophet_sharp.sim import run_prophet, run_rule
 
     if not HAS_NUMBA:
@@ -45,22 +42,19 @@ def main():
     for backend in backends:
         os.environ["PROPHET_SHARP_BACKEND"] = backend
         # warm-up compiles the numba kernels before timing
-        payoff_matrix("ratio", 10, 50)
         run_rule(F, rule, SimConfig(trials=1000, seed=1, n=10))
 
-        t_matrix, _ = timed(lambda: payoff_matrix("ratio", 10, N))
         t_rule, r_rule = timed(lambda: run_rule(F, rule, cfg))
         t_pro, r_pro = timed(lambda: run_prophet(F, cfg))
-        results[backend] = (t_matrix, t_rule, t_pro, r_rule, r_pro)
-        print(f"[{backend:>5}] matrix fill N={N}: {t_matrix*1e3:8.1f} ms   "
-              f"rule sim {trials:.0e} trials: {t_rule*1e3:8.1f} ms   "
+        results[backend] = (t_rule, t_pro, r_rule, r_pro)
+        print(f"[{backend:>5}] rule sim {trials:.0e} trials: {t_rule*1e3:8.1f} ms   "
               f"prophet sim: {t_pro*1e3:8.1f} ms")
 
     if len(backends) == 2:
-        tm_nb, tr_nb, tp_nb, rr_nb, rp_nb = results["numba"]
-        tm_np, tr_np, tp_np, rr_np, rp_np = results["numpy"]
-        print(f"\nspeedup numba vs numpy: matrix x{tm_np / tm_nb:.2f}, "
-              f"rule sim x{tr_np / tr_nb:.2f}, prophet sim x{tp_np / tp_nb:.2f}")
+        tr_nb, tp_nb, rr_nb, rp_nb = results["numba"]
+        tr_np, tp_np, rr_np, rp_np = results["numpy"]
+        print(f"\nspeedup numba vs numpy: rule sim x{tr_np / tr_nb:.2f}, "
+              f"prophet sim x{tp_np / tp_nb:.2f}")
         same = (rr_nb == rr_np) and (rp_nb == rp_np)
         print(f"simulation results bit-identical across backends: {same}")
     os.environ.pop("PROPHET_SHARP_BACKEND", None)

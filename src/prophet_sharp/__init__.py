@@ -44,6 +44,8 @@ from .kernel import (
     lipschitz_r,
     payoff_matrix,
     prophet_weights,
+    reward_matvec,
+    reward_rmatvec,
     reward_weights,
     stop_weight,
     support_cutoff,

@@ -1,9 +1,8 @@
-"""Backend selection for the hot numeric kernels.
+"""Backend selection for the Monte Carlo trial loops.
 
-Two implementations exist for every hot loop: a numba-compiled one and a
-vectorized pure-numpy one.  The env var PROPHET_SHARP_BACKEND picks which
-runs ("auto" | "numba" | "numpy").  Simulation results are bit-identical
-across backends; matrix fills agree to machine precision.
+Two implementations exist: a numba-compiled one and a vectorized pure-numpy
+one.  The env var PROPHET_SHARP_BACKEND picks which runs ("auto" | "numba" |
+"numpy").  Simulation results are bit-identical across backends.
 """
 
 import os

@@ -9,6 +9,7 @@ timestamp, seeds); numeric columns are reproducible given the same inputs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -83,9 +84,15 @@ def _parse_n_list(text: str) -> list:
     return values
 
 
-def _jobs_default() -> int:
-    env = os.environ.get("PROPHET_SHARP_JOBS", "").strip()
-    return int(env) if env else 1
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"jobs must be a positive integer (--jobs or PROPHET_SHARP_JOBS), got {text!r}")
+    return jobs
 
 
 def _map_jobs(fn, items, jobs):
@@ -230,13 +237,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_tol=True):
+    def common(p, tol=1e-7):
         p.add_argument("--N", type=int, default=1000, help="grid size (default 1000)")
-        if with_tol:
-            p.add_argument("--tol", type=float, default=1e-7)
+        p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--jobs", type=int, default=_jobs_default())
+        # a string default goes through type= at parse time, so a bad
+        # PROPHET_SHARP_JOBS is a usage error (exit 2), not a traceback
+        p.add_argument("--jobs", type=_jobs,
+                       default=os.environ.get("PROPHET_SHARP_JOBS", "").strip() or "1")
 
     p1 = sub.add_parser("table1", help="sharp ratio and regret constants per n")
     p1.add_argument("--n", type=_parse_n_list, default=[10, 25, 50, 100])
@@ -246,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p2 = sub.add_parser("table2", help="bounded-variance constants kappa_n")
     p2.add_argument("--n", type=_parse_n_list, default=[10, 25, 50, 100])
     p2.add_argument("--sigma", type=float, default=1.0)
-    common(p2)
+    common(p2, tol=inspect.signature(kappa).parameters["tol"].default)
     p2.set_defaults(fn=cmd_table2)
 
     p3 = sub.add_parser("table3", help="Pareto-band ratio constants")

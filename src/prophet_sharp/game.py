@@ -1,28 +1,36 @@
 """Zero-sum matrix game solver with duality-gap certificates and the
 sharp-constant pipelines for the ratio and difference games.
 
-The LP engine is HiGHS (scipy.optimize.linprog); every returned solution is
-re-verified by pure arithmetic: the reported gap is computed by replaying the
-cleaned strategies against the payoff matrix, never taken from solver
-internals.
+solve_game takes any dense payoff matrix.  The sharp games never form their
+(N-1) x (N-1) matrix: the reward-weight matrix B of the generator is
+semiseparable, so each game is one sparse HiGHS LP (scipy.optimize.linprog)
+with O(N) nonzeros, built from prefix and suffix sums.  Every returned
+solution is re-verified by arithmetic: value and gap are computed by
+replaying the strategies against the payoff matrix, for the sharp games
+through the O(N) products B v and B^T lam, never taken from solver internals.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from .dist import DiscreteDistribution, lfd_from_mu_diff, lfd_from_mu_ratio
 from .kernel import (
     KernelKind,
     PayoffMatrix,
+    check_grid,
     err_bound_diff,
     err_bound_ratio,
-    payoff_matrix,
+    generator_factors,
+    prophet_weights,
+    reward_matvec,
+    reward_rmatvec,
 )
 from .reward import ThresholdRule, ratio_floor, optimal_rule, rule_at_level
 
@@ -105,7 +113,11 @@ def solve_game(payoff, sense: str, tol: float = 1e-7) -> GameSolution:
 
 @dataclass(frozen=True)
 class SharpConstantReport:
-    """Sharp constant at (n, N) with its continuum bracket and reconstruction."""
+    """Sharp constant at (n, N) with its continuum bracket and reconstruction.
+
+    stats records how the LP was solved: HiGHS iterations and the LP's rows,
+    columns and nonzeros.
+    """
 
     n: int
     N: int
@@ -118,6 +130,7 @@ class SharpConstantReport:
     lam: np.ndarray
     mu: np.ndarray
     certified: bool  # False when no two-sided continuum certificate exists (ratio, n < 4)
+    stats: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -130,6 +143,7 @@ class SharpConstantReport:
             "certified": self.certified,
             "rule": {"theta": self.rule.theta, "p": self.rule.p},
             "lfd": {"atoms": [[v, p] for v, p in zip(self.lfd.values, self.lfd.probs)]},
+            "stats": dict(self.stats),
         }
 
     def to_json(self) -> str:
@@ -146,16 +160,18 @@ def sharp_ratio(n: int, N: int, tol: float | None = None) -> SharpConstantReport
     """Value of the N-grid game for the competitive ratio, with bracket.
 
     Both players are restricted to the grid: the adversary to the N-grid
-    family, the stopper to the levels {i/N}.  rule is the best grid-level
-    rule on the lfd.  The bracket always floors at ratio_floor(n); the
-    two-sided discretization certificate exists for n >= 4 only.
+    family, the stopper to the levels {i/N}.  The game min_mu max_i (R_N mu)_i
+    is solved as one sparse LP in v = mu / d (see _solve_sharp); value and gap
+    come from replaying (lam, mu) through the O(N) products B v and B^T lam.
+    rule is the best grid-level rule on the lfd.  The bracket always floors
+    at ratio_floor(n); the two-sided discretization certificate exists for
+    n >= 4 only.
     """
     tol = default_tol(N) if tol is None else tol
-    matrix = payoff_matrix(KernelKind.RATIO, n, N)
-    sol = solve_game(matrix, "minmax", tol)
+    sol, stats = _solve_sharp(KernelKind.RATIO, n, N, tol)
     mu = _cleanup(sol.mu)
     lfd = lfd_from_mu_ratio(mu, n, N)
-    scores = matrix.entries @ mu
+    scores = reward_matvec(n, N, mu / prophet_weights(n, N))
     i_star = _first_argbest(scores, largest=True)
     rule = rule_at_level(lfd, (i_star + 1) / N)
     floor = ratio_floor(n)
@@ -168,7 +184,7 @@ def sharp_ratio(n: int, N: int, tol: float | None = None) -> SharpConstantReport
         certified = False
     return SharpConstantReport(
         n=n, N=N, kind=KernelKind.RATIO, value=sol.value, bracket=bracket, gap=sol.gap,
-        rule=rule, lfd=lfd, lam=sol.lam, mu=mu, certified=certified,
+        rule=rule, lfd=lfd, lam=sol.lam, mu=mu, certified=certified, stats=stats,
     )
 
 
@@ -176,22 +192,110 @@ def sharp_regret(n: int, N: int, tol: float | None = None) -> SharpConstantRepor
     """Value of the N-grid game for the regret, with bracket.
 
     The adversary plays the N-grid family supported in [0, 1], the stopper
-    the levels {i/N}; rule is the best grid-level rule on the lfd.
+    the levels {i/N}.  The game max_mu min_i (A_N mu)_i, with
+    A_N mu = (d^T mu) 1 - B mu, is solved as one sparse LP in v = mu (see
+    _solve_sharp); value and gap come from the O(N) replay.  rule is the
+    best grid-level rule on the lfd.
     """
     tol = default_tol(N) if tol is None else tol
-    matrix = payoff_matrix(KernelKind.DIFFERENCE, n, N)
-    sol = solve_game(matrix, "maxmin", tol)
+    sol, stats = _solve_sharp(KernelKind.DIFFERENCE, n, N, tol)
     mu = _cleanup(sol.mu)
     lfd = lfd_from_mu_diff(mu, N)
-    scores = matrix.entries @ mu
+    scores = prophet_weights(n, N) @ mu - reward_matvec(n, N, mu)
     i_star = _first_argbest(scores, largest=False)
     rule = rule_at_level(lfd, (i_star + 1) / N)
     err = err_bound_diff(n, N)
     bracket = (max(0.0, sol.value - err - sol.gap), sol.value + err + sol.gap)
     return SharpConstantReport(
         n=n, N=N, kind=KernelKind.DIFFERENCE, value=sol.value, bracket=bracket, gap=sol.gap,
-        rule=rule, lfd=lfd, lam=sol.lam, mu=mu, certified=True,
+        rule=rule, lfd=lfd, lam=sol.lam, mu=mu, certified=True, stats=stats,
     )
+
+
+def _solve_sharp(kind: KernelKind, n: int, N: int, tol: float) -> tuple[GameSolution, dict]:
+    """Solve the (N-1) x (N-1) grid game as one LP with O(N) nonzeros.
+
+    Columns are v (v = mu/d for the ratio game, v = mu for the regret game),
+    the prefix sums P of v and Q of y v, the strict suffix sum S of (1-y) v,
+    the game value t and, for the regret game, D = d^T mu.  Payoff row i is
+    (B v)_i = P_i - x_i^{n-1} Q_i + g_i S_i, so
+        ratio:  min t  s.t.  (B v)_i <= t,      d^T v = 1, v >= 0;
+        regret: max t  s.t.  t <= D - (B v)_i,  D = d^T v, 1^T v = 1, v >= 0.
+    lam is read from the payoff rows' duals.  The replay bounds the game
+    value by lower <= value* <= upper; value is their midpoint and gap half
+    their distance.
+    """
+    n, N = check_grid(n, N)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    ratio = kind is KernelKind.RATIO
+    m = N - 1
+    y, xp, g = generator_factors(n, N)
+    d = prophet_weights(n, N)
+    i = np.arange(m)
+    v, P, Q, S = i, m + i, 2 * m + i, 3 * m + i
+    t, D = 4 * m, 4 * m + 1
+    cols = 4 * m + (1 if ratio else 2)
+
+    # equality rows: the three running sums, then the normalization
+    eq = [(i, P, 1.0), (i[1:], P[:-1], -1.0), (i, v, -1.0),
+          (m + i, Q, 1.0), (m + i[1:], Q[:-1], -1.0), (m + i, v, -y),
+          (2 * m + i, S, 1.0), (2 * m + i[:-1], S[1:], -1.0),
+          (2 * m + i[:-1], v[1:], -(1.0 - y[1:]))]
+    if ratio:
+        eq += [(3 * m, v, d)]
+        b_eq = np.zeros(3 * m + 1)
+        b_eq[-1] = 1.0
+    else:
+        eq += [(3 * m, v, 1.0), (3 * m + 1, D, 1.0), (3 * m + 1, v, -d)]
+        b_eq = np.zeros(3 * m + 2)
+        b_eq[3 * m] = 1.0
+    # payoff rows: (B v)_i - t <= 0, or t - D + (B v)_i <= 0
+    ub = [(i, P, 1.0), (i, Q, -xp), (i, S, g)]
+    ub += [(i, t, -1.0)] if ratio else [(i, t, 1.0), (i, D, -1.0)]
+    A_eq = _sparse(eq, (b_eq.size, cols))
+    A_ub = _sparse(ub, (m, cols))
+    c = np.zeros(cols)
+    c[t] = 1.0 if ratio else -1.0
+    bounds = np.zeros((cols, 2))
+    bounds[:, 1] = np.inf
+    bounds[t:, 0] = -np.inf
+
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(m), A_eq=A_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs")
+    if res.status != 0:
+        raise SolverError(f"LP solver failed with status {res.status}: {res.message}")
+    stats = {"iterations": int(getattr(res, "nit", -1)), "lp_rows": m + b_eq.size,
+             "lp_cols": cols, "lp_nonzeros": int(A_ub.nnz + A_eq.nnz)}
+
+    mu = np.maximum(res.x[:m], 0.0) * (d if ratio else 1.0)
+    mu /= mu.sum()
+    lam = np.maximum(-np.asarray(res.ineqlin.marginals, dtype=np.float64), 0.0)
+    if lam.sum() <= 0.0:
+        raise SolverError("LP returned a degenerate dual; no row strategy available")
+    lam /= lam.sum()
+
+    # replay: rows R mu = B (mu/d), columns R^T lam = (B^T lam)/d for the
+    # ratio game; rows A mu = d^T mu - B mu, columns A^T lam = d - B^T lam
+    if ratio:
+        upper = float(reward_matvec(n, N, mu / d).max())
+        lower = float((reward_rmatvec(n, N, lam) / d).min())
+    else:
+        lower = float((d @ mu - reward_matvec(n, N, mu)).min())
+        upper = float((d - reward_rmatvec(n, N, lam)).max())
+    value = 0.5 * (upper + lower)
+    gap = max(0.5 * (upper - lower), 0.0)
+    if gap > tol:
+        raise SolverError(f"duality gap {gap:.3e} exceeds tol {tol:.3e}", gap=gap)
+    return GameSolution(value=value, lam=lam, mu=mu, gap=gap,
+                        iterations=stats["iterations"]), stats
+
+
+def _sparse(blocks, shape) -> csr_array:
+    """CSR matrix from (rows, cols, values) blocks; scalars broadcast."""
+    triples = [np.broadcast_arrays(*block) for block in blocks]
+    rows, cols, vals = (np.concatenate([np.ravel(tr[k]) for tr in triples]) for k in range(3))
+    return csr_array((vals.astype(np.float64), (rows, cols)), shape=shape)
 
 
 @dataclass(frozen=True)

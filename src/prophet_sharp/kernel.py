@@ -1,7 +1,9 @@
 """Game kernels on the unit square and their discretized payoff matrices.
 
-The ratio kernel R and difference kernel A drive the two zero-sum games; the
-matrices evaluate them on the uniform level grid {i/N}.  Also: the
+The ratio kernel R and difference kernel A drive the two zero-sum games; on
+the uniform level grid {i/N} both derive from the generator, the reward
+weights B and the prophet weights d: R_N = B / d per column, A_N = d - B.
+B is semiseparable, so B v and B^T lam take O(N) operations.  Also: the
 discretization error bounds, the support-exclusion constant, and the
 Lipschitz constants used by search certificates and property tests.
 """
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from ._backend import HAS_NUMBA, backend, njit, prange
 
 
 class KernelKind(str, Enum):
@@ -107,73 +107,29 @@ class PayoffMatrix:
                    np.asarray(obj["rows"], dtype=np.float64))
 
 
-def _ratio_entries_numpy(n: int, N: int) -> np.ndarray:
-    g = np.arange(1, N, dtype=np.float64) / N
-    X, Y = g[:, None], g[None, :]
-    lower = (1.0 - X ** (n - 1) * Y) / (1.0 - Y**n)
-    upper = ((1.0 - X**n) / (1.0 - X)) * ((1.0 - Y) / (1.0 - Y**n))
-    out = np.where(X > Y, lower, upper)
-    np.fill_diagonal(out, 1.0)
-    return out
-
-
-def _diff_entries_numpy(n: int, N: int) -> np.ndarray:
-    g = np.arange(1, N, dtype=np.float64) / N
-    X, Y = g[:, None], g[None, :]
-    lower = Y * (X ** (n - 1) - Y ** (n - 1))
-    upper = (1.0 - Y) * ((Y - Y**n) / (1.0 - Y) - (X - X**n) / (1.0 - X))
-    out = np.where(X > Y, lower, upper)
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _ratio_entries_numba(n, N, out):  # pragma: no cover - executed off-interpreter
-        for i in prange(1, N):
-            x = i / N
-            for j in range(1, N):
-                y = j / N
-                if i == j:
-                    out[i - 1, j - 1] = 1.0
-                elif i > j:
-                    out[i - 1, j - 1] = (1.0 - x ** (n - 1) * y) / (1.0 - y**n)
-                else:
-                    out[i - 1, j - 1] = ((1.0 - x**n) / (1.0 - x)) * ((1.0 - y) / (1.0 - y**n))
-
-    @njit(cache=True, parallel=True)
-    def _diff_entries_numba(n, N, out):  # pragma: no cover
-        for i in prange(1, N):
-            x = i / N
-            for j in range(1, N):
-                y = j / N
-                if i == j:
-                    out[i - 1, j - 1] = 0.0
-                elif i > j:
-                    out[i - 1, j - 1] = y * (x ** (n - 1) - y ** (n - 1))
-                else:
-                    out[i - 1, j - 1] = (1.0 - y) * (
-                        (y - y**n) / (1.0 - y) - (x - x**n) / (1.0 - x)
-                    )
-
-
-def payoff_matrix(kind: KernelKind | str, n: int, N: int) -> PayoffMatrix:
-    """Discretized game matrix R_N or A_N on levels {1/N, ..., (N-1)/N}."""
-    kind = KernelKind(kind)
+def check_grid(n: int, N: int) -> tuple[int, int]:
+    """Validate a game size: horizon n >= 2 and grid size N >= 3."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"horizon must be an integer >= 2, got {n!r}")
     if not isinstance(N, (int, np.integer)) or N < 3:
         raise ValueError(f"grid size must be an integer >= 3, got {N!r}")
-    n, N = int(n), int(N)
-    if backend() == "numba":
-        out = np.empty((N - 1, N - 1))
-        if kind is KernelKind.RATIO:
-            _ratio_entries_numba(n, N, out)
-        else:
-            _diff_entries_numba(n, N, out)
+    return int(n), int(N)
+
+
+def payoff_matrix(kind: KernelKind | str, n: int, N: int) -> PayoffMatrix:
+    """Dense game matrix R_N = B / d (per column) or A_N = d - B on levels
+    {1/N, ..., (N-1)/N}, built from the generator (B, d); its diagonal is
+    exactly 1 or 0.  The sharp solvers never form it: it is the dense view
+    for tests, oracles and small games."""
+    kind = KernelKind(kind)
+    n, N = check_grid(n, N)
+    B, d = reward_weights(n, N), prophet_weights(n, N)
+    if kind is KernelKind.RATIO:
+        out = B / d
+        np.fill_diagonal(out, 1.0)
     else:
-        out = _ratio_entries_numpy(n, N) if kind is KernelKind.RATIO else _diff_entries_numpy(n, N)
+        out = d - B
+        np.fill_diagonal(out, 0.0)
     return PayoffMatrix(kind, n, N, out)
 
 
@@ -190,6 +146,49 @@ def prophet_weights(n: int, N: int) -> np.ndarray:
     """Vector d with d[j-1] = 1 - (j/N)^n (prophet weight of increment j)."""
     g = np.arange(1, N, dtype=np.float64) / N
     return 1.0 - g**n
+
+
+def generator_factors(n: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levels y = {i/N}, x^{n-1} and g = (1 - x^n) / (1 - x) on them.
+
+    They factor B: B[i, j] = 1 - x_i^{n-1} y_j for j <= i (rank 2) and
+    (1 - y_j) g_i for j > i (rank 1), so B is semiseparable.
+    """
+    y = np.arange(1, N, dtype=np.float64) / N
+    return y, y ** (n - 1), (1.0 - y**n) / (1.0 - y)
+
+
+def reward_matvec(n: int, N: int, v) -> np.ndarray:
+    """B v in O(N): (B v)_i = P_i - x_i^{n-1} Q_i + g_i S_i, with P and Q the
+    prefix sums of v and y v and S the strict suffix sum of (1 - y) v."""
+    y, xp, g = generator_factors(n, N)
+    v = _grid_vector(v, N)
+    return np.cumsum(v) - xp * np.cumsum(y * v) + g * _strict_suffix_sum((1.0 - y) * v)
+
+
+def reward_rmatvec(n: int, N: int, lam) -> np.ndarray:
+    """B^T lam in O(N): (B^T lam)_j = sum_{i>=j} lam_i - y_j sum_{i>=j} x_i^{n-1} lam_i
+    + (1 - y_j) sum_{i<j} g_i lam_i."""
+    y, xp, g = generator_factors(n, N)
+    lam = _grid_vector(lam, N)
+    prefix = np.cumsum(g * lam)
+    strict_prefix = np.concatenate(([0.0], prefix[:-1]))
+    return _suffix_sum(lam) - y * _suffix_sum(xp * lam) + (1.0 - y) * strict_prefix
+
+
+def _grid_vector(v, N: int) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (N - 1,):
+        raise ValueError(f"vector must have length N-1 = {N - 1}, got {v.shape}")
+    return v
+
+
+def _suffix_sum(a: np.ndarray) -> np.ndarray:
+    return np.cumsum(a[::-1])[::-1]
+
+
+def _strict_suffix_sum(a: np.ndarray) -> np.ndarray:
+    return np.concatenate((_suffix_sum(a)[1:], [0.0]))
 
 
 def err_bound_diff(n: int, N: int) -> float:

@@ -195,3 +195,31 @@ class TestParsing:
         monkeypatch.setenv("PROPHET_SHARP_JOBS", "3")
         args = build_parser().parse_args(["table1", "--n", "5"])
         assert args.jobs == 3
+
+    def test_bad_jobs_env_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PROPHET_SHARP_JOBS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--n", "4", "--N", "40", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_jobs_flag_overrides_bad_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PROPHET_SHARP_JOBS", "abc")
+        assert main(["table1", "--n", "4", "--N", "40", "--out", str(tmp_path),
+                     "--jobs", "2"]) == 0
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_bad_jobs_flag_exit_2(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--n", "4", "--N", "40", "--out", str(tmp_path), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_table2_tol_default_is_kappa_default(self):
+        import inspect
+
+        from prophet_sharp import kappa
+        from prophet_sharp.cli import build_parser
+
+        args = build_parser().parse_args(["table2"])
+        assert args.tol == inspect.signature(kappa).parameters["tol"].default

@@ -164,6 +164,33 @@ class TestSharpRegret:
         assert sharp_regret(10, 500).value == pytest.approx(0.139507, abs=2e-6)
 
 
+class TestStructuredLP:
+    @pytest.mark.parametrize("n,N", [(2, 3), (3, 10), (5, 60), (10, 200)])
+    @pytest.mark.parametrize("kind", ["ratio", "regret"])
+    def test_matches_dense_game(self, kind, n, N):
+        if kind == "ratio":
+            rep, sense = sharp_ratio(n, N), "minmax"
+            M = payoff_matrix(KernelKind.RATIO, n, N).entries
+        else:
+            rep, sense = sharp_regret(n, N), "maxmin"
+            M = payoff_matrix(KernelKind.DIFFERENCE, n, N).entries
+        assert abs(rep.value - solve_game(M, sense).value) <= 1e-9
+        rows, cols = M @ rep.mu, M.T @ rep.lam
+        if sense == "minmax":
+            upper, lower = rows.max(), cols.min()
+        else:
+            lower, upper = rows.min(), cols.max()
+        assert max(upper - rep.value, rep.value - lower) <= 1e-7
+
+    def test_stats(self):
+        for rep in (sharp_ratio(10, 200), sharp_regret(10, 200)):
+            assert set(rep.stats) == {"iterations", "lp_rows", "lp_cols", "lp_nonzeros"}
+            assert rep.stats["iterations"] > 0
+            assert rep.stats["lp_rows"] > 0 and rep.stats["lp_cols"] > 0
+            assert rep.stats["lp_nonzeros"] <= 20 * rep.N
+            assert rep.as_dict()["stats"] == rep.stats
+
+
 class TestVerify:
     def test_lfd_self_consistency(self):
         rep = sharp_ratio(6, 80)
@@ -211,6 +238,6 @@ class TestSerialization:
         rep = sharp_regret(4, 30)
         obj = __import__("json").loads(rep.to_json())
         assert set(obj) == {"n", "N", "kind", "value", "bracket", "gap",
-                            "certified", "rule", "lfd"}
+                            "certified", "rule", "lfd", "stats"}
         assert obj["kind"] == "difference"
         assert isinstance(obj["lfd"]["atoms"], list)

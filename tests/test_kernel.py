@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prophet_sharp import (
     KernelKind,
@@ -12,6 +14,8 @@ from prophet_sharp import (
     lipschitz_r,
     payoff_matrix,
     prophet_weights,
+    reward_matvec,
+    reward_rmatvec,
     reward_weights,
     stop_weight,
     support_cutoff,
@@ -170,17 +174,6 @@ class TestMatrices:
         assert R[1, 0] == pytest.approx(14 / 15, abs=1e-15)  # (i, j) = (2, 1)
         assert A[1, 0] == pytest.approx(0.0625, abs=1e-16)
 
-    def test_backends_agree(self, monkeypatch):
-        pytest.importorskip("numba")
-        monkeypatch.setenv("PROPHET_SHARP_BACKEND", "numba")
-        Rn = payoff_matrix("ratio", 6, 80).entries
-        An = payoff_matrix("difference", 6, 80).entries
-        monkeypatch.setenv("PROPHET_SHARP_BACKEND", "numpy")
-        Rp = payoff_matrix("ratio", 6, 80).entries
-        Ap = payoff_matrix("difference", 6, 80).entries
-        np.testing.assert_allclose(Rn, Rp, rtol=1e-13, atol=5e-16)
-        np.testing.assert_allclose(An, Ap, rtol=1e-13, atol=5e-16)
-
     def test_difference_is_prophet_minus_reward(self):
         # A_N = 1 d^T - B columnwise
         n, N = 6, 25
@@ -221,6 +214,24 @@ class TestMatrices:
         for i in range(1, N):
             row = stop_weight(i / N, np.arange(1, N) / N, n)
             np.testing.assert_allclose(row, B[i - 1], rtol=1e-15)
+
+
+class TestStructuredProducts:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 30), st.integers(3, 400), st.data())
+    def test_match_dense_products(self, n, N, data):
+        # zeros, or values far enough above underflow that y * v stays normal
+        entries = st.one_of(st.just(0.0), st.floats(1e-100, 1.0))
+        v = np.array(data.draw(st.lists(entries, min_size=N - 1, max_size=N - 1)))
+        B = reward_weights(n, N)
+        np.testing.assert_allclose(reward_matvec(n, N, v), B @ v, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(reward_rmatvec(n, N, v), B.T @ v, rtol=1e-12, atol=0.0)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            reward_matvec(4, 10, np.ones(10))
+        with pytest.raises(ValueError):
+            reward_rmatvec(4, 10, np.ones(8))
 
 
 class TestBounds:
