@@ -5,7 +5,6 @@ Carlo validator."""
 
 __version__ = "0.1.0"
 
-from ._backend import backend
 from .constrained import (
     KappaResult,
     ParetoProblem,

@@ -96,10 +96,18 @@ def _jobs(text: str) -> int:
 
 
 def _map_jobs(fn, items, jobs):
+    """(item, fn(item)) for each item, in input order, on up to jobs threads;
+    a SolverError raised by fn takes the place of its result."""
+    def one(item):
+        try:
+            return item, fn(item)
+        except SolverError as exc:
+            return item, exc
+
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [one(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))  # preserves input order
+        return list(pool.map(one, items))
 
 
 def cmd_table1(args) -> int:
@@ -108,21 +116,17 @@ def cmd_table1(args) -> int:
                                       "jobs": args.jobs, "format": args.format})
     failures = []
 
-    def one(n):
-        try:
-            ratio = sharp_ratio(n, args.N, args.tol)
-            regret = sharp_regret(n, args.N, args.tol)
-            return n, ratio, regret
-        except SolverError as exc:
-            return n, None, exc
+    def solve(n):
+        return sharp_ratio(n, args.N, args.tol), sharp_regret(n, args.N, args.tol)
 
     header = ["n", "R_value", "R_lo", "R_hi", "A_value", "A_lo", "A_hi", "gap_R", "gap_A"]
     rows = []
-    for n, ratio, regret in _map_jobs(one, args.n, args.jobs):
-        if ratio is None:
-            print(f"table1: solver failed for n={n}: {regret}", file=sys.stderr)
+    for n, res in _map_jobs(solve, args.n, args.jobs):
+        if isinstance(res, SolverError):
+            print(f"table1: solver failed for n={n}: {res}", file=sys.stderr)
             failures.append(n)
             continue
+        ratio, regret = res
         rows.append([n, ratio.value, ratio.bracket[0], ratio.bracket[1],
                      regret.value, regret.bracket[0], regret.bracket[1],
                      ratio.gap, regret.gap])
@@ -137,14 +141,17 @@ def cmd_table1(args) -> int:
 def cmd_table2(args) -> int:
     out = Path(args.out)
     manifest = RunManifest("table2", {"n": args.n, "N": args.N, "tol": args.tol,
-                                      "sigma": args.sigma, "format": args.format})
+                                      "sigma": args.sigma, "jobs": args.jobs,
+                                      "format": args.format})
     failures = []
     rows = []
-    for n in args.n:
-        try:
-            res = kappa(n, args.N, tol=args.tol, sigma=args.sigma)
-        except SolverError as exc:
-            print(f"table2: solver failed for n={n}: {exc}", file=sys.stderr)
+
+    def solve(n):
+        return kappa(n, args.N, tol=args.tol, sigma=args.sigma)
+
+    for n, res in _map_jobs(solve, args.n, args.jobs):
+        if isinstance(res, SolverError):
+            print(f"table2: solver failed for n={n}: {res}", file=sys.stderr)
             failures.append(n)
             continue
         rows.append([n, res.value, res.certificate["kappa_lower"],
@@ -162,14 +169,17 @@ def cmd_table2(args) -> int:
 def cmd_table3(args) -> int:
     out = Path(args.out)
     manifest = RunManifest("table3", {"n": args.n, "N": args.N, "p0": args.p0,
-                                      "p1": args.p1, "tol": args.tol, "format": args.format})
+                                      "p1": args.p1, "tol": args.tol, "jobs": args.jobs,
+                                      "format": args.format})
     failures = []
     rows = []
-    for n in args.n:
-        try:
-            res = pareto_ratio(n, args.N, args.p0, args.p1, tol=args.tol)
-        except SolverError as exc:
-            print(f"table3: solver failed for n={n}: {exc}", file=sys.stderr)
+
+    def solve(n):
+        return pareto_ratio(n, args.N, args.p0, args.p1, tol=args.tol)
+
+    for n, res in _map_jobs(solve, args.n, args.jobs):
+        if isinstance(res, SolverError):
+            print(f"table3: solver failed for n={n}: {res}", file=sys.stderr)
             failures.append(n)
             continue
         rows.append([n, res.value, res.certificate["bracket"][0],

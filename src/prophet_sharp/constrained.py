@@ -7,9 +7,10 @@ convex QP: kappa_n = 1 / min{ ||z||_Q : A_N z >= 1, z >= 0 }, solved by
 L-BFGS-B ascent on the bound-constrained dual (Q^{-1} is N times the
 tridiagonal second-difference matrix) plus an active-set KKT polish.
 
-Pareto-like tails: bisection on the ratio level with an LP feasibility
-oracle per step, solved in cumulative-quantile variables so the two-sided
-band becomes plain variable bounds.
+Pareto-like tails: the worst-case ratio over a two-sided band on the
+cumulative quantiles is a linear-fractional program, solved as one sparse
+LP after the Charnes-Cooper change of variables, with the payoff rows
+built from the same semiseparable row block as the sharp games.
 """
 
 from __future__ import annotations
@@ -18,13 +19,20 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cholesky
 from scipy.optimize import linprog, minimize
 
 from .dist import DiscreteDistribution
 from .game import SolverError
-from .kernel import KernelKind, payoff_matrix, prophet_weights, reward_weights
+from .kernel import (
+    KernelKind,
+    csr_from_blocks,
+    payoff_matrix,
+    prophet_weights,
+    reward_matvec,
+    reward_rows,
+    reward_weights,
+)
 
 
 def variance_q_matrix(N: int) -> np.ndarray:
@@ -292,72 +300,66 @@ def pareto_ratio(
     q_lo: np.ndarray | None = None,
     q_hi: np.ndarray | None = None,
 ) -> ParetoResult:
-    """Worst-case ratio over the Pareto-like band, by bisection on the level.
+    """Worst-case ratio over the Pareto-like band, as one LP.
 
-    Feasibility of level rho is an LP in cumulative quantiles u: bounds
-    q_lo <= u <= q_hi, monotone increments, (B - rho 1 d^T) v <= 0 and
-    d^T v >= 1 (scale normalization; v = increments of u).  q_lo/q_hi may be
-    overridden (e.g. zeros / +inf recovers the unconstrained game).
+    The ratio max_i (B v)_i / d^T v over increments v of cumulative
+    quantiles u with q_lo <= u <= q_hi is linear-fractional; the
+    Charnes-Cooper change of variables s = 1 / d^T v, w = s v, y = s u makes
+    it the LP
+        min t  s.t.  (B w)_i <= t,  s q_lo <= y <= s q_hi,  d^T w = 1,
+                     w >= 0, s >= 0,
+    where y is the prefix sum P of w in kernel.reward_rows' block and only
+    positive q_lo and finite q_hi entries give rows.  The witness is
+    u = y / s clipped into the band (v = w when s = 0, which happens when
+    q_lo = 0 and q_hi = +inf, the unconstrained game); value is its ratio
+    replayed through reward_matvec, and the bracket's lower end is the LP
+    optimum as HiGHS reports it, capped at value.  q_lo/q_hi may be
+    overridden.
     """
     problem = ParetoProblem.build(n, N, p0, p1)
-    if q_lo is None:
-        q_lo = problem.q_lo
-    if q_hi is None:
-        q_hi = problem.q_hi
+    q_lo = problem.q_lo if q_lo is None else np.asarray(q_lo, dtype=np.float64)
+    q_hi = problem.q_hi if q_hi is None else np.asarray(q_hi, dtype=np.float64)
     m = N - 1
-    B = reward_weights(n, N)
     d = prophet_weights(n, N)
-    # column-difference transform: (B v)_i = (Btil u)_i for v = increments(u)
-    Btil = B.copy()
-    Btil[:, :-1] -= B[:, 1:]
-    dtil = d.copy()
-    dtil[:-1] -= d[1:]
-    monotone = sp.hstack(
-        [sp.diags([np.ones(m - 1), -np.ones(m - 1)], [0, 1], format="csr", shape=(m - 1, m)),
-         sp.csr_matrix((m - 1, 1))],
-        format="csr",
-    )
-    bounds = [(lo, hi if np.isfinite(hi) else None) for lo, hi in zip(q_lo, q_hi)]
-    bounds.append((-1.0, None))  # only the sign of s matters; keeps the LP bounded
-    cost = np.concatenate((np.zeros(m), [1.0]))
-    b_ub = np.concatenate((np.zeros(m), np.zeros(m - 1), [-1.0]))
+    i = w = np.arange(m)  # payoff rows; the w columns come first
+    P = m + i
+    s, t = 4 * m, 4 * m + 1
+    eq, ub = reward_rows(n, N)
+    eq += [(3 * m, w, d)]
+    ub += [(i, t, -1.0)]
+    # band rows s q_lo_i - y_i <= 0 and y_i - s q_hi_i <= 0
+    lo = np.flatnonzero(q_lo > 0.0)
+    hi = np.flatnonzero(np.isfinite(q_hi))
+    rows_lo, rows_hi = m + np.arange(lo.size), m + lo.size + np.arange(hi.size)
+    ub += [(rows_lo, s, q_lo[lo]), (rows_lo, P[lo], -1.0),
+           (rows_hi, P[hi], 1.0), (rows_hi, s, -q_hi[hi])]
+    n_ub, cols = m + lo.size + hi.size, 4 * m + 2
+    c = np.zeros(cols)
+    c[t] = 1.0
+    res = linprog(c, A_ub=csr_from_blocks(ub, (n_ub, cols)), b_ub=np.zeros(n_ub),
+                  A_eq=csr_from_blocks(eq, (3 * m + 1, cols)), b_eq=np.append(np.zeros(3 * m), 1.0),
+                  bounds=[(0.0, None)] * (cols - 1) + [(None, None)], method="highs")
+    if res.status != 0:
+        raise SolverError(f"pareto LP failed with status {res.status}: {res.message}")
 
-    def probe(rho):
-        dense = np.hstack([Btil - rho * np.outer(np.ones(m), dtil), -np.ones((m, 1))])
-        A_ub = sp.vstack(
-            [sp.csr_matrix(dense), monotone,
-             sp.csr_matrix(np.concatenate((-dtil, [0.0])).reshape(1, -1))],
-            format="csr",
-        )
-        res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        if res.status not in (0, 2):
-            raise SolverError(f"pareto feasibility LP failed: {res.message}")
-        feasible = res.status == 0 and res.x[-1] <= 1e-9
-        return feasible, (res.x[:m] if feasible else None)
-
-    lo, hi = 0.0, 1.0
-    ok, u_best = probe(hi)
-    if not ok:
-        raise SolverError("pareto problem infeasible at rho = 1; inconsistent band")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        ok, u = probe(mid)
-        if ok:
-            hi, u_best = mid, u
-        else:
-            lo = mid
-    v = np.concatenate(([u_best[0]], np.diff(u_best)))
-    v = np.maximum(v, 0.0)
-    ratios = (B @ v) / (d @ v)
+    y = np.cumsum(np.maximum(res.x[:m], 0.0))
+    scale = res.x[s]
+    # a clipped nondecreasing sequence stays nondecreasing, so v >= 0
+    u = np.clip(y / scale, q_lo, q_hi) if scale > 0.0 else y
+    v = np.concatenate(([u[0]], np.diff(u)))
+    achieved = float((reward_matvec(n, N, v) / (d @ v)).max())
+    lower = min(float(res.fun), achieved)
     certificate = {
-        "bracket": [float(lo), float(hi)],
-        "achieved_ratio": float(ratios.max()),
-        "band_violation": float(
-            max(np.max(q_lo - u_best, initial=0.0),
-                np.max(u_best - np.where(np.isfinite(q_hi), q_hi, np.inf), initial=0.0))
-        ),
+        "bracket": [lower, achieved],
+        "achieved_ratio": achieved,
+        "band_violation": float(max(np.max(q_lo - u, initial=0.0),
+                                    np.max(u - q_hi, initial=0.0))),
         "normalization": float(d @ v),
     }
-    if certificate["achieved_ratio"] > hi + 1e-9:
-        raise SolverError("pareto witness violates its own level; LP residuals too large")
-    return ParetoResult(value=float(hi), v=v, certificate=certificate)
+    gap = achieved - lower
+    if gap > tol:
+        raise SolverError(f"pareto witness ratio exceeds the LP optimum by {gap:.3e} > tol {tol:.3e}",
+                          gap=gap)
+    if certificate["band_violation"] > 0.0:
+        raise SolverError("pareto witness leaves its band")
+    return ParetoResult(value=achieved, v=v, certificate=certificate)

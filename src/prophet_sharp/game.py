@@ -18,19 +18,19 @@ from typing import Iterable
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_array
 
 from .dist import DiscreteDistribution, lfd_from_mu_diff, lfd_from_mu_ratio
 from .kernel import (
     KernelKind,
     PayoffMatrix,
     check_grid,
+    csr_from_blocks,
     err_bound_diff,
     err_bound_ratio,
-    generator_factors,
     prophet_weights,
     reward_matvec,
     reward_rmatvec,
+    reward_rows,
 )
 from .reward import ThresholdRule, ratio_floor, optimal_rule, rule_at_level
 
@@ -230,18 +230,13 @@ def _solve_sharp(kind: KernelKind, n: int, N: int, tol: float) -> tuple[GameSolu
         raise ValueError(f"tol must be positive, got {tol!r}")
     ratio = kind is KernelKind.RATIO
     m = N - 1
-    y, xp, g = generator_factors(n, N)
     d = prophet_weights(n, N)
-    i = np.arange(m)
-    v, P, Q, S = i, m + i, 2 * m + i, 3 * m + i
+    i = v = np.arange(m)  # payoff rows; the v columns come first
     t, D = 4 * m, 4 * m + 1
     cols = 4 * m + (1 if ratio else 2)
 
     # equality rows: the three running sums, then the normalization
-    eq = [(i, P, 1.0), (i[1:], P[:-1], -1.0), (i, v, -1.0),
-          (m + i, Q, 1.0), (m + i[1:], Q[:-1], -1.0), (m + i, v, -y),
-          (2 * m + i, S, 1.0), (2 * m + i[:-1], S[1:], -1.0),
-          (2 * m + i[:-1], v[1:], -(1.0 - y[1:]))]
+    eq, ub = reward_rows(n, N)
     if ratio:
         eq += [(3 * m, v, d)]
         b_eq = np.zeros(3 * m + 1)
@@ -251,10 +246,9 @@ def _solve_sharp(kind: KernelKind, n: int, N: int, tol: float) -> tuple[GameSolu
         b_eq = np.zeros(3 * m + 2)
         b_eq[3 * m] = 1.0
     # payoff rows: (B v)_i - t <= 0, or t - D + (B v)_i <= 0
-    ub = [(i, P, 1.0), (i, Q, -xp), (i, S, g)]
     ub += [(i, t, -1.0)] if ratio else [(i, t, 1.0), (i, D, -1.0)]
-    A_eq = _sparse(eq, (b_eq.size, cols))
-    A_ub = _sparse(ub, (m, cols))
+    A_eq = csr_from_blocks(eq, (b_eq.size, cols))
+    A_ub = csr_from_blocks(ub, (m, cols))
     c = np.zeros(cols)
     c[t] = 1.0 if ratio else -1.0
     bounds = np.zeros((cols, 2))
@@ -289,13 +283,6 @@ def _solve_sharp(kind: KernelKind, n: int, N: int, tol: float) -> tuple[GameSolu
         raise SolverError(f"duality gap {gap:.3e} exceeds tol {tol:.3e}", gap=gap)
     return GameSolution(value=value, lam=lam, mu=mu, gap=gap,
                         iterations=stats["iterations"]), stats
-
-
-def _sparse(blocks, shape) -> csr_array:
-    """CSR matrix from (rows, cols, values) blocks; scalars broadcast."""
-    triples = [np.broadcast_arrays(*block) for block in blocks]
-    rows, cols, vals = (np.concatenate([np.ravel(tr[k]) for tr in triples]) for k in range(3))
-    return csr_array((vals.astype(np.float64), (rows, cols)), shape=shape)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DiscreteDistribution, infer_grid_size
-from .kernel import lipschitz_r, stop_weight
+from .kernel import stop_weight
 
 # below this no-stop probability complement the rule degenerates to "take the
 # last observation" and the reward is the mean
@@ -140,18 +140,14 @@ def optimal_rule(
     dist: DiscreteDistribution,
     n: int,
     mode: str = "level-search",
-    resolution: int | None = None,
-    refine_rounds: int = 3,
     grid_size: int | None = None,
 ) -> OptimalRule:
     """Best single-threshold rule for dist.
 
     mode "grid-exact" requires dist to live on a 1/N-probability grid
     (N = grid_size when given, else inferred) and maximizes over the exact
-    levels {1/N, ..., (N-1)/N}.  mode "level-search" scans range(F) plus a
-    uniform level grid (default 10 points per atom), refines around the best
-    level, and certifies the remaining gap with the ratio-kernel Lipschitz
-    constant.
+    levels {1/N, ..., (N-1)/N}.  mode "level-search" maximizes over every
+    level in [0, 1] exactly (see best_level), so its search_gap is 0.
     """
     _require_horizon(n)
     if mode == "grid-exact":
@@ -167,41 +163,37 @@ def optimal_rule(
 
     if mode != "level-search":
         raise ValueError(f"unknown mode {mode!r}")
+    rule = rule_at_level(dist, best_level(dist, n))
+    return OptimalRule(rule, evaluate_rule(dist, n, rule), 0.0)
 
-    prophet = dist.expected_max(n)
-    if prophet <= 0.0:
-        rule = ThresholdRule(0.0, 1.0)
-        return OptimalRule(rule, RuleEvaluation(0.0, 1.0, 0.0), 0.0)
-    k = dist.values.size
-    pts = resolution if resolution is not None else 10 * k
-    xs = np.unique(np.clip(np.concatenate((dist.cumulative, np.linspace(0.0, 1.0, pts + 1))), 0.0, 1.0))
-    x_top = float(dist.cumulative[-2]) if k > 1 else 0.0  # last quantile jump level
 
-    def scan(grid):
-        r = np.array([reward_by_level(dist, n, x) for x in grid])
-        j = int(np.argmax(r))
-        return float(grid[j]), float(r[j])
+def best_level(dist: DiscreteDistribution, n: int) -> float:
+    """Level x in [0, 1] with the largest level-x rule reward.
 
-    x_best, v_best = scan(xs)
-    width = 1.0 / pts
-    for _ in range(refine_rounds):
-        lo, hi = max(0.0, x_best - width), min(1.0, x_best + width)
-        width = (hi - lo) / pts
-        x_loc, v_loc = scan(np.linspace(lo, hi, pts + 1))
-        if v_loc > v_best:
-            x_best, v_best = x_loc, v_loc
-
-    # rewards decrease beyond the last jump level, so the search interval is
-    # effectively [0, x_top] where the ratio kernel is Lipschitz; the coarse
-    # grid spacing there bounds how much the scan can have missed
-    if x_top > 0.0:
-        cover = np.unique(np.concatenate((xs[xs <= x_top], [x_top])))
-        h = float(np.diff(cover).max()) if cover.size > 1 else x_top
-        gap = 0.5 * lipschitz_r(n, 1.0 - x_top) * h * prophet
-    else:
-        gap = 0.0
-    rule = rule_at_level(dist, x_best)
-    return OptimalRule(rule, evaluate_rule(dist, n, rule), gap)
+    Between consecutive jump levels of dF^{<-} the reward is the polynomial
+    P + T sum_{k<n} x^k - Q x^{n-1}, where P and Q sum the jump weights w and
+    w y at levels y <= x and T sums w (1 - y) at levels y > x.  The reward is
+    continuous in x, so each piece is settled by its two ends and the roots
+    of its derivative (real parts of all roots, clipped into the piece, so
+    that no real root is lost to rounding).
+    """
+    levels, weights = dist.quantile_jumps()
+    ends = np.append(levels, 1.0)
+    P, Q = np.cumsum(weights), np.cumsum(weights * levels)
+    T = np.append(np.cumsum((weights * (1.0 - levels))[::-1])[::-1][1:], 0.0)
+    best_x, best_v = 0.0, -np.inf
+    for j in range(levels.size):
+        a, b = ends[j], ends[j + 1]
+        coef = np.full(n, T[j])
+        coef[0] += P[j]
+        coef[n - 1] -= Q[j]
+        piece = np.polynomial.Polynomial(coef)
+        xs = np.concatenate(([a, b], np.clip(piece.deriv().roots().real, a, b)))
+        vals = piece(xs)
+        k = int(np.argmax(vals))
+        if vals[k] > best_v:
+            best_x, best_v = float(xs[k]), float(vals[k])
+    return best_x
 
 
 def ratio_floor(n: int) -> float:

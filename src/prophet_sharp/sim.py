@@ -2,9 +2,9 @@
 
 RNG: counter-based splitmix64 streams, one per trial, keyed by
 (seed, trial index).  A draw is random-access within its stream, so the
-vectorized numpy backend consumes draws identically to the sequential numba
-backend and both produce bit-identical results.  Tie-break draws are
-consumed only when an observation equals the threshold exactly.
+vectorized trial loops consume draws exactly as a sequential walk through
+each trial (TrialStream) would.  Tie-break draws are consumed only when an
+observation equals the threshold exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import HAS_NUMBA, backend, njit
 from .dist import DiscreteDistribution
 from .reward import ThresholdRule
 
@@ -90,7 +89,7 @@ def sample(dist: DiscreteDistribution, stream: TrialStream) -> float:
     return dist.quantile(stream.uniform())
 
 
-# -- numpy backend -----------------------------------------------------------
+# -- vectorized trial loops -------------------------------------------------
 
 _U = np.uint64
 
@@ -117,7 +116,7 @@ def _atoms_at(values, cum, u) -> np.ndarray:
     return values[idx]
 
 
-def _rule_rewards_numpy(values, cum, theta, p, n, seed, trials) -> np.ndarray:
+def _rule_rewards(values, cum, theta, p, n, seed, trials) -> np.ndarray:
     with np.errstate(over="ignore"):
         states = _stream_states_vec(seed, trials)
         counts = np.zeros(trials, dtype=np.uint64)
@@ -140,7 +139,7 @@ def _rule_rewards_numpy(values, cum, theta, p, n, seed, trials) -> np.ndarray:
     return rewards
 
 
-def _prophet_rewards_numpy(values, cum, n, seed, trials) -> np.ndarray:
+def _prophet_rewards(values, cum, n, seed, trials) -> np.ndarray:
     with np.errstate(over="ignore"):
         states = _stream_states_vec(seed, trials)
         best = np.zeros(trials)
@@ -148,93 +147,6 @@ def _prophet_rewards_numpy(values, cum, n, seed, trials) -> np.ndarray:
             u = _draw_vec(states, np.full(trials, k, dtype=np.uint64))
             np.maximum(best, _atoms_at(values, cum, u), out=best)
     return best
-
-
-# -- numba backend -----------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _mix_nb(z):  # pragma: no cover - compiled
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
-
-    @njit(cache=True)
-    def _stream_state_nb(seed, trial):  # pragma: no cover
-        a = _mix_nb(seed + np.uint64(_GOLDEN))
-        return _mix_nb(a ^ _mix_nb((trial + np.uint64(1)) * np.uint64(_GOLDEN)))
-
-    @njit(cache=True)
-    def _draw_nb(state, k):  # pragma: no cover
-        z = _mix_nb(state + (k + np.uint64(1)) * np.uint64(_GOLDEN))
-        return (z >> np.uint64(11)) * _INV53
-
-    @njit(cache=True)
-    def _atom_at_nb(values, cum, u):  # pragma: no cover
-        idx = np.searchsorted(cum, u, side="left")
-        if idx >= values.size:
-            idx = values.size - 1
-        return values[idx]
-
-    @njit(cache=True)
-    def _rule_rewards_nb(values, cum, theta, p, n, seed, trials, out):  # pragma: no cover
-        for t in range(trials):
-            state = _stream_state_nb(np.uint64(seed), np.uint64(t))
-            count = np.uint64(0)
-            reward = -1.0
-            stopped = False
-            for _ in range(n - 1):
-                u = _draw_nb(state, count)
-                count += np.uint64(1)
-                x = _atom_at_nb(values, cum, u)
-                if x > theta:
-                    reward = x
-                    stopped = True
-                    break
-                if x == theta:
-                    xi = _draw_nb(state, count)
-                    count += np.uint64(1)
-                    if xi < p:
-                        reward = x
-                        stopped = True
-                        break
-            if not stopped:
-                u = _draw_nb(state, count)
-                reward = _atom_at_nb(values, cum, u)
-            out[t] = reward
-
-    @njit(cache=True)
-    def _prophet_rewards_nb(values, cum, n, seed, trials, out):  # pragma: no cover
-        for t in range(trials):
-            state = _stream_state_nb(np.uint64(seed), np.uint64(t))
-            best = 0.0
-            for k in range(n):
-                u = _draw_nb(state, np.uint64(k))
-                x = _atom_at_nb(values, cum, u)
-                if x > best:
-                    best = x
-            out[t] = best
-
-
-def _rule_rewards(dist, rule, cfg) -> np.ndarray:
-    values, cum = dist.values, dist.cumulative
-    if backend() == "numba":
-        out = np.empty(cfg.trials)
-        _rule_rewards_nb(values, cum, float(rule.theta), float(rule.p),
-                         int(cfg.n), int(cfg.seed), int(cfg.trials), out)
-        return out
-    return _rule_rewards_numpy(values, cum, float(rule.theta), float(rule.p),
-                               int(cfg.n), int(cfg.seed), int(cfg.trials))
-
-
-def _prophet_rewards(dist, cfg) -> np.ndarray:
-    values, cum = dist.values, dist.cumulative
-    if backend() == "numba":
-        out = np.empty(cfg.trials)
-        _prophet_rewards_nb(values, cum, int(cfg.n), int(cfg.seed), int(cfg.trials), out)
-        return out
-    return _prophet_rewards_numpy(values, cum, int(cfg.n), int(cfg.seed), int(cfg.trials))
 
 
 def _summarize(rewards: np.ndarray, cfg: SimConfig) -> SimResult:
@@ -248,9 +160,13 @@ def _summarize(rewards: np.ndarray, cfg: SimConfig) -> SimResult:
 
 def run_rule(dist: DiscreteDistribution, rule: ThresholdRule, cfg: SimConfig) -> SimResult:
     """Estimate the reward of tau_p(theta) over cfg.trials independent runs."""
-    return _summarize(_rule_rewards(dist, rule, cfg), cfg)
+    rewards = _rule_rewards(dist.values, dist.cumulative, float(rule.theta), float(rule.p),
+                            int(cfg.n), int(cfg.seed), int(cfg.trials))
+    return _summarize(rewards, cfg)
 
 
 def run_prophet(dist: DiscreteDistribution, cfg: SimConfig) -> SimResult:
     """Estimate the prophet value E max of cfg.n iid draws."""
-    return _summarize(_prophet_rewards(dist, cfg), cfg)
+    rewards = _prophet_rewards(dist.values, dist.cumulative, int(cfg.n), int(cfg.seed),
+                               int(cfg.trials))
+    return _summarize(rewards, cfg)

@@ -8,8 +8,10 @@ enumeration (optimal strategies of a matrix game live on square submatrices).
 from itertools import combinations, product
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
-from prophet_sharp import DiscreteDistribution, QuantileIncrements
+from prophet_sharp import DiscreteDistribution, QuantileIncrements, prophet_weights, reward_weights
 
 
 def enumerate_prophet(dist: DiscreteDistribution, n: int) -> float:
@@ -73,6 +75,47 @@ def exact_best_level(dist, n: int) -> tuple[float, float]:
         if vals[k] > best_v:
             best_x, best_v = float(xs[k]), float(vals[k])
     return best_x, best_v
+
+
+def pareto_bisection(n: int, N: int, q_lo, q_hi, tol: float = 1e-9) -> tuple[float, float]:
+    """[lo, hi] around the worst-case ratio max_i (B v)_i / d^T v over
+    increments v of cumulative quantiles u with q_lo <= u <= q_hi.
+
+    Bisection on the level rho over dense feasibility LPs in u: bounds
+    q_lo <= u <= q_hi, monotone increments, (B - rho 1 d^T) v <= s,
+    d^T v >= 1, min s; rho is feasible when s <= 1e-9.  B is the dense
+    reward_weights matrix.  The constraint d^T v >= 1 is a scale
+    normalization that holds on bands with q_lo[0] > 1.
+    """
+    m = N - 1
+    B, d = reward_weights(n, N), prophet_weights(n, N)
+    # column-difference transform: (B v)_i = (Btil u)_i for v = increments(u)
+    Btil = B.copy()
+    Btil[:, :-1] -= B[:, 1:]
+    dtil = d.copy()
+    dtil[:-1] -= d[1:]
+    monotone = sp.hstack(
+        [sp.diags([np.ones(m - 1), -np.ones(m - 1)], [0, 1], shape=(m - 1, m)),
+         sp.csr_matrix((m - 1, 1))], format="csr")
+    normalize = sp.csr_matrix(np.append(-dtil, 0.0).reshape(1, -1))
+    bounds = [(lo, hi if np.isfinite(hi) else None) for lo, hi in zip(q_lo, q_hi)]
+    bounds.append((-1.0, None))
+    cost = np.append(np.zeros(m), 1.0)
+    b_ub = np.append(np.zeros(2 * m - 1), -1.0)
+
+    def feasible(rho):
+        dense = np.hstack([Btil - rho * dtil[None, :], -np.ones((m, 1))])
+        A_ub = sp.vstack([sp.csr_matrix(dense), monotone, normalize], format="csr")
+        res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        assert res.status in (0, 2), res.message
+        return res.status == 0 and res.x[-1] <= 1e-9
+
+    lo, hi = 0.0, 1.0
+    assert feasible(hi), "band inconsistent at rho = 1"
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
+    return lo, hi
 
 
 def _adjugate(B: np.ndarray) -> np.ndarray:

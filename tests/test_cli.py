@@ -1,4 +1,6 @@
+import functools
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -83,6 +85,31 @@ class TestTable2And3:
         payload = json.loads((tmp_path / "pareto_n4.json").read_text())
         assert payload["family"] == "pareto"
         assert payload["params"] == {"p0": 20.0, "p1": 5.0}
+
+    @pytest.mark.parametrize("command", ["table2", "table3"])
+    def test_jobs_parallel_same_rows(self, tmp_path, monkeypatch, command):
+        from prophet_sharp import cli as cli_mod
+
+        name = "kappa" if command == "table2" else "pareto_ratio"
+        solve, threads = getattr(cli_mod, name), set()
+
+        @functools.wraps(solve)  # the parser reads kappa's tol default
+        def recorded(*args, **kwargs):
+            threads.add(threading.current_thread() is threading.main_thread())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, name, recorded)
+        tables = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main([command, "--n", "4,5", "--N", "40", "--tol", "1e-4",
+                         "--out", str(out), "--jobs", jobs]) == 0
+            manifest_lines, _, rows = read_csv_table(out / f"{command}.csv")
+            manifest = json.loads(manifest_lines[0].removeprefix("# manifest: "))
+            assert manifest["parameters"]["jobs"] == int(jobs)
+            tables[jobs] = rows
+        assert len(tables["1"]) == 2 and tables["1"] == tables["2"]
+        assert threads == {True, False}  # --jobs 2 solved on worker threads
 
     def test_empty_lists_header_only(self, tmp_path):
         assert main(["table2", "--n", "", "--out", str(tmp_path)]) == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import pareto_bisection
 from prophet_sharp import (
     DiscreteDistribution,
     ParetoProblem,
@@ -137,6 +138,19 @@ class TestPareto:
         res = pareto_ratio(4, 80, 20.0, 5.0, tol=1e-6)
         assert res.v.min() >= 0.0
         assert res.v.shape == (79,)
+
+    @pytest.mark.parametrize("n,N", [(4, 40), (5, 60), (10, 120)])
+    @pytest.mark.parametrize("band", ["default", "narrow"])
+    def test_matches_dense_bisection(self, n, N, band):
+        prob = ParetoProblem.build(n, N, 20.0, 5.0)
+        q_lo = prob.q_lo if band == "default" else np.sqrt(prob.q_lo * prob.q_hi)
+        res = pareto_ratio(n, N, 20.0, 5.0, q_lo=q_lo)
+        lo, hi = pareto_bisection(n, N, q_lo, prob.q_hi)
+        # the oracle counts a level as feasible at slack <= 1e-9
+        assert lo - 1e-8 <= res.value <= hi + 1e-8
+        assert res.value == res.certificate["bracket"][1]
+        u = np.cumsum(res.v)
+        assert np.all(u >= q_lo * (1 - 1e-12)) and np.all(u <= prob.q_hi * (1 + 1e-12))
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):

@@ -190,6 +190,23 @@ class TestStructuredLP:
             assert rep.stats["lp_nonzeros"] <= 20 * rep.N
             assert rep.as_dict()["stats"] == rep.stats
 
+    @pytest.mark.parametrize("kind,n,N,stats", [
+        ("ratio", 2, 3, (2, 9, 9, 24)),
+        ("ratio", 3, 10, (9, 37, 37, 122)),
+        ("ratio", 5, 60, (47, 237, 237, 822)),
+        ("ratio", 10, 200, (268, 797, 797, 2782)),
+        ("regret", 2, 3, (2, 10, 10, 29)),
+        ("regret", 3, 10, (10, 38, 38, 141)),
+        ("regret", 5, 60, (115, 238, 238, 941)),
+        ("regret", 10, 200, (540, 798, 798, 3181)),
+    ])
+    def test_stats_pinned(self, kind, n, N, stats):
+        # HiGHS iterations and LP size of the sparse game LP; a change in the
+        # rows, columns or their order shows up here
+        rep = (sharp_ratio if kind == "ratio" else sharp_regret)(n, N)
+        keys = ("iterations", "lp_rows", "lp_cols", "lp_nonzeros")
+        assert tuple(rep.stats[k] for k in keys) == stats
+
 
 class TestVerify:
     def test_lfd_self_consistency(self):

@@ -169,6 +169,23 @@ class TestOptimalRule:
             assert res.evaluation.value >= fallback - 1e-10
             assert res.search_gap >= 0.0
 
+    @pytest.mark.parametrize("case", ["criterion_1", "ehsani_100"])
+    def test_level_search_is_exact(self, case):
+        if case == "criterion_1":
+            atoms = [(0.0, 0.7386596), (0.476173, 0.2613394), (54686.0, 1e-6)]
+            F, n = DiscreteDistribution.from_atoms(atoms), 10
+        else:
+            F, n = ehsani_distribution(100), 100
+        res = optimal_rule(F, n, mode="level-search")
+        assert res.search_gap == 0.0
+        best = exact_best_level(F, n)[1]
+        theta, p = res.rule.theta, res.rule.p
+        level = p * F.cdf_left(theta) + (1.0 - p) * F.cdf(theta)
+        assert abs(reward_by_level(F, n, level) - best) <= 1e-12
+        # reward_v1 sums atom probabilities, the oracle quantile levels; with
+        # a 1e-6 atom next to level 0.999999 the two forms differ by ~1e-11
+        assert res.evaluation.value == pytest.approx(best, rel=1e-10, abs=0.0)
+
     def test_ehsani_ratio_tends_to_one(self):
         res = optimal_rule(ehsani_distribution(100), 100, mode="level-search")
         assert res.evaluation.ratio > 0.95

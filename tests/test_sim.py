@@ -12,7 +12,6 @@ from prophet_sharp import (
     run_rule,
     sample,
 )
-from prophet_sharp._backend import HAS_NUMBA
 
 COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
 
@@ -92,18 +91,6 @@ class TestRunRule:
         a = run_rule(COIN, rule, SimConfig(trials=1000, seed=1, n=3))
         b = run_rule(COIN, rule, SimConfig(trials=1000, seed=2, n=3))
         assert a.mean != b.mean
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-    def test_backends_bit_identical(self, monkeypatch):
-        F = DiscreteDistribution.from_atoms([(0.0, 0.25), (0.7, 0.5), (3.0, 0.25)])
-        rule = ThresholdRule(0.7, 0.4)  # exercises tie-break draws
-        cfg = SimConfig(trials=30000, seed=31337, n=7)
-        monkeypatch.setenv("PROPHET_SHARP_BACKEND", "numba")
-        a_rule, a_pro = run_rule(F, rule, cfg), run_prophet(F, cfg)
-        monkeypatch.setenv("PROPHET_SHARP_BACKEND", "numpy")
-        b_rule, b_pro = run_rule(F, rule, cfg), run_prophet(F, cfg)
-        assert a_rule == b_rule
-        assert a_pro == b_pro
 
 
 class TestRunProphet:
