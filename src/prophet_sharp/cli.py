@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,13 +37,7 @@ class RunManifest:
     seeds: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "seeds": self.seeds,
-        }
+        return asdict(self)
 
 
 def _fmt(x: float) -> str:
@@ -65,6 +59,15 @@ def _write_table(path: Path, manifest: RunManifest, header: list, rows: list, fm
         for row in rows:
             lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
         _write_text(path.with_suffix(".csv"), "\n".join(lines) + "\n")
+
+
+def _print_or_write(out: str, payload: dict) -> int:
+    text = json.dumps(payload, indent=2)
+    if out:
+        _write_text(Path(out), text + "\n")
+    else:
+        print(text)
+    return 0
 
 
 def _write_report(path: Path, manifest: RunManifest, report: SharpConstantReport):
@@ -110,89 +113,74 @@ def _map_jobs(fn, items, jobs):
         return list(pool.map(one, items))
 
 
-def cmd_table1(args) -> int:
+def _run_table(name: str, args, params: dict, solve, header: list, emit) -> int:
+    """Solve each n in args.n on up to args.jobs threads and write the table;
+    emit(out, manifest, n, result) writes n's own files and returns its row."""
     out = Path(args.out)
-    manifest = RunManifest("table1", {"n": args.n, "N": args.N, "tol": args.tol,
-                                      "jobs": args.jobs, "format": args.format})
-    failures = []
+    manifest = RunManifest(name, params)
+    rows, failed = [], False
+    for n, res in _map_jobs(solve, args.n, args.jobs):
+        if isinstance(res, SolverError):
+            print(f"{name}: solver failed for n={n}: {res}", file=sys.stderr)
+            failed = True
+        else:
+            rows.append(emit(out, manifest, n, res))
+    _write_table(out / name, manifest, header, rows, args.format)
+    return 3 if failed else 0
 
+
+def cmd_table1(args) -> int:
     def solve(n):
         return sharp_ratio(n, args.N, args.tol), sharp_regret(n, args.N, args.tol)
 
-    header = ["n", "R_value", "R_lo", "R_hi", "A_value", "A_lo", "A_hi", "gap_R", "gap_A"]
-    rows = []
-    for n, res in _map_jobs(solve, args.n, args.jobs):
-        if isinstance(res, SolverError):
-            print(f"table1: solver failed for n={n}: {res}", file=sys.stderr)
-            failures.append(n)
-            continue
+    def emit(out, manifest, n, res):
         ratio, regret = res
-        rows.append([n, ratio.value, ratio.bracket[0], ratio.bracket[1],
-                     regret.value, regret.bracket[0], regret.bracket[1],
-                     ratio.gap, regret.gap])
         _write_report(out / f"report_ratio_n{n}.json", manifest, ratio)
         _write_report(out / f"report_regret_n{n}.json", manifest, regret)
         _write_text(out / f"lfd_ratio_n{n}.json", ratio.lfd.to_json() + "\n")
         _write_text(out / f"lfd_regret_n{n}.json", regret.lfd.to_json() + "\n")
-    _write_table(out / "table1", manifest, header, rows, args.format)
-    return 3 if failures else 0
+        return [n, ratio.value, ratio.bracket[0], ratio.bracket[1],
+                regret.value, regret.bracket[0], regret.bracket[1], ratio.gap, regret.gap]
+
+    params = {"n": args.n, "N": args.N, "tol": args.tol, "jobs": args.jobs, "format": args.format}
+    header = ["n", "R_value", "R_lo", "R_hi", "A_value", "A_lo", "A_hi", "gap_R", "gap_A"]
+    return _run_table("table1", args, params, solve, header, emit)
 
 
 def cmd_table2(args) -> int:
-    out = Path(args.out)
-    manifest = RunManifest("table2", {"n": args.n, "N": args.N, "tol": args.tol,
-                                      "sigma": args.sigma, "jobs": args.jobs,
-                                      "format": args.format})
-    failures = []
-    rows = []
-
     def solve(n):
         return kappa(n, args.N, tol=args.tol, sigma=args.sigma)
 
-    for n, res in _map_jobs(solve, args.n, args.jobs):
-        if isinstance(res, SolverError):
-            print(f"table2: solver failed for n={n}: {res}", file=sys.stderr)
-            failures.append(n)
-            continue
-        rows.append([n, res.value, res.certificate["kappa_lower"],
-                     res.certificate["kappa_upper"], res.certificate["gap"]])
+    def emit(out, manifest, n, res):
         _write_text(out / f"kappa_n{n}.json",
                     json.dumps({"manifest": manifest.as_dict(), "n": n,
                                 "family": "variance", "params": {"sigma": args.sigma},
                                 "kappa": res.value, "certificate": res.certificate},
                                indent=2) + "\n")
-    _write_table(out / "table2", manifest, ["n", "kappa", "kappa_lo", "kappa_hi", "gap"],
-                 rows, args.format)
-    return 3 if failures else 0
+        return [n, res.value, res.certificate["kappa_lower"],
+                res.certificate["kappa_upper"], res.certificate["gap"]]
+
+    params = {"n": args.n, "N": args.N, "tol": args.tol, "sigma": args.sigma,
+              "jobs": args.jobs, "format": args.format}
+    return _run_table("table2", args, params, solve,
+                      ["n", "kappa", "kappa_lo", "kappa_hi", "gap"], emit)
 
 
 def cmd_table3(args) -> int:
-    out = Path(args.out)
-    manifest = RunManifest("table3", {"n": args.n, "N": args.N, "p0": args.p0,
-                                      "p1": args.p1, "tol": args.tol, "jobs": args.jobs,
-                                      "format": args.format})
-    failures = []
-    rows = []
-
     def solve(n):
         return pareto_ratio(n, args.N, args.p0, args.p1, tol=args.tol)
 
-    for n, res in _map_jobs(solve, args.n, args.jobs):
-        if isinstance(res, SolverError):
-            print(f"table3: solver failed for n={n}: {res}", file=sys.stderr)
-            failures.append(n)
-            continue
-        rows.append([n, res.value, res.certificate["bracket"][0],
-                     res.certificate["bracket"][1]])
+    def emit(out, manifest, n, res):
         _write_text(out / f"pareto_n{n}.json",
                     json.dumps({"manifest": manifest.as_dict(), "n": n,
-                                "family": "pareto",
-                                "params": {"p0": args.p0, "p1": args.p1},
+                                "family": "pareto", "params": {"p0": args.p0, "p1": args.p1},
                                 "value": res.value, "certificate": res.certificate},
                                indent=2) + "\n")
-    _write_table(out / "table3", manifest, ["n", "value", "rho_lo", "rho_hi"],
-                 rows, args.format)
-    return 3 if failures else 0
+        return [n, res.value, res.certificate["bracket"][0], res.certificate["bracket"][1]]
+
+    params = {"n": args.n, "N": args.N, "p0": args.p0, "p1": args.p1, "tol": args.tol,
+              "jobs": args.jobs, "format": args.format}
+    return _run_table("table3", args, params, solve, ["n", "value", "rho_lo", "rho_hi"], emit)
 
 
 def cmd_eval(args) -> int:
@@ -209,12 +197,7 @@ def cmd_eval(args) -> int:
         "regret": ev.regret,
         "ratio_floor": ratio_floor(args.n),
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        _write_text(Path(args.out), text + "\n")
-    else:
-        print(text)
-    return 0
+    return _print_or_write(args.out, payload)
 
 
 def cmd_simulate(args) -> int:
@@ -231,12 +214,7 @@ def cmd_simulate(args) -> int:
         "trials": result.trials,
         "seed": result.seed,
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        _write_text(Path(args.out), text + "\n")
-    else:
-        print(text)
-    return 0
+    return _print_or_write(args.out, payload)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -265,9 +265,13 @@ class ParetoProblem:
     q_hi: np.ndarray
 
     def __post_init__(self):
+        if self.q_lo.shape != (self.N - 1,) or self.q_hi.shape != (self.N - 1,):
+            raise ValueError(f"quantile bounds must have length N-1 = {self.N - 1}")
+        if np.any(self.q_lo < 0.0):
+            raise ValueError("q_lo must be nonnegative")
         if np.any(self.q_lo > self.q_hi):
             raise ValueError("q_lo must be componentwise <= q_hi")
-        if np.any(np.diff(self.q_lo) < 0.0) or np.any(np.diff(self.q_hi) < 0.0):
+        if np.any(self.q_lo[1:] < self.q_lo[:-1]) or np.any(self.q_hi[1:] < self.q_hi[:-1]):
             raise ValueError("quantile bounds must be nondecreasing")
 
     @classmethod
@@ -310,15 +314,18 @@ def pareto_ratio(
                      w >= 0, s >= 0,
     where y is the prefix sum P of w in kernel.reward_rows' block and only
     positive q_lo and finite q_hi entries give rows.  The witness is
-    u = y / s clipped into the band (v = w when s = 0, which happens when
-    q_lo = 0 and q_hi = +inf, the unconstrained game); value is its ratio
-    replayed through reward_matvec, and the bracket's lower end is the LP
-    optimum as HiGHS reports it, capped at value.  q_lo/q_hi may be
-    overridden.
+    u = y / s clipped into the band; value is its ratio replayed through
+    reward_matvec, and the bracket's lower end is the LP optimum as HiGHS
+    reports it, capped at value.  s = 0 happens when q_hi = +inf where y
+    grows (the unconstrained game, or a one-sided band): the witness is then
+    q_lo + c y with c large enough that its ratio is within 1e-6 tol of the
+    optimum, which is v = w on the free band q_lo = 0.  q_lo/q_hi may be
+    overridden; they are checked as ParetoProblem checks its band.
     """
     problem = ParetoProblem.build(n, N, p0, p1)
     q_lo = problem.q_lo if q_lo is None else np.asarray(q_lo, dtype=np.float64)
     q_hi = problem.q_hi if q_hi is None else np.asarray(q_hi, dtype=np.float64)
+    ParetoProblem(n, N, p0, p1, q_lo, q_hi)  # checks an overridden band
     m = N - 1
     d = prophet_weights(n, N)
     i = w = np.arange(m)  # payoff rows; the w columns come first
@@ -344,8 +351,17 @@ def pareto_ratio(
 
     y = np.cumsum(np.maximum(res.x[:m], 0.0))
     scale = res.x[s]
-    # a clipped nondecreasing sequence stays nondecreasing, so v >= 0
-    u = np.clip(y / scale, q_lo, q_hi) if scale > 0.0 else y
+    if scale > 0.0:
+        u = y / scale
+    else:
+        # y is a recession direction of the band (q_hi = +inf wherever
+        # y > 0): u = q_lo + c y stays in it, and its ratio exceeds the LP
+        # optimum by at most excess / c < 1e-6 tol
+        v_lo = np.diff(q_lo, prepend=0.0)
+        excess = max(float((reward_matvec(n, N, v_lo) - res.fun * (d @ v_lo)).max()), 0.0)
+        u = q_lo + (1.0 + 1e6 * excess / tol) * y
+    # the bounds are nondecreasing, so the clipped u is too and v >= 0
+    u = np.clip(u, q_lo, q_hi)
     v = np.concatenate(([u[0]], np.diff(u)))
     achieved = float((reward_matvec(n, N, v) / (d @ v)).max())
     lower = min(float(res.fun), achieved)

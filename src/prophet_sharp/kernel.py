@@ -178,19 +178,19 @@ def reward_rmatvec(n: int, N: int, lam) -> np.ndarray:
     return _suffix_sum(lam) - y * _suffix_sum(xp * lam) + (1.0 - y) * strict_prefix
 
 
-def reward_rows(n: int, N: int, row: int = 0, col: int = 0) -> tuple[list, list]:
+def reward_rows(n: int, N: int) -> tuple[list, list]:
     """B v as LP rows with O(N) nonzeros, in COO blocks (rows, cols, values).
 
-    Columns col + [0, m), m = N - 1, hold v, followed by m columns each for
-    P, Q and S.  The equality blocks, rows row + [0, 3m), define P as the
-    prefix sum of v, Q as the prefix sum of y v and S as the strict suffix
-    sum of (1 - y) v (each row sums to 0).  The payoff blocks, rows
-    row + [0, m), give (B v)_i = P_i - x_i^{n-1} Q_i + g_i S_i.
+    Columns [0, m), m = N - 1, hold v, followed by m columns each for P, Q
+    and S.  The equality blocks, rows [0, 3m), define P as the prefix sum of
+    v, Q as the prefix sum of y v and S as the strict suffix sum of
+    (1 - y) v (each row sums to 0).  The payoff blocks, rows [0, m), give
+    (B v)_i = P_i - x_i^{n-1} Q_i + g_i S_i.
     """
     y, xp, g = generator_factors(n, N)
     m = N - 1
-    i = row + np.arange(m)
-    v, P, Q, S = (col + k * m + np.arange(m) for k in range(4))
+    i = np.arange(m)
+    v, P, Q, S = (k * m + i for k in range(4))
     eq = [(i, P, 1.0), (i[1:], P[:-1], -1.0), (i, v, -1.0),
           (m + i, Q, 1.0), (m + i[1:], Q[:-1], -1.0), (m + i, v, -y),
           (2 * m + i, S, 1.0), (2 * m + i[:-1], S[1:], -1.0),

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
+from scipy.optimize import brentq
 
 from .dist import DiscreteDistribution, infer_grid_size
 from .kernel import stop_weight
@@ -172,27 +174,34 @@ def best_level(dist: DiscreteDistribution, n: int) -> float:
 
     Between consecutive jump levels of dF^{<-} the reward is the polynomial
     P + T sum_{k<n} x^k - Q x^{n-1}, where P and Q sum the jump weights w and
-    w y at levels y <= x and T sums w (1 - y) at levels y > x.  The reward is
-    continuous in x, so each piece is settled by its two ends and the roots
-    of its derivative (real parts of all roots, clipped into the piece, so
-    that no real root is lost to rounding).
+    w y at levels y <= x and T sums w (1 - y) at levels y > x.  Its
+    derivative T sum_{k<n} k x^{k-1} - (n-1) Q x^{n-2} has at most one sign
+    change in its coefficients, so by Descartes' rule it changes sign at
+    most once on x > 0, from + to -.  The reward is continuous in x, so each
+    piece is settled by the derivative's signs at its ends and, when they
+    differ, one bracketed root: O(n) work per evaluation.
     """
     levels, weights = dist.quantile_jumps()
     ends = np.append(levels, 1.0)
     P, Q = np.cumsum(weights), np.cumsum(weights * levels)
     T = np.append(np.cumsum((weights * (1.0 - levels))[::-1])[::-1][1:], 0.0)
+    ramp = np.arange(1.0, n)
     best_x, best_v = 0.0, -np.inf
     for j in range(levels.size):
         a, b = ends[j], ends[j + 1]
         coef = np.full(n, T[j])
         coef[0] += P[j]
         coef[n - 1] -= Q[j]
-        piece = np.polynomial.Polynomial(coef)
-        xs = np.concatenate(([a, b], np.clip(piece.deriv().roots().real, a, b)))
-        vals = piece(xs)
-        k = int(np.argmax(vals))
-        if vals[k] > best_v:
-            best_x, best_v = float(xs[k]), float(vals[k])
+        slope = ramp * coef[1:]
+        if polyval(a, slope) <= 0.0:
+            x = a
+        elif polyval(b, slope) >= 0.0:
+            x = b
+        else:
+            x = brentq(polyval, a, b, args=(slope,))
+        value = polyval(x, coef)
+        if value > best_v:
+            best_x, best_v = float(x), float(value)
     return best_x
 
 

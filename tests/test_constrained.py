@@ -152,6 +152,30 @@ class TestPareto:
         u = np.cumsum(res.v)
         assert np.all(u >= q_lo * (1 - 1e-12)) and np.all(u <= prob.q_hi * (1 + 1e-12))
 
+    @pytest.mark.parametrize("n,N", [(4, 40), (10, 120)])
+    def test_one_sided_band(self, n, N):
+        # with q_hi = +inf the LP optimum has s = 0, and the band's infimum,
+        # not attained, is the unconstrained game's value
+        prob = ParetoProblem.build(n, N, 20.0, 5.0)
+        q_hi = np.full(N - 1, np.inf)
+        res = pareto_ratio(n, N, 20.0, 5.0, q_hi=q_hi)
+        lo, hi = pareto_bisection(n, N, prob.q_lo, q_hi)
+        assert lo - 1e-8 <= res.value <= hi + 1e-8
+        assert res.value == pytest.approx(sharp_ratio(n, N).value, abs=1e-9)
+        cert = res.certificate
+        assert cert["bracket"][1] - cert["bracket"][0] <= 1e-6
+        assert cert["band_violation"] == 0.0
+        assert res.v.min() >= 0.0
+
+    def test_rejects_bad_band_override(self):
+        prob = ParetoProblem.build(4, 40, 20.0, 5.0)
+        dip = prob.q_lo.copy()
+        dip[5] = 0.5 * dip[4]
+        for bad in ({"q_lo": dip}, {"q_lo": prob.q_hi + 1.0}, {"q_lo": -prob.q_lo},
+                    {"q_hi": prob.q_hi[:-1]}):
+            with pytest.raises(ValueError):
+                pareto_ratio(4, 40, 20.0, 5.0, **bad)
+
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
             pareto_ratio(5, 50, 3.0, 3.0)

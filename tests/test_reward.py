@@ -186,6 +186,24 @@ class TestOptimalRule:
         # a 1e-6 atom next to level 0.999999 the two forms differ by ~1e-11
         assert res.evaluation.value == pytest.approx(best, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("n,a,b,c", [(3, 0.5, 1.0, 1.0), (200, 0.3, 0.5, 1.0),
+                                         (1000, 0.5, 1.0, 1.0), (1000, 0.3, 1.0, 0.5)])
+    def test_level_search_beats_dense_scan(self, n, a, b, c):
+        # an oracle without polynomial roots: no scanned level, and none
+        # within 1e-6 of the returned one, does better; the n = 200 and first
+        # n = 1000 cases have their optimum inside a piece, not at a jump level
+        F = samuel_cahn_distribution(n, a, b, c)
+        res = optimal_rule(F, n, mode="level-search")
+        theta, p = res.rule.theta, res.rule.p
+        level = p * F.cdf_left(theta) + (1.0 - p) * F.cdf(theta)
+        xs = np.concatenate((np.linspace(0.0, 1.0, 2001), 1.0 - np.geomspace(1e-9, 1.0, 2001),
+                             F.cumulative, level + np.linspace(-1e-6, 1e-6, 201)))
+        scan = max(reward_by_level(F, n, x) for x in np.clip(xs, 0.0, 1.0))
+        assert reward_by_level(F, n, level) >= scan - 1e-12
+        if n == 3:
+            assert res.evaluation.value == pytest.approx(
+                enumerate_rule_reward(F, n, theta, p), abs=1e-12)
+
     def test_ehsani_ratio_tends_to_one(self):
         res = optimal_rule(ehsani_distribution(100), 100, mode="level-search")
         assert res.evaluation.ratio > 0.95
