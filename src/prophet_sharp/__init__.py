@@ -9,10 +9,8 @@ from .constrained import (
     KappaResult,
     ParetoProblem,
     ParetoResult,
-    VarianceProblem,
     kappa,
     pareto_ratio,
-    variance_of,
 )
 from .dist import (
     DiscreteDistribution,

@@ -9,7 +9,7 @@ from itertools import combinations, product
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import linprog, lsq_linear
 
 from prophet_sharp import DiscreteDistribution, QuantileIncrements, prophet_weights, reward_weights
 
@@ -116,6 +116,28 @@ def pareto_bisection(n: int, N: int, q_lo, q_hi, tol: float = 1e-9) -> tuple[flo
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
     return lo, hi
+
+
+def kappa_ldp(n: int, N: int) -> float:
+    """kappa_n as a least-distance program, solved densely by BVLS.
+
+    With z = D r, z_k = r_k - r_{k+1}, the variance z^T Q z is the least
+    ||r||^2 / N over such r, so kappa_n = sqrt(N) / min{ ||r|| : G r >= h }
+    with G = [A_N D; D] and h = [1; 0].  Lawson and Hanson's reduction:
+    solve min ||E u - f|| over u >= 0 with E = [G^T; h^T], f = e_last;
+    the residual rho gives r = -rho[:-1] / rho[-1].  A_N = d - B is dense.
+    """
+    m = N - 1
+    A = prophet_weights(n, N)[None, :] - reward_weights(n, N)
+    D = np.eye(m, N) - np.eye(m, N, k=1)
+    G = np.vstack([A @ D, D])
+    h = np.append(np.ones(m), np.zeros(m))
+    E = np.vstack([G.T, h])
+    f = np.append(np.zeros(N), 1.0)
+    u = lsq_linear(E, f, bounds=(0.0, np.inf), method="bvls").x
+    rho = E @ u - f
+    r = -rho[:-1] / rho[-1]
+    return float(np.sqrt(N) / np.linalg.norm(r))
 
 
 def _adjugate(B: np.ndarray) -> np.ndarray:

@@ -1,35 +1,34 @@
 import numpy as np
 import pytest
 
-from helpers import pareto_bisection
+from helpers import kappa_ldp, pareto_bisection
 from prophet_sharp import (
     DiscreteDistribution,
     ParetoProblem,
     QuantileIncrements,
-    VarianceProblem,
+    SolverError,
     ratio_floor,
     kappa,
     pareto_ratio,
     sharp_ratio,
-    variance_of,
 )
 from prophet_sharp.constrained import variance_q_matrix
 
 
 class TestVariance:
     def test_point_mass(self):
-        assert variance_of(DiscreteDistribution.point_mass(3.0)) == 0.0
+        assert DiscreteDistribution.point_mass(3.0).variance() == 0.0
 
     def test_coin(self):
         F = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
-        assert variance_of(F) == pytest.approx(0.25, abs=1e-15)
+        assert F.variance() == pytest.approx(0.25, abs=1e-15)
 
     def test_grid_quadratic_form_hand_value(self):
         # atoms {0,1,2,3} each 1/4: v^T Q v with v = (1,1,1) equals 1.25
         inc = QuantileIncrements(4, np.array([1.0, 1.0, 1.0]))
         Q = variance_q_matrix(4)
         assert inc.v @ Q @ inc.v == pytest.approx(1.25, abs=1e-14)
-        assert variance_of(inc.to_distribution()) == pytest.approx(1.25, abs=1e-14)
+        assert inc.to_distribution().variance() == pytest.approx(1.25, abs=1e-14)
 
     @pytest.mark.parametrize("N", [4, 10, 50])
     def test_quadratic_form_matches_moments(self, N):
@@ -39,14 +38,14 @@ class TestVariance:
             v = rng.exponential(1.0, N - 1)
             inc = QuantileIncrements(N, v)
             assert v @ Q @ v == pytest.approx(
-                variance_of(inc.to_distribution()), abs=1e-10, rel=1e-10
+                inc.to_distribution().variance(), abs=1e-10, rel=1e-10
             )
 
     def test_problem_validation(self):
-        prob = VarianceProblem.build(5, 30)
-        assert prob.Q.shape == (29, 29)
         with pytest.raises(ValueError):
-            VarianceProblem.build(1, 30)
+            kappa(1, 30)
+        with pytest.raises(ValueError):
+            kappa(5, 2)
 
 
 class TestKappa:
@@ -59,12 +58,12 @@ class TestKappa:
 
     def test_feasibility_exact(self):
         res = kappa(6, 80)
-        prob = VarianceProblem.build(6, 80)
+        Q = variance_q_matrix(80)
         from prophet_sharp import payoff_matrix
 
         A = payoff_matrix("difference", 6, 80).entries
         assert (A @ res.z).min() >= res.value - 1e-9
-        assert res.z @ prob.Q @ res.z == pytest.approx(1.0, abs=1e-9)
+        assert res.z @ Q @ res.z == pytest.approx(1.0, abs=1e-9)
         assert res.z.min() >= 0.0
 
     def test_homogeneity_in_sigma(self):
@@ -79,6 +78,29 @@ class TestKappa:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             kappa(5, 50, sigma=0.0)
+
+    @pytest.mark.parametrize("kwargs", [{"sigma": -1.0}, {"sigma": np.nan}, {"sigma": np.inf},
+                                        {"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}])
+    def test_rejects_bad_sigma_and_tol(self, kwargs):
+        with pytest.raises(ValueError):
+            kappa(5, 50, **kwargs)
+
+    def test_certificate_is_one_qp(self):
+        cert = kappa(5, 40).certificate
+        assert cert["kkt_exact"] is True and cert["lbfgs_iterations"] == 0
+        assert cert["qp_iterations"] > 0
+        assert cert["dual_bound"] <= cert["norm_sq"]
+
+    @pytest.mark.parametrize("n,N", [(2, 120), (10, 200), (50, 120), (100, 200), (200, 120)])
+    def test_matches_least_distance_oracle(self, n, N):
+        cert = kappa(n, N).certificate
+        assert cert["kappa_lower"] - 1e-10 <= kappa_ldp(n, N) <= cert["kappa_upper"] + 1e-10
+
+    @pytest.mark.parametrize("n,N", [(50, 3), (100, 4)])
+    def test_degenerate_corner_raises(self, n, N):
+        # kappa is below 1e-7 here, and HiGHS does not end Optimal
+        with pytest.raises(SolverError):
+            kappa(n, N)
 
     def test_matches_reference_solver_small(self):
         # reference: scipy trust-constr on the primal QP
@@ -175,6 +197,28 @@ class TestPareto:
                     {"q_hi": prob.q_hi[:-1]}):
             with pytest.raises(ValueError):
                 pareto_ratio(4, 40, 20.0, 5.0, **bad)
+
+    def test_lower_end_is_replayed_from_duals(self, monkeypatch):
+        # a solver objective 1e-3 too low moves neither the value nor the bracket
+        from prophet_sharp import constrained
+
+        expected = pareto_ratio(5, 60, 20.0, 5.0)
+        linprog = constrained.linprog
+
+        def lowered(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            res.fun -= 1e-3
+            return res
+
+        monkeypatch.setattr(constrained, "linprog", lowered)
+        res = pareto_ratio(5, 60, 20.0, 5.0)
+        assert res.value == expected.value
+        assert res.certificate["bracket"] == expected.certificate["bracket"]
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError):
+            pareto_ratio(4, 40, 20.0, 5.0, tol=tol)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):

@@ -44,3 +44,17 @@ def test_pareto_ratio_is_one_traced_lp():
     assert metrics["constrained.pareto_lp_calls"] == 1
     assert 0 < metrics["constrained.pareto_lp_nonzeros"] <= 18 * 40
     assert np.isfinite(res.value)
+
+
+def test_kappa_is_one_traced_qp():
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        res = prophet_sharp.kappa(5, 40)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(0, 0)
+    assert metrics["constrained.kappa_lbfgs_iterations"] == 0
+    assert metrics["constrained.kappa_kkt_exact"] == 1
+    assert metrics["constrained.minimize_s"] == 0
+    assert np.isfinite(res.value)
