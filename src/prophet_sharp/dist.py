@@ -55,7 +55,10 @@ class DiscreteDistribution:
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[tuple[float, float]]) -> "DiscreteDistribution":
-        pairs = sorted((float(v), float(p)) for v, p in atoms)
+        try:
+            pairs = sorted((float(v), float(p)) for v, p in atoms)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"atoms must be (value, probability) pairs of numbers: {exc}") from exc
         if not pairs:
             raise ValueError("empty atom list")
         return cls(np.array([v for v, _ in pairs]), np.array([p for _, p in pairs]))
@@ -115,24 +118,31 @@ class DiscreteDistribution:
     def expected_max(self, n: int) -> float:
         """Prophet value M_n = E max of n iid draws; equals the mean at n=1.
 
-        Computed atomwise as sum_i x_i * (F(x_i)^n - F(x_i-)^n).
+        Computed as int (1 - y^n) dF^{<-}(y), with 1 - y^n taken from the
+        tail mass t = 1 - y as -expm1(n log1p(-t)), which does not cancel
+        for y near 1; the jump at level 0 contributes values[0].
         """
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"horizon must be a positive integer, got {n!r}")
-        hi = self._cum**n
-        lo = np.concatenate(([0.0], self._cum[:-1])) ** n
-        return float(self.values @ (hi - lo))
+        _, weights, tails = self.quantile_jumps()
+        # probs may sum to 1 + PROB_TOL; at a tail of 1, log1p(-1) = -inf is exact
+        with np.errstate(divide="ignore"):
+            powers = -np.expm1(n * np.log1p(-np.minimum(tails[1:], 1.0)))
+        return float(self.values[0] + weights[1:] @ powers)
 
-    def quantile_jumps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Levels and masses of the measure dF^{<-} on [0, 1).
+    def quantile_jumps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Levels, masses and tail masses of the measure dF^{<-} on [0, 1).
 
         The quantile function jumps by values[k+1]-values[k] at each interior
         cumulative probability, plus a jump of values[0] at level 0 (the
-        convention that makes int (1-y^n) dF^{<-} equal expected_max).
+        convention that makes int (1-y^n) dF^{<-} equal expected_max).  The
+        tail mass at level y is 1 - y, summed from probs so that it does not
+        cancel when y is near 1.
         """
         levels = np.concatenate(([0.0], self._cum[:-1]))
         weights = np.concatenate(([self.values[0]], np.diff(self.values)))
-        return levels, weights
+        tails = np.cumsum(self.probs[::-1])[::-1]
+        return levels, weights, tails
 
     # -- serialization -----------------------------------------------------
 

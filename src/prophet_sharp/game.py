@@ -32,7 +32,7 @@ from .kernel import (
     reward_rmatvec,
     reward_rows,
 )
-from .reward import ThresholdRule, ratio_floor, optimal_rule, rule_at_level
+from .reward import ThresholdRule, ratio_floor, optimal_rule
 
 #: entries of mu below this are zeroed before reconstructing distributions
 MU_CLEANUP = 1e-12
@@ -167,25 +167,7 @@ def sharp_ratio(n: int, N: int, tol: float | None = None) -> SharpConstantReport
     at ratio_floor(n); the two-sided discretization certificate exists for
     n >= 4 only.
     """
-    tol = default_tol(N) if tol is None else tol
-    sol, stats = _solve_sharp(KernelKind.RATIO, n, N, tol)
-    mu = _cleanup(sol.mu)
-    lfd = lfd_from_mu_ratio(mu, n, N)
-    scores = reward_matvec(n, N, mu / prophet_weights(n, N))
-    i_star = _first_argbest(scores, largest=True)
-    rule = rule_at_level(lfd, (i_star + 1) / N)
-    floor = ratio_floor(n)
-    if n >= 4:
-        err = err_bound_ratio(n, N)
-        bracket = (max(floor, sol.value - err - sol.gap), sol.value + err + sol.gap)
-        certified = True
-    else:
-        bracket = (floor, sol.value + sol.gap)
-        certified = False
-    return SharpConstantReport(
-        n=n, N=N, kind=KernelKind.RATIO, value=sol.value, bracket=bracket, gap=sol.gap,
-        rule=rule, lfd=lfd, lam=sol.lam, mu=mu, certified=certified, stats=stats,
-    )
+    return _sharp_report(KernelKind.RATIO, n, N, tol)
 
 
 def sharp_regret(n: int, N: int, tol: float | None = None) -> SharpConstantReport:
@@ -197,18 +179,25 @@ def sharp_regret(n: int, N: int, tol: float | None = None) -> SharpConstantRepor
     _solve_sharp); value and gap come from the O(N) replay.  rule is the
     best grid-level rule on the lfd.
     """
+    return _sharp_report(KernelKind.DIFFERENCE, n, N, tol)
+
+
+def _sharp_report(kind: KernelKind, n: int, N: int, tol: float | None) -> SharpConstantReport:
     tol = default_tol(N) if tol is None else tol
-    sol, stats = _solve_sharp(KernelKind.DIFFERENCE, n, N, tol)
+    sol, stats = _solve_sharp(kind, n, N, tol)
     mu = _cleanup(sol.mu)
-    lfd = lfd_from_mu_diff(mu, N)
-    scores = prophet_weights(n, N) @ mu - reward_matvec(n, N, mu)
-    i_star = _first_argbest(scores, largest=False)
-    rule = rule_at_level(lfd, (i_star + 1) / N)
-    err = err_bound_diff(n, N)
-    bracket = (max(0.0, sol.value - err - sol.gap), sol.value + err + sol.gap)
+    if kind is KernelKind.RATIO:
+        lfd, floor, certified = lfd_from_mu_ratio(mu, n, N), ratio_floor(n), bool(n >= 4)
+        err = err_bound_ratio(n, N) if certified else 0.0
+    else:
+        lfd, floor, certified = lfd_from_mu_diff(mu, N), 0.0, True
+        err = err_bound_diff(n, N)
+    rule = optimal_rule(lfd, n, mode="grid-exact", grid_size=N).rule
+    lower = sol.value - err - sol.gap if certified else -np.inf
+    bracket = (max(floor, lower), sol.value + err + sol.gap)
     return SharpConstantReport(
-        n=n, N=N, kind=KernelKind.DIFFERENCE, value=sol.value, bracket=bracket, gap=sol.gap,
-        rule=rule, lfd=lfd, lam=sol.lam, mu=mu, certified=True, stats=stats,
+        n=n, N=N, kind=kind, value=sol.value, bracket=bracket, gap=sol.gap,
+        rule=rule, lfd=lfd, lam=sol.lam, mu=mu, certified=certified, stats=stats,
     )
 
 
@@ -303,34 +292,19 @@ def verify_solution(
 
     Ratio kind: every alternative's optimal single-threshold ratio must be at
     least bracket lower.  Difference kind: optimal regret at most bracket
-    upper.  Candidates are scanned over the report's own level grid with a
-    level-search fallback before anything is flagged; counterexamples come
-    back as (index, measured value).
+    upper.  Each alternative is measured by the exact level search;
+    counterexamples come back as (index, measured value).
     """
     bad = []
     for idx, alt in enumerate(alternatives):
-        best = optimal_rule(alt, report.n, mode="grid-exact", grid_size=report.N)
-        if report.kind is KernelKind.RATIO:
-            measured = best.evaluation.ratio
-            if measured < report.bracket[0] - slack:
-                measured = max(measured, optimal_rule(alt, report.n).evaluation.ratio)
-            if measured < report.bracket[0] - slack:
-                bad.append((idx, measured))
-        else:
-            measured = best.evaluation.regret
-            if measured > report.bracket[1] + slack:
-                measured = min(measured, optimal_rule(alt, report.n).evaluation.regret)
-            if measured > report.bracket[1] + slack:
-                bad.append((idx, measured))
+        best = optimal_rule(alt, report.n).evaluation
+        if report.kind is KernelKind.RATIO and best.ratio < report.bracket[0] - slack:
+            bad.append((idx, best.ratio))
+        elif report.kind is KernelKind.DIFFERENCE and best.regret > report.bracket[1] + slack:
+            bad.append((idx, best.regret))
     return VerificationResult(ok=not bad, counterexamples=bad)
 
 
 def _cleanup(mu: np.ndarray) -> np.ndarray:
     out = np.where(mu < MU_CLEANUP, 0.0, mu)
     return out / out.sum()
-
-
-def _first_argbest(scores: np.ndarray, largest: bool, tie_tol: float = 1e-9) -> int:
-    best = scores.max() if largest else scores.min()
-    mask = scores >= best - tie_tol if largest else scores <= best + tie_tol
-    return int(np.flatnonzero(mask)[0])

@@ -160,12 +160,27 @@ def generator_factors(n: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return y, y ** (n - 1), (1.0 - y**n) / (1.0 - y)
 
 
+def stop_weight_sums(x, y, w, tail, n: int) -> np.ndarray:
+    """sum_k w_k b(x, y_k) at each level x in [0, 1], for sorted levels y
+    with weights w and tail masses tail = 1 - y: P - x^{n-1} Q + g(x) T,
+    with P and Q the sums of w and w y over y_k <= x, T the sum of w tail
+    over y_k > x and g(x) = (1 - x^n) / (1 - x), g(1) = n.  The caller's
+    tail keeps T exact for y near 1, where 1 - y cancels.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    k = np.searchsorted(y, x, side="right")
+    P = np.concatenate(([0.0], np.cumsum(w)))[k]
+    Q = np.concatenate(([0.0], np.cumsum(w * y)))[k]
+    T = np.append(_suffix_sum(w * tail), 0.0)[k]
+    top = x >= 1.0
+    g = np.where(top, n, (1.0 - x**n) / np.where(top, 1.0, 1.0 - x))
+    return P - x ** (n - 1) * Q + g * T
+
+
 def reward_matvec(n: int, N: int, v) -> np.ndarray:
-    """B v in O(N): (B v)_i = P_i - x_i^{n-1} Q_i + g_i S_i, with P and Q the
-    prefix sums of v and y v and S the strict suffix sum of (1 - y) v."""
-    y, xp, g = generator_factors(n, N)
-    v = _grid_vector(v, N)
-    return np.cumsum(v) - xp * np.cumsum(y * v) + g * _strict_suffix_sum((1.0 - y) * v)
+    """B v from O(N) running sums: stop_weight_sums at the grid levels, weights v."""
+    y = np.arange(1, N, dtype=np.float64) / N
+    return stop_weight_sums(y, y, _grid_vector(v, N), 1.0 - y, n)
 
 
 def reward_rmatvec(n: int, N: int, lam) -> np.ndarray:
@@ -215,10 +230,6 @@ def _grid_vector(v, N: int) -> np.ndarray:
 
 def _suffix_sum(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a[::-1])[::-1]
-
-
-def _strict_suffix_sum(a: np.ndarray) -> np.ndarray:
-    return np.concatenate((_suffix_sum(a)[1:], [0.0]))
 
 
 def err_bound_diff(n: int, N: int) -> float:

@@ -18,7 +18,7 @@ from numpy.polynomial.polynomial import polyval
 from scipy.optimize import brentq
 
 from .dist import DiscreteDistribution, infer_grid_size
-from .kernel import stop_weight
+from .kernel import stop_weight_sums
 
 # below this no-stop probability complement the rule degenerates to "take the
 # last observation" and the reward is the mean
@@ -97,11 +97,12 @@ def reward_v2(dist: DiscreteDistribution, n: int, rule: ThresholdRule) -> float:
     return head * (1.0 - Fp ** (n - 1)) / (1.0 - Fp) + Fp ** (n - 1) * dist.mean()
 
 
-def _clamped_level(x: float) -> float:
+def _clamped_level(x) -> np.ndarray:
     # cumulative sums may overshoot [0, 1] by float rounding
-    if not -1e-12 <= x <= 1.0 + 1e-12:
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):
         raise ValueError(f"level must lie in [0, 1], got {x!r}")
-    return min(max(float(x), 0.0), 1.0)
+    return np.clip(x, 0.0, 1.0)
 
 
 def rule_at_level(dist: DiscreteDistribution, x: float) -> ThresholdRule:
@@ -110,7 +111,7 @@ def rule_at_level(dist: DiscreteDistribution, x: float) -> ThresholdRule:
     theta is the x-quantile; p resolves the atom mass so that
     F_p(theta) = x, with p = 0 whenever F(theta) = x within 1e-12.
     """
-    x = _clamped_level(x)
+    x = float(_clamped_level(x))
     theta = dist.quantile(x)
     F = dist.cdf(theta)
     if F - x <= 1e-12:
@@ -119,16 +120,16 @@ def rule_at_level(dist: DiscreteDistribution, x: float) -> ThresholdRule:
     return ThresholdRule(theta, min((F - x) / delta, 1.0))
 
 
-def reward_by_level(dist: DiscreteDistribution, n: int, x: float) -> float:
-    """Reward of the level-x rule via the quantile integral.
+def reward_by_level(dist: DiscreteDistribution, n: int, x):
+    """Reward of the level-x rule via the quantile integral; x may be an array.
 
     Integrates the stopping weight (1-x^{n-1})*min{1,(1-y)/(1-x)} + x^{n-1}(1-y)
-    against dF^{<-}; equals reward_v2 at rule_at_level(dist, x).
+    against dF^{<-} (kernel.stop_weight_sums); equals reward_v2 at
+    rule_at_level(dist, x).  A float for scalar x, else an array like x.
     """
     _require_horizon(n)
-    x = _clamped_level(x)
-    levels, weights = dist.quantile_jumps()
-    return float(weights @ stop_weight(x, levels, n))
+    out = stop_weight_sums(_clamped_level(x), *dist.quantile_jumps(), n)
+    return float(out) if out.ndim == 0 else out
 
 
 def evaluate_rule(dist: DiscreteDistribution, n: int, rule: ThresholdRule) -> RuleEvaluation:
@@ -147,19 +148,21 @@ def optimal_rule(
     """Best single-threshold rule for dist.
 
     mode "grid-exact" requires dist to live on a 1/N-probability grid
-    (N = grid_size when given, else inferred) and maximizes over the exact
-    levels {1/N, ..., (N-1)/N}.  mode "level-search" maximizes over every
-    level in [0, 1] exactly (see best_level), so its search_gap is 0.
+    (N = grid_size when given, else inferred) and takes the first of the
+    levels {1/N, ..., (N-1)/N} whose reward, scored in one reward_by_level
+    call, is within 1e-9 of the best.  mode "level-search" maximizes over
+    every level in [0, 1] exactly (see best_level), so its search_gap is 0.
     """
     _require_horizon(n)
     if mode == "grid-exact":
         N = grid_size if grid_size is not None else infer_grid_size(dist)
         if N is None:
             raise ValueError("grid-exact mode needs a distribution on a 1/N probability grid")
+        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 2:
+            raise ValueError(f"grid size must be an integer >= 2, got {N!r}")
         xs = np.arange(1, N) / N
-        vals = np.array([reward_by_level(dist, n, x) for x in xs])
-        best = float(vals.max())
-        i_star = int(np.flatnonzero(vals >= best - 1e-9)[0])
+        vals = reward_by_level(dist, n, xs)
+        i_star = int(np.flatnonzero(vals >= vals.max() - 1e-9)[0])
         rule = rule_at_level(dist, xs[i_star])
         return OptimalRule(rule, evaluate_rule(dist, n, rule), 0.0)
 
@@ -179,30 +182,24 @@ def best_level(dist: DiscreteDistribution, n: int) -> float:
     change in its coefficients, so by Descartes' rule it changes sign at
     most once on x > 0, from + to -.  The reward is continuous in x, so each
     piece is settled by the derivative's signs at its ends and, when they
-    differ, one bracketed root: O(n) work per evaluation.
+    differ, one bracketed root; the candidates are scored in one
+    reward_by_level call.
     """
-    levels, weights = dist.quantile_jumps()
-    ends = np.append(levels, 1.0)
-    P, Q = np.cumsum(weights), np.cumsum(weights * levels)
-    T = np.append(np.cumsum((weights * (1.0 - levels))[::-1])[::-1][1:], 0.0)
+    levels, weights, tails = dist.quantile_jumps()
+    a, b = levels, np.append(levels[1:], 1.0)
+    Q = np.cumsum(weights * levels)
+    T = np.append(np.cumsum((weights * tails)[::-1])[::-1][1:], 0.0)
     ramp = np.arange(1.0, n)
-    best_x, best_v = 0.0, -np.inf
-    for j in range(levels.size):
-        a, b = ends[j], ends[j + 1]
-        coef = np.full(n, T[j])
-        coef[0] += P[j]
-        coef[n - 1] -= Q[j]
-        slope = ramp * coef[1:]
-        if polyval(a, slope) <= 0.0:
-            x = a
-        elif polyval(b, slope) >= 0.0:
-            x = b
-        else:
-            x = brentq(polyval, a, b, args=(slope,))
-        value = polyval(x, coef)
-        if value > best_v:
-            best_x, best_v = float(x), float(value)
-    return best_x
+
+    def slope(x, j):
+        return T[j] * polyval(x, ramp) - (n - 1) * Q[j] * x ** (n - 2)
+
+    j = np.arange(levels.size)
+    rising_a, rising_b = slope(a, j) > 0.0, slope(b, j) >= 0.0
+    xs = np.where(rising_a, b, a)
+    for k in np.flatnonzero(rising_a & ~rising_b):
+        xs[k] = brentq(slope, a[k], b[k], args=(k,))
+    return float(xs[np.argmax(reward_by_level(dist, n, xs))])
 
 
 def ratio_floor(n: int) -> float:
@@ -218,13 +215,7 @@ def floor_rule(dist: DiscreteDistribution, n: int) -> ThresholdRule:
     Its ratio is at least ratio_floor(n) for every distribution.
     """
     _require_horizon(n)
-    theta = dist.tail_quantile(float(n))
-    target = 1.0 - 1.0 / n
-    F = dist.cdf(theta)
-    if abs(F - target) <= 1e-12:
-        return ThresholdRule(theta, 0.0)
-    delta = F - dist.cdf_left(theta)
-    return ThresholdRule(theta, min((F - target) / delta, 1.0))
+    return rule_at_level(dist, 1.0 - 1.0 / n)
 
 
 def growth_bound_check(dist: DiscreteDistribution, n: int, k: int) -> tuple[float, float]:

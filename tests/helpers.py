@@ -5,6 +5,7 @@ are computed by exhaustive enumeration, game values by Shapley-Snow kernel
 enumeration (optimal strategies of a matrix game live on square submatrices).
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -57,15 +58,16 @@ def exact_best_level(dist, n: int) -> tuple[float, float]:
     w*y at levels y <= x and T sums w*(1-y) at levels y > x.  The reward is
     continuous in x, so each piece is maximized over its two ends and the
     roots of its derivative (real parts of all roots, clipped into the piece,
-    so that no real root is lost to rounding).
+    so that no real root is lost to rounding).  T takes 1 - y from the tail
+    masses, summed from the atom probabilities.
     """
-    levels, weights = dist.quantile_jumps()
+    levels, weights, tails = dist.quantile_jumps()
     ends = np.append(levels, 1.0)
     best_x, best_v = 0.0, -np.inf
     for j in range(levels.size):
         a, b = ends[j], ends[j + 1]
         low = levels <= a
-        coef = np.full(n, weights[~low] @ (1.0 - levels[~low]))
+        coef = np.full(n, weights[~low] @ tails[~low])
         coef[0] += weights[low].sum()
         coef[n - 1] -= weights[low] @ levels[low]
         piece = np.polynomial.Polynomial(coef)
@@ -75,6 +77,33 @@ def exact_best_level(dist, n: int) -> tuple[float, float]:
         if vals[k] > best_v:
             best_x, best_v = float(xs[k]), float(vals[k])
     return best_x, best_v
+
+
+def exact_jumps(dist) -> tuple[list, list, list]:
+    """Jump levels, masses and tail masses of dF^{<-} in exact rationals.
+
+    The tail mass at atom k is the exact sum of the float probabilities of
+    atoms k, k+1, ...; the level is one minus it.
+    """
+    values = [Fraction(float(v)) for v in dist.values]
+    probs = [Fraction(float(p)) for p in dist.probs]
+    tails = [sum(probs[k:]) for k in range(len(probs))]
+    weights = [values[0]] + [b - a for a, b in zip(values, values[1:])]
+    return [1 - t for t in tails], weights, tails
+
+
+def exact_level_reward(dist, n: int, x: float) -> Fraction:
+    """Reward of the level-x rule, sum_k w_k b(x, y_k), in exact rationals."""
+    x = Fraction(float(x))
+    g = sum(x**k for k in range(n))
+    return sum(w * (1 - x ** (n - 1) * y if y <= x else t * g)
+               for y, w, t in zip(*exact_jumps(dist)))
+
+
+def exact_expected_max(dist, n: int) -> Fraction:
+    """E max of n iid draws, sum_k w_k (1 - y_k^n), in exact rationals."""
+    levels, weights, _ = exact_jumps(dist)
+    return sum(w * (1 - y**n) for y, w in zip(levels, weights))
 
 
 def pareto_bisection(n: int, N: int, q_lo, q_hi, tol: float = 1e-9) -> tuple[float, float]:

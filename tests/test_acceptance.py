@@ -107,7 +107,7 @@ def ratio_certificates(n: int):
     slack = lipschitz_r(n, 1.0 - max(x for x, _ in STOPPER[n])) / (2 * points)
     F = DiscreteDistribution.from_atoms(ADVERSARY[n])
     prophet = F.expected_max(n)
-    dense = max(reward_by_level(F, n, x) for x in np.linspace(0.0, 1.0, 10**5 + 1))
+    dense = reward_by_level(F, n, np.linspace(0.0, 1.0, 10**5 + 1)).max()
     return (
         float(guarantee.min()) - slack,
         exact_best_level(F, n)[1] / prophet,

@@ -258,3 +258,12 @@ class TestParsing:
     def test_bad_sigma_or_tol_exit_2(self, tmp_path, capsys, argv):
         assert main(argv + ["--n", "4", "--N", "40", "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    @pytest.mark.parametrize("atoms", [5, [[0.5, None]], [None]])
+    def test_malformed_atoms_exit_2(self, tmp_path, capsys, command, atoms):
+        dist_file = tmp_path / "bad.json"
+        dist_file.write_text(json.dumps({"atoms": atoms}))
+        code = main([command, "--dist", str(dist_file), "--n", "2", "--theta", "0.0"])
+        assert code == 2
+        assert "pairs of numbers" in capsys.readouterr().err

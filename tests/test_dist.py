@@ -43,6 +43,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             DiscreteDistribution(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("atoms", [5, [[0.5, None]], [None], [[0.5]], [[0.0, 0.5, 1.0]],
+                                       [["a", 1.0]], [[0.0, [1.0]]]])
+    def test_from_atoms_rejects_malformed(self, atoms):
+        # non-pairs and non-numbers are a ValueError, as for every bad input
+        with pytest.raises(ValueError, match="pairs of numbers"):
+            DiscreteDistribution.from_atoms(atoms)
+
 
 class TestCdf:
     @pytest.mark.parametrize("x,expected", [(0.0, 0.5), (0.5, 0.5), (1.0, 1.0), (-1.0, 0.0)])
@@ -133,11 +140,19 @@ class TestProphetValue:
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
             assert values[-1] <= F.values[-1] + 1e-12
 
+    @pytest.mark.parametrize("probs", [[1e-13, 1.0], [1e-13, 1.0 + 5e-13]])
+    def test_negligible_first_atom(self, probs):
+        # the tail above the first atom rounds to (or past) 1: 1 - y^n is 1
+        F = DiscreteDistribution(np.array([0.0, 1.0]), np.array(probs))
+        for n in (1, 2, 5):
+            assert F.expected_max(n) == 1.0
+
     def test_quantile_jumps_reproduce_prophet(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             F = random_dist(rng)
-            levels, weights = F.quantile_jumps()
+            levels, weights, tails = F.quantile_jumps()
+            np.testing.assert_allclose(tails, 1.0 - levels, rtol=0.0, atol=1e-15)
             for n in (1, 3, 6):
                 assert weights @ (1.0 - levels**n) == pytest.approx(F.expected_max(n), rel=1e-13)
 

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import enumerate_rule_reward, exact_best_level, random_dist, random_grid_member
+from helpers import (
+    enumerate_rule_reward,
+    exact_best_level,
+    exact_expected_max,
+    exact_level_reward,
+    random_dist,
+    random_grid_member,
+)
 from prophet_sharp import (
     DiscreteDistribution,
     ThresholdRule,
@@ -25,6 +32,12 @@ from prophet_sharp import (
 from prophet_sharp.dist import QuantileIncrements
 
 COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
+#: the fixed distributions of acceptance criteria 1 (n = 10) and 2 (n = 25):
+#: a 1e-6 atom far out, next to the jump level 0.999999
+CRITERIA = {
+    10: [(0.0, 0.7386596), (0.476173, 0.2613394), (54686.0, 1e-6)],
+    25: [(0.0, 0.8570877), (0.446998, 0.1429113), (22499.23, 1e-6)],
+}
 
 
 def rule_grid(dist):
@@ -128,8 +141,39 @@ class TestRewardByLevel:
             n = int(rng.integers(2, 12))
             x, best = exact_best_level(F, n)
             assert reward_by_level(F, n, x) == pytest.approx(best, abs=1e-12)
-            scan = max(reward_by_level(F, n, g) for g in np.concatenate((xs, F.cumulative)))
+            scan = reward_by_level(F, n, np.concatenate((xs, F.cumulative))).max()
             assert best >= scan - 1e-12
+
+    def test_array_call_equals_scalar_calls(self):
+        # levels 0 and 1, every jump level, and random levels in between
+        rng = np.random.default_rng(151)
+        for _ in range(30):
+            F = random_dist(rng)
+            n = int(rng.integers(2, 12))
+            xs = np.concatenate(([0.0, 1.0], F.quantile_jumps()[0], rng.random(20)))
+            got = reward_by_level(F, n, xs)
+            assert got.shape == xs.shape
+            np.testing.assert_array_equal(got, [reward_by_level(F, n, x) for x in xs])
+        assert isinstance(reward_by_level(COIN, 2, 0.5), float)
+        assert reward_by_level(COIN, 2, np.array([[0.5]])).shape == (1, 1)
+
+    def test_rejects_levels_outside_unit_interval(self):
+        for x in (-1e-9, 1.0 + 1e-9, np.nan, [0.5, 1.5]):
+            with pytest.raises(ValueError):
+                reward_by_level(COIN, 2, x)
+
+    @pytest.mark.parametrize("n", sorted(CRITERIA))
+    def test_exact_against_rational_arithmetic(self, n):
+        # the top atom's tail mass 1e-6 would lose five digits as 1 - level;
+        # levels within ~1e-5 of 1 still cancel in 1 - x^n and 1 - x^{n-1} y
+        F = DiscreteDistribution.from_atoms(CRITERIA[n])
+        x = exact_best_level(F, n)[0]
+        for level in (x, 0.5, 0.99):
+            exact = float(exact_level_reward(F, n, level))
+            assert reward_by_level(F, n, level) == pytest.approx(exact, rel=1e-15, abs=0.0)
+        for m in (1, 2, n, 4 * n):
+            exact = float(exact_expected_max(F, m))
+            assert F.expected_max(m) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 class TestOptimalRule:
@@ -172,8 +216,7 @@ class TestOptimalRule:
     @pytest.mark.parametrize("case", ["criterion_1", "ehsani_100"])
     def test_level_search_is_exact(self, case):
         if case == "criterion_1":
-            atoms = [(0.0, 0.7386596), (0.476173, 0.2613394), (54686.0, 1e-6)]
-            F, n = DiscreteDistribution.from_atoms(atoms), 10
+            F, n = DiscreteDistribution.from_atoms(CRITERIA[10]), 10
         else:
             F, n = ehsani_distribution(100), 100
         res = optimal_rule(F, n, mode="level-search")
@@ -182,9 +225,8 @@ class TestOptimalRule:
         theta, p = res.rule.theta, res.rule.p
         level = p * F.cdf_left(theta) + (1.0 - p) * F.cdf(theta)
         assert abs(reward_by_level(F, n, level) - best) <= 1e-12
-        # reward_v1 sums atom probabilities, the oracle quantile levels; with
-        # a 1e-6 atom next to level 0.999999 the two forms differ by ~1e-11
-        assert res.evaluation.value == pytest.approx(best, rel=1e-10, abs=0.0)
+        # reward_v1 and the oracle both take 1 - level from the tail masses
+        assert res.evaluation.value == pytest.approx(best, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n,a,b,c", [(3, 0.5, 1.0, 1.0), (200, 0.3, 0.5, 1.0),
                                          (1000, 0.5, 1.0, 1.0), (1000, 0.3, 1.0, 0.5)])
@@ -198,7 +240,7 @@ class TestOptimalRule:
         level = p * F.cdf_left(theta) + (1.0 - p) * F.cdf(theta)
         xs = np.concatenate((np.linspace(0.0, 1.0, 2001), 1.0 - np.geomspace(1e-9, 1.0, 2001),
                              F.cumulative, level + np.linspace(-1e-6, 1e-6, 201)))
-        scan = max(reward_by_level(F, n, x) for x in np.clip(xs, 0.0, 1.0))
+        scan = reward_by_level(F, n, np.clip(xs, 0.0, 1.0)).max()
         assert reward_by_level(F, n, level) >= scan - 1e-12
         if n == 3:
             assert res.evaluation.value == pytest.approx(
@@ -207,6 +249,21 @@ class TestOptimalRule:
     def test_ehsani_ratio_tends_to_one(self):
         res = optimal_rule(ehsani_distribution(100), 100, mode="level-search")
         assert res.evaluation.ratio > 0.95
+
+    @pytest.mark.parametrize("grid_size", [0, 1, -3, 2.5, 4.0, True, "8"])
+    def test_grid_exact_rejects_bad_grid_size(self, grid_size):
+        with pytest.raises(ValueError, match="grid size"):
+            optimal_rule(COIN, 2, mode="grid-exact", grid_size=grid_size)
+
+    def test_grid_exact_is_one_reward_call(self, monkeypatch):
+        import prophet_sharp.reward as reward
+
+        calls = []
+        monkeypatch.setattr(reward, "reward_by_level",
+                            lambda *args: calls.append(args) or reward_by_level(*args))
+        F = random_grid_member(np.random.default_rng(157), 200)
+        optimal_rule(F, 10, mode="grid-exact", grid_size=200)
+        assert len(calls) == 1 and calls[0][2].shape == (199,)
 
     def test_grid_exact_requires_grid(self):
         irr = DiscreteDistribution.from_atoms([(0.0, 1 / np.pi), (1.0, 1 - 1 / np.pi)])
