@@ -260,14 +260,17 @@ def _checked_mu(mu: Sequence[float], N: int, require_sum_one: bool) -> np.ndarra
 
 
 def infer_grid_size(dist: DiscreteDistribution, max_size: int = 20000) -> int | None:
-    """Smallest N for which dist lies on the 1/N-probability grid, else None."""
+    """Smallest N >= 2 for which dist lies on the 1/N-probability grid, else None.
+
+    A grid member lies on every multiple of its grid, so a point mass gets 2.
+    """
     denominators = []
     for c in dist.cumulative:
         frac = Fraction(float(c)).limit_denominator(max_size)
         if abs(float(frac) - float(c)) > 1e-9:
             return None
         denominators.append(frac.denominator)
-    N = math.lcm(*denominators)
+    N = max(math.lcm(*denominators), 2)
     if N > max_size:
         return None
     return N

@@ -183,7 +183,7 @@ def best_level(dist: DiscreteDistribution, n: int) -> float:
     most once on x > 0, from + to -.  The reward is continuous in x, so each
     piece is settled by the derivative's signs at its ends and, when they
     differ, one bracketed root; the candidates are scored in one
-    reward_by_level call.
+    stop_weight_sums call.
     """
     levels, weights, tails = dist.quantile_jumps()
     a, b = levels, np.append(levels[1:], 1.0)
@@ -199,7 +199,7 @@ def best_level(dist: DiscreteDistribution, n: int) -> float:
     xs = np.where(rising_a, b, a)
     for k in np.flatnonzero(rising_a & ~rising_b):
         xs[k] = brentq(slope, a[k], b[k], args=(k,))
-    return float(xs[np.argmax(reward_by_level(dist, n, xs))])
+    return float(xs[np.argmax(stop_weight_sums(xs, levels, weights, tails, n))])
 
 
 def ratio_floor(n: int) -> float:

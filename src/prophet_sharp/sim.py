@@ -1,10 +1,15 @@
 """Monte Carlo simulation of threshold rules and the prophet benchmark.
 
 RNG: counter-based splitmix64 streams, one per trial, keyed by
-(seed, trial index).  A draw is random-access within its stream, so the
-vectorized trial loops consume draws exactly as a sequential walk through
-each trial (TrialStream) would.  Tie-break draws are consumed only when an
-observation equals the threshold exactly.
+(seed, trial index); draw k of a stream is a pure function of (seed, trial,
+k), so every run replays by seed.  The draw positions never depend on the
+data: observation t of a trial is its draw t (t < n), and the tie-break
+coin of step t is its draw n + t, whether or not step t ties.  A trial that
+has stopped therefore draws nothing more, and the rule loop keeps only the
+indices of the trials still running.  Trials run in chunks of _CHUNK into
+one float64 reward array, about 16 bytes per trial at the peak including
+the summary; the result does not depend on the chunk size.  TrialStream is
+the sequential view of one stream, drawn by the same generator.
 """
 
 from __future__ import annotations
@@ -53,33 +58,39 @@ class SimResult:
         )
 
 
-# -- splitmix64 primitives (python-int reference implementation) ------------
+# -- splitmix64 ---------------------------------------------------------------
+
+_U = np.uint64
+_CHUNK = 1 << 16
 
 
-def _mix(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
+def _mix(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> _U(30))) * _U(_MIX1)
+    z = (z ^ (z >> _U(27))) * _U(_MIX2)
+    return z ^ (z >> _U(31))
 
 
-def _stream_state(seed: int, trial: int) -> int:
-    return _mix(_mix((seed + _GOLDEN) & _MASK) ^ _mix(((trial + 1) * _GOLDEN) & _MASK))
+def _stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """States of the streams of trials lo, ..., hi - 1."""
+    key = _mix(np.full(1, (seed + _GOLDEN) & _MASK, dtype=np.uint64))
+    return _mix(key ^ _mix(np.arange(lo + 1, hi + 1, dtype=np.uint64) * _U(_GOLDEN)))
 
 
-def _draw(state: int, k: int) -> float:
-    return (_mix((state + (k + 1) * _GOLDEN) & _MASK) >> 11) * _INV53
+def _draw(states: np.ndarray, k: int) -> np.ndarray:
+    """Draw k, a uniform in [0, 1), of each stream."""
+    z = _mix(states + _U(((k + 1) * _GOLDEN) & _MASK))
+    return (z >> _U(11)).astype(np.float64) * _INV53
 
 
 class TrialStream:
     """Sequential view of one trial's uniform stream; replayable by seed."""
 
     def __init__(self, seed: int, trial: int = 0):
-        self._state = _stream_state(int(seed), int(trial))
+        self._state = _stream_states(int(seed), int(trial), int(trial) + 1)
         self._count = 0
 
     def uniform(self) -> float:
-        u = _draw(self._state, self._count)
+        u = float(_draw(self._state, self._count)[0])
         self._count += 1
         return u
 
@@ -89,26 +100,7 @@ def sample(dist: DiscreteDistribution, stream: TrialStream) -> float:
     return dist.quantile(stream.uniform())
 
 
-# -- vectorized trial loops -------------------------------------------------
-
-_U = np.uint64
-
-
-def _mix_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U(30))) * _U(_MIX1)
-    z = (z ^ (z >> _U(27))) * _U(_MIX2)
-    return z ^ (z >> _U(31))
-
-
-def _stream_states_vec(seed: int, trials: int) -> np.ndarray:
-    t = np.arange(1, trials + 1, dtype=np.uint64)
-    a = _mix_vec(np.full(trials, (seed + _GOLDEN) & _MASK, dtype=np.uint64))
-    return _mix_vec(a ^ _mix_vec(t * _U(_GOLDEN)))
-
-
-def _draw_vec(states: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    z = _mix_vec(states + (counts + _U(1)) * _U(_GOLDEN))
-    return (z >> _U(11)).astype(np.float64) * _INV53
+# -- trial loops ----------------------------------------------------------------
 
 
 def _atoms_at(values, cum, u) -> np.ndarray:
@@ -116,57 +108,47 @@ def _atoms_at(values, cum, u) -> np.ndarray:
     return values[idx]
 
 
-def _rule_rewards(values, cum, theta, p, n, seed, trials) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        states = _stream_states_vec(seed, trials)
-        counts = np.zeros(trials, dtype=np.uint64)
-        rewards = np.zeros(trials)
-        alive = np.ones(trials, dtype=bool)
-        for _ in range(n - 1):
-            u = _draw_vec(states, counts)
-            counts[alive] += _U(1)
-            x = _atoms_at(values, cum, u)
-            hit = alive & (x > theta)
-            tie = alive & (x == theta)
-            if tie.any():
-                xi = _draw_vec(states, counts)
-                counts[tie] += _U(1)
-                hit |= tie & (xi < p)
-            rewards[hit] = x[hit]
-            alive &= ~hit
-        u = _draw_vec(states, counts)
-        rewards[alive] = _atoms_at(values, cum, u[alive])
-    return rewards
-
-
-def _prophet_rewards(values, cum, n, seed, trials) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        states = _stream_states_vec(seed, trials)
-        best = np.zeros(trials)
-        for k in range(n):
-            u = _draw_vec(states, np.full(trials, k, dtype=np.uint64))
-            np.maximum(best, _atoms_at(values, cum, u), out=best)
-    return best
-
-
-def _summarize(rewards: np.ndarray, cfg: SimConfig) -> SimResult:
+def _simulate(cfg: SimConfig, rewards_of) -> SimResult:
+    """Fill one reward array chunk by chunk from rewards_of(stream states)."""
+    trials = int(cfg.trials)
+    rewards = np.empty(trials)
+    for lo in range(0, trials, _CHUNK):
+        hi = min(lo + _CHUNK, trials)
+        rewards[lo:hi] = rewards_of(_stream_states(int(cfg.seed), lo, hi))
     mean = float(np.mean(rewards))  # numpy pairwise summation: reproducible
-    if cfg.trials > 1:
-        se = float(np.std(rewards, ddof=1) / np.sqrt(cfg.trials))
-    else:
-        se = 0.0
+    se = float(np.std(rewards, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return SimResult(mean=mean, std_error=se, trials=cfg.trials, seed=cfg.seed)
 
 
 def run_rule(dist: DiscreteDistribution, rule: ThresholdRule, cfg: SimConfig) -> SimResult:
     """Estimate the reward of tau_p(theta) over cfg.trials independent runs."""
-    rewards = _rule_rewards(dist.values, dist.cumulative, float(rule.theta), float(rule.p),
-                            int(cfg.n), int(cfg.seed), int(cfg.trials))
-    return _summarize(rewards, cfg)
+    values, cum, n = dist.values, dist.cumulative, int(cfg.n)
+    theta, p = float(rule.theta), float(rule.p)
+
+    def rewards_of(states):
+        rewards = np.empty(states.size)
+        live = np.arange(states.size)
+        for t in range(n - 1):
+            x = _atoms_at(values, cum, _draw(states, t))
+            stop = x > theta
+            tie = np.flatnonzero(x == theta)
+            stop[tie] = _draw(states[tie], n + t) < p
+            rewards[live[stop]] = x[stop]
+            live, states = live[~stop], states[~stop]
+        rewards[live] = _atoms_at(values, cum, _draw(states, n - 1))
+        return rewards
+
+    return _simulate(cfg, rewards_of)
 
 
 def run_prophet(dist: DiscreteDistribution, cfg: SimConfig) -> SimResult:
     """Estimate the prophet value E max of cfg.n iid draws."""
-    rewards = _prophet_rewards(dist.values, dist.cumulative, int(cfg.n), int(cfg.seed),
-                               int(cfg.trials))
-    return _summarize(rewards, cfg)
+    values, cum, n = dist.values, dist.cumulative, int(cfg.n)
+
+    def rewards_of(states):
+        best = _atoms_at(values, cum, _draw(states, 0))
+        for k in range(1, n):
+            np.maximum(best, _atoms_at(values, cum, _draw(states, k)), out=best)
+        return best
+
+    return _simulate(cfg, rewards_of)

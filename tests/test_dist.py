@@ -228,6 +228,7 @@ class TestGridTypes:
         np.testing.assert_allclose(F.probs, [0.75, 0.25])
 
     def test_infer_grid_size(self):
+        assert infer_grid_size(DiscreteDistribution.point_mass(2.0)) == 2
         assert infer_grid_size(COIN) == 2
         F = grid_distribution(np.array([0.5, 1.0, 1.5, 9.0]), 5)
         assert infer_grid_size(F) == 5

@@ -182,6 +182,11 @@ class TestOptimalRule:
         assert res.evaluation.ratio == pytest.approx(1.0, abs=1e-12)
         assert res.evaluation.value == pytest.approx(3.0, abs=1e-12)
 
+    def test_point_mass_grid_exact(self):
+        res = optimal_rule(DiscreteDistribution.point_mass(2.0), 3, mode="grid-exact")
+        assert res.rule.theta == 2.0
+        assert res.evaluation.value == 2.0
+
     def test_coin_grid_exact(self):
         res = optimal_rule(COIN, 2, mode="grid-exact")
         assert res.rule.theta == 0.0
