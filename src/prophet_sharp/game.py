@@ -2,12 +2,14 @@
 sharp-constant pipelines for the ratio and difference games.
 
 solve_game takes any dense payoff matrix.  The sharp games never form their
-(N-1) x (N-1) matrix: the reward-weight matrix B of the generator is
-semiseparable, so each game is one sparse HiGHS LP (scipy.optimize.linprog)
-with O(N) nonzeros, built from prefix and suffix sums.  Every returned
-solution is re-verified by arithmetic: value and gap are computed by
-replaying the strategies against the payoff matrix, for the sharp games
-through the O(N) products B v and B^T lam, never taken from solver internals.
+(N-1) x (N-1) matrix: they are solved by double oracle, on one small HiGHS
+LP over a restricted block of levels that grows by both players' best
+responses over all N-1 levels until neither is new.  The reward-weight
+matrix B of the generator is semiseparable, so the best responses come from
+the O(N) products B v and B^T lam.  Every returned solution is re-verified
+by arithmetic: value and gap are computed by replaying the strategies
+against the payoff matrix, for the sharp games through those same O(N)
+products, never taken from solver internals.
 """
 
 from __future__ import annotations
@@ -18,24 +20,30 @@ from typing import Iterable
 
 import numpy as np
 from scipy.optimize import linprog
+# HiGHS's incremental model interface (addRow, addCol, warm restarts), which
+# scipy exposes only through its private bindings
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .dist import DiscreteDistribution, lfd_from_mu_diff, lfd_from_mu_ratio
 from .kernel import (
     KernelKind,
     PayoffMatrix,
     check_grid,
-    csr_from_blocks,
     err_bound_diff,
     err_bound_ratio,
+    payoff_entries,
     prophet_weights,
     reward_matvec,
     reward_rmatvec,
-    reward_rows,
 )
 from .reward import ThresholdRule, ratio_floor, optimal_rule
 
 #: entries of mu below this are zeroed before reconstructing distributions
 MU_CLEANUP = 1e-12
+#: options of the restricted game LP; the default feasibility tolerances
+#: (1e-7) let the replayed gap stall near 1e-8 for N >= 2000
+_HIGHS_OPTIONS = {"output_flag": False, "primal_feasibility_tolerance": 1e-10,
+                  "dual_feasibility_tolerance": 1e-10}
 
 
 class SolverError(RuntimeError):
@@ -115,8 +123,9 @@ def solve_game(payoff, sense: str, tol: float = 1e-7) -> GameSolution:
 class SharpConstantReport:
     """Sharp constant at (n, N) with its continuum bracket and reconstruction.
 
-    stats records how the LP was solved: HiGHS iterations and the LP's rows,
-    columns and nonzeros.
+    stats records how the game was solved: HiGHS iterations over all
+    rounds, the double-oracle rounds, and the final block's rows (stopper
+    levels) and columns (adversary levels).
     """
 
     n: int
@@ -161,8 +170,8 @@ def sharp_ratio(n: int, N: int, tol: float | None = None) -> SharpConstantReport
 
     Both players are restricted to the grid: the adversary to the N-grid
     family, the stopper to the levels {i/N}.  The game min_mu max_i (R_N mu)_i
-    is solved as one sparse LP in v = mu / d (see _solve_sharp); value and gap
-    come from replaying (lam, mu) through the O(N) products B v and B^T lam.
+    is solved by double oracle (see _solve_sharp); value and gap come from
+    replaying (lam, mu) through the O(N) products B v and B^T lam.
     rule is the best grid-level rule on the lfd.  The bracket always floors
     at ratio_floor(n); the two-sided discretization certificate exists for
     n >= 4 only.
@@ -175,7 +184,7 @@ def sharp_regret(n: int, N: int, tol: float | None = None) -> SharpConstantRepor
 
     The adversary plays the N-grid family supported in [0, 1], the stopper
     the levels {i/N}.  The game max_mu min_i (A_N mu)_i, with
-    A_N mu = (d^T mu) 1 - B mu, is solved as one sparse LP in v = mu (see
+    A_N mu = (d^T mu) 1 - B mu, is solved by double oracle (see
     _solve_sharp); value and gap come from the O(N) replay.  rule is the
     best grid-level rule on the lfd.
     """
@@ -202,76 +211,82 @@ def _sharp_report(kind: KernelKind, n: int, N: int, tol: float | None) -> SharpC
 
 
 def _solve_sharp(kind: KernelKind, n: int, N: int, tol: float) -> tuple[GameSolution, dict]:
-    """Solve the (N-1) x (N-1) grid game as one LP with O(N) nonzeros.
+    """Solve the (N-1) x (N-1) grid game by double oracle on one HiGHS LP.
 
-    Columns are v (v = mu/d for the ratio game, v = mu for the regret game),
-    the prefix sums P of v and Q of y v, the strict suffix sum S of (1-y) v,
-    the game value t and, for the regret game, D = d^T mu.  Payoff row i is
-    (B v)_i = P_i - x_i^{n-1} Q_i + g_i S_i, so
-        ratio:  min t  s.t.  (B v)_i <= t,      d^T v = 1, v >= 0;
-        regret: max t  s.t.  t <= D - (B v)_i,  D = d^T v, 1^T v = 1, v >= 0.
-    lam is read from the payoff rows' duals.  The replay bounds the game
-    value by lower <= value* <= upper; value is their midpoint and gap half
-    their distance.
+    Both games are min t s.t. (M mu)_i <= t over the block's stopper levels
+    i, sum mu = 1, mu >= 0 over its adversary levels, with M = R_N, or
+    M = -A_N for the regret (whose value is minus this one); block entries
+    come from kernel.payoff_entries.  From level m // 2 for both players,
+    each round runs HiGHS warm-started, reads mu from the primal and lam from
+    the payoff rows' duals, and replays both over all N-1 levels through the
+    O(N) products B v and B^T lam.  The replay bounds the game value,
+    lower <= value* <= upper (value is their midpoint, gap half their
+    distance); its argmax row and argmin column are the best responses,
+    added as a row and a column.  The loop stops when a round adds no level,
+    so after at most 2(N-1) rounds.
     """
     n, N = check_grid(n, N)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     ratio = kind is KernelKind.RATIO
+    sgn = 1.0 if ratio else -1.0
     m = N - 1
     d = prophet_weights(n, N)
-    i = v = np.arange(m)  # payoff rows; the v columns come first
-    t, D = 4 * m, 4 * m + 1
-    cols = 4 * m + (1 if ratio else 2)
-
-    # equality rows: the three running sums, then the normalization
-    eq, ub = reward_rows(n, N)
-    if ratio:
-        eq += [(3 * m, v, d)]
-        b_eq = np.zeros(3 * m + 1)
-        b_eq[-1] = 1.0
-    else:
-        eq += [(3 * m, v, 1.0), (3 * m + 1, D, 1.0), (3 * m + 1, v, -d)]
-        b_eq = np.zeros(3 * m + 2)
-        b_eq[3 * m] = 1.0
-    # payoff rows: (B v)_i - t <= 0, or t - D + (B v)_i <= 0
-    ub += [(i, t, -1.0)] if ratio else [(i, t, 1.0), (i, D, -1.0)]
-    A_eq = csr_from_blocks(eq, (b_eq.size, cols))
-    A_ub = csr_from_blocks(ub, (m, cols))
-    c = np.zeros(cols)
-    c[t] = 1.0 if ratio else -1.0
-    bounds = np.zeros((cols, 2))
-    bounds[:, 1] = np.inf
-    bounds[t:, 0] = -np.inf
-
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(m), A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if res.status != 0:
-        raise SolverError(f"LP solver failed with status {res.status}: {res.message}")
-    stats = {"iterations": int(getattr(res, "nit", -1)), "lp_rows": m + b_eq.size,
-             "lp_cols": cols, "lp_nonzeros": int(A_ub.nnz + A_eq.nnz)}
-
-    mu = np.maximum(res.x[:m], 0.0) * (d if ratio else 1.0)
-    mu /= mu.sum()
-    lam = np.maximum(-np.asarray(res.ineqlin.marginals, dtype=np.float64), 0.0)
-    if lam.sum() <= 0.0:
-        raise SolverError("LP returned a degenerate dual; no row strategy available")
-    lam /= lam.sum()
-
-    # replay: rows R mu = B (mu/d), columns R^T lam = (B^T lam)/d for the
-    # ratio game; rows A mu = d^T mu - B mu, columns A^T lam = d - B^T lam
-    if ratio:
-        upper = float(reward_matvec(n, N, mu / d).max())
-        lower = float((reward_rmatvec(n, N, lam) / d).min())
-    else:
-        lower = float((d @ mu - reward_matvec(n, N, mu)).min())
-        upper = float((d - reward_rmatvec(n, N, lam)).max())
-    value = 0.5 * (upper + lower)
+    entries = payoff_entries(kind, n, N)
+    highs = _Highs()
+    for option, setting in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(option, setting)
+    # column 0 is t, row 0 is sum mu = 1; then one column per adversary
+    # level and one row per stopper level, in the order they entered
+    highs.addCol(1.0, -np.inf, np.inf, 0, np.empty(0, np.int32), np.empty(0))
+    highs.addRow(1.0, 1.0, 0, np.empty(0, np.int32), np.empty(0))
+    rows: list[int] = []
+    cols: list[int] = []
+    new_row = new_col = m // 2
+    iterations = rounds = 0
+    while new_row is not None or new_col is not None:
+        if new_row is not None:
+            rows.append(new_row)
+            highs.addRow(-np.inf, 0.0, len(cols) + 1, np.arange(len(cols) + 1, dtype=np.int32),
+                         np.append(-1.0, sgn * entries([new_row], cols)[0]))
+        if new_col is not None:
+            cols.append(new_col)
+            highs.addCol(0.0, 0.0, np.inf, len(rows) + 1, np.arange(len(rows) + 1, dtype=np.int32),
+                         np.append(1.0, sgn * entries(rows, [new_col])[:, 0]))
+        highs.run()
+        status = highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise SolverError(f"restricted game LP ended {highs.modelStatusToString(status)}")
+        iterations += int(highs.getInfo().simplex_iteration_count)
+        rounds += 1
+        solution = highs.getSolution()
+        mu, lam = np.zeros(m), np.zeros(m)
+        mu[cols] = np.maximum(np.asarray(solution.col_value)[1:], 0.0)
+        lam[rows] = np.maximum(-np.asarray(solution.row_dual)[1:], 0.0)
+        if lam.sum() <= 0.0:
+            raise SolverError("LP returned a degenerate dual; no row strategy available")
+        mu /= mu.sum()
+        lam /= lam.sum()
+        # replay in min-max form: rows M mu, columns M^T lam, with
+        # R mu = B (mu/d), R^T lam = (B^T lam)/d, -A mu = B mu - d^T mu and
+        # -A^T lam = B^T lam - d
+        if ratio:
+            row_payoffs = reward_matvec(n, N, mu / d)
+            col_payoffs = reward_rmatvec(n, N, lam) / d
+        else:
+            row_payoffs = reward_matvec(n, N, mu) - d @ mu
+            col_payoffs = reward_rmatvec(n, N, lam) - d
+        best_row, best_col = int(np.argmax(row_payoffs)), int(np.argmin(col_payoffs))
+        upper, lower = float(row_payoffs[best_row]), float(col_payoffs[best_col])
+        new_row = None if best_row in rows else best_row
+        new_col = None if best_col in cols else best_col
+    value = sgn * 0.5 * (upper + lower)
     gap = max(0.5 * (upper - lower), 0.0)
+    stats = {"iterations": iterations, "rounds": rounds,
+             "block_rows": len(rows), "block_cols": len(cols)}
     if gap > tol:
         raise SolverError(f"duality gap {gap:.3e} exceeds tol {tol:.3e}", gap=gap)
-    return GameSolution(value=value, lam=lam, mu=mu, gap=gap,
-                        iterations=stats["iterations"]), stats
+    return GameSolution(value=value, lam=lam, mu=mu, gap=gap, iterations=iterations), stats
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 The ratio kernel R and difference kernel A drive the two zero-sum games; on
 the uniform level grid {i/N} both derive from the generator, the reward
 weights B and the prophet weights d: R_N = B / d per column, A_N = d - B.
+Any block of R_N or A_N comes from one entry formula (payoff_entries).
 B is semiseparable, so B v and B^T lam take O(N) operations, and B v is
 an LP row block with O(N) nonzeros (reward_rows).  Also: the
 discretization error bounds, the support-exclusion constant, and the
@@ -120,28 +121,41 @@ def check_grid(n: int, N: int) -> tuple[int, int]:
 
 def payoff_matrix(kind: KernelKind | str, n: int, N: int) -> PayoffMatrix:
     """Dense game matrix R_N = B / d (per column) or A_N = d - B on levels
-    {1/N, ..., (N-1)/N}, built from the generator (B, d); its diagonal is
-    exactly 1 or 0.  The sharp solvers never form it: it is the dense view
-    for tests, oracles and small games."""
+    {1/N, ..., (N-1)/N}: payoff_entries on every level pair, so its diagonal
+    is exactly 1 or 0.  The sharp solvers never form it: it is the dense
+    view for tests, oracles and small games."""
     kind = KernelKind(kind)
     n, N = check_grid(n, N)
-    B, d = reward_weights(n, N), prophet_weights(n, N)
-    if kind is KernelKind.RATIO:
-        out = B / d
-        np.fill_diagonal(out, 1.0)
-    else:
-        out = d - B
-        np.fill_diagonal(out, 0.0)
-    return PayoffMatrix(kind, n, N, out)
+    levels = np.arange(N - 1)
+    return PayoffMatrix(kind, n, N, payoff_entries(kind, n, N)(levels, levels))
+
+
+def payoff_entries(kind: KernelKind | str, n: int, N: int):
+    """Entry function of R_N or A_N: entries(rows, cols) is the block of the
+    game matrix at level indices rows x cols (0-based, level i is (i+1)/N),
+    with the exact diagonal 1 (ratio) or 0 (regret).  The generator factors
+    are computed once here; each block costs O(len(rows) * len(cols))."""
+    ratio = KernelKind(kind) is KernelKind.RATIO
+    factors, d = generator_factors(n, N), prophet_weights(n, N)
+
+    def entries(rows, cols) -> np.ndarray:
+        i, j = np.asarray(rows, dtype=np.intp)[:, None], np.asarray(cols, dtype=np.intp)[None, :]
+        B = _weight_block(factors, i, j)
+        return np.where(i == j, float(ratio), B / d[j] if ratio else d[j] - B)
+
+    return entries
 
 
 def reward_weights(n: int, N: int) -> np.ndarray:
     """Matrix B with B[i-1, j-1] = stop_weight(i/N, j/N, n); R_N = B / d per column."""
-    g = np.arange(1, N, dtype=np.float64) / N
-    X, Y = g[:, None], g[None, :]
-    low = 1.0 - X ** (n - 1) * Y
-    high = (1.0 - Y) * (1.0 - X**n) / (1.0 - X)
-    return np.where(Y <= X, low, high)
+    levels = np.arange(N - 1)
+    return _weight_block(generator_factors(n, N), levels[:, None], levels[None, :])
+
+
+def _weight_block(factors, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """B at broadcast level indices i (rows) and j (columns)."""
+    y, xp, g = factors
+    return np.where(j <= i, 1.0 - xp[i] * y[j], (1.0 - y[j]) * g[i])
 
 
 def prophet_weights(n: int, N: int) -> np.ndarray:

@@ -62,6 +62,7 @@ class SimResult:
 
 _U = np.uint64
 _CHUNK = 1 << 16
+_BLOCK = 256
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -76,23 +77,29 @@ def _stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
     return _mix(key ^ _mix(np.arange(lo + 1, hi + 1, dtype=np.uint64) * _U(_GOLDEN)))
 
 
-def _draw(states: np.ndarray, k: int) -> np.ndarray:
-    """Draw k, a uniform in [0, 1), of each stream."""
-    z = _mix(states + _U(((k + 1) * _GOLDEN) & _MASK))
+def _draw(states: np.ndarray, k) -> np.ndarray:
+    """Draw k, a uniform in [0, 1), of each stream; k is one position or an
+    array of positions, broadcast against states."""
+    k = np.atleast_1d(np.asarray(k, dtype=np.uint64))
+    z = _mix(states + (k + _U(1)) * _U(_GOLDEN))
     return (z >> _U(11)).astype(np.float64) * _INV53
 
 
 class TrialStream:
-    """Sequential view of one trial's uniform stream; replayable by seed."""
+    """Sequential view of one trial's uniform stream; replayable by seed.
+    Draws are made _BLOCK positions at a time and handed out one by one."""
 
     def __init__(self, seed: int, trial: int = 0):
         self._state = _stream_states(int(seed), int(trial), int(trial) + 1)
         self._count = 0
+        self._block: list[float] = []
 
     def uniform(self) -> float:
-        u = float(_draw(self._state, self._count)[0])
+        k = self._count % _BLOCK
+        if k == 0:
+            self._block = _draw(self._state, np.arange(self._count, self._count + _BLOCK)).tolist()
         self._count += 1
-        return u
+        return self._block[k]
 
 
 def sample(dist: DiscreteDistribution, stream: TrialStream) -> float:

@@ -165,7 +165,9 @@ class TestSharpRegret:
 
 
 class TestStructuredLP:
-    @pytest.mark.parametrize("n,N", [(2, 3), (3, 10), (5, 60), (10, 200)])
+    @pytest.mark.parametrize("n,N", [(2, 3), (3, 10), (5, 60), (10, 200),
+                                     (2, 60), (2, 200), (4, 60), (4, 200),
+                                     (50, 60), (50, 200), (100, 60), (100, 200)])
     @pytest.mark.parametrize("kind", ["ratio", "regret"])
     def test_matches_dense_game(self, kind, n, N):
         if kind == "ratio":
@@ -184,28 +186,38 @@ class TestStructuredLP:
 
     def test_stats(self):
         for rep in (sharp_ratio(10, 200), sharp_regret(10, 200)):
-            assert set(rep.stats) == {"iterations", "lp_rows", "lp_cols", "lp_nonzeros"}
+            assert set(rep.stats) == {"iterations", "rounds", "block_rows", "block_cols"}
             assert rep.stats["iterations"] > 0
-            assert rep.stats["lp_rows"] > 0 and rep.stats["lp_cols"] > 0
-            assert rep.stats["lp_nonzeros"] <= 20 * rep.N
+            # the first round starts from one level a side, and every later
+            # round follows one that found a new level
+            assert 1 <= rep.stats["rounds"] <= rep.stats["block_rows"] + rep.stats["block_cols"] - 1
+            assert 0 < rep.stats["block_rows"] <= 40 and 0 < rep.stats["block_cols"] <= 40
             assert rep.as_dict()["stats"] == rep.stats
 
     @pytest.mark.parametrize("kind,n,N,stats", [
-        ("ratio", 2, 3, (2, 9, 9, 24)),
-        ("ratio", 3, 10, (9, 37, 37, 122)),
-        ("ratio", 5, 60, (47, 237, 237, 822)),
-        ("ratio", 10, 200, (268, 797, 797, 2782)),
-        ("regret", 2, 3, (2, 10, 10, 29)),
-        ("regret", 3, 10, (10, 38, 38, 141)),
-        ("regret", 5, 60, (115, 238, 238, 941)),
-        ("regret", 10, 200, (540, 798, 798, 3181)),
+        ("ratio", 2, 3, (3, 2, 2)),
+        ("ratio", 3, 10, (5, 4, 3)),
+        ("ratio", 5, 60, (8, 7, 6)),
+        ("ratio", 10, 200, (9, 8, 6)),
+        ("regret", 2, 3, (3, 2, 2)),
+        ("regret", 3, 10, (5, 4, 4)),
+        ("regret", 5, 60, (7, 6, 5)),
+        ("regret", 10, 200, (9, 8, 7)),
     ])
     def test_stats_pinned(self, kind, n, N, stats):
-        # HiGHS iterations and LP size of the sparse game LP; a change in the
-        # rows, columns or their order shows up here
+        # double-oracle rounds and the restricted game's final size; a change
+        # in the start level, the best responses or their tie-breaks shows up here
         rep = (sharp_ratio if kind == "ratio" else sharp_regret)(n, N)
-        keys = ("iterations", "lp_rows", "lp_cols", "lp_nonzeros")
+        keys = ("rounds", "block_rows", "block_cols")
         assert tuple(rep.stats[k] for k in keys) == stats
+
+    @pytest.mark.parametrize("solve", [sharp_ratio, sharp_regret])
+    def test_large_grid(self, solve):
+        # a table1 row at N=20000: the dense matrix would hold 4e8 entries
+        rep = solve(10, 20000)
+        assert rep.gap <= 1e-9
+        assert rep.stats["rounds"] <= 40
+        assert rep.bracket[0] <= rep.value <= rep.bracket[1]
 
 
 class TestVerify:
