@@ -1,17 +1,12 @@
 """Sharp constants for restricted distribution families.
 
 Bounded variance: the worst-case regret over the variance-<=sigma^2 grid
-family equals kappa_n * sigma, where kappa_n maximizes t subject to
-A_N z >= t*1, ||z||_Q <= 1, z >= 0.  By positive homogeneity this is one
-convex QP, kappa_n = 1 / sqrt(min{ z^T Q z : A_N z >= 1, z >= 0 }), which
-HiGHS solves with O(N) nonzeros and a diagonal Hessian on the semiseparable
-row block of the sharp games; both bracket ends are replayed from its
-primal and dual solution in O(N).
-
-Pareto-like tails: the worst-case ratio over a two-sided band on the
-cumulative quantiles is a linear-fractional program, solved as one sparse
-LP after the Charnes-Cooper change of variables, with the payoff rows
-built from the same semiseparable row block as the sharp games.
+family is kappa_n * sigma, kappa_n = 1 / sqrt(min{ z^T Q z : A_N z >= 1,
+z >= 0 }), solved by an isotonic-regression split (see kappa).  Pareto-like
+tails: the worst-case ratio over a two-sided band on the cumulative
+quantiles is a linear-fractional program, one sparse LP after the
+Charnes-Cooper change of variables on kernel.reward_rows' row block.
+Both ends of each bracket are replayed in O(N).
 """
 
 from __future__ import annotations
@@ -22,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 # perfbench/spans.py's SOLVERS wraps constrained.minimize by name, although
 # nothing here calls it any more
-from scipy.optimize import linprog, minimize  # noqa: F401
-# HiGHS's QP interface, which scipy exposes only through its private bindings
-from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
+from scipy.optimize import isotonic_regression, linprog, minimize, nnls  # noqa: F401
 
 from .game import SolverError
 from .kernel import (
@@ -54,20 +47,23 @@ class KappaResult:
 
 
 def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
-    """kappa_n on the N-grid, scaled by the variance budget sigma, as one QP.
+    """kappa_n on the N-grid, scaled by the variance budget sigma.
 
-    With S_k = sum_{i>=k} z_i (S_N = 0), z^T Q z = min_c (1/N) sum_k (S_k - c)^2,
-    so r_k = S_k - c turns the program into
-        min (1/N) ||r||^2  s.t.  z_k = r_k - r_{k+1},  (B z)_i - D <= -1,
-                                 D = d^T z,  z >= 0,
-    where (A_N z)_i = D - (B z)_i and B z comes from kernel.reward_rows.
-    Nothing HiGHS reports is trusted: z* is the primal z scaled to
-    min A_N z = 1 and then to z*^T Q z* = sigma^2, which gives kappa_lower;
-    the payoff rows' and z columns' duals y, s >= 0 give kappa_upper by weak
-    duality, (sum y)^2 / (w^T Q^{-1} w) with w = A_N^T y + s and Q^{-1} N
-    times the second-difference matrix.  SolverError when HiGHS does not end
-    Optimal (as at some sizes with n >= 50 and N <= 25, where kappa is
-    below 1e-7) or the replayed gap exceeds tol.
+    With S_k = sum_{i>=k} z_i (S_N = 0), z^T Q z = min_c ||S - c||^2 / N, and
+    z >= 0 puts r = S - c in the cone K of nonincreasing sequences.  With
+    C = A_N D, (D r)_k = r_k - r_{k+1}, dualizing C r >= 1 gives the split
+        kappa_n = sqrt(N) min { ||Pi_K(C^T mu)|| : mu >= 0, sum mu = 1 },
+    Pi_K an isotonic regression (PAVA).  The gradient in mu of ||p||^2 / 2,
+    p = Pi_K(C^T mu), is A_N z, z = -diff(p) >= 0.  mu lives on a block of
+    levels grown from level 0 by argmin A_N z, the stopper's best response,
+    until it is already in the block; _min_norm_mixture solves each block.
+    Nothing is read from a solver: any mu gives kappa_upper = sigma sqrt(N)
+    ||p||, as 1 <= mu^T C r <= <p, r> <= ||p|| ||r|| for feasible r (capped
+    at kappa_lower if rounding puts it below), and z scaled to min A_N z = 1
+    and then to z^T Q z = sigma^2 gives kappa_lower.  SolverError when the
+    gap exceeds tol, or when min A_N z <= 0: at some sizes with n >= 50 and
+    N <= 25, where kappa < 1e-8, Pi_K(C^T mu) is constant or has one step,
+    so z is 0 or sits on levels where A_N's diagonal is 0.
     """
     n, N = check_grid(n, N)
     if not 0.0 < sigma < np.inf:
@@ -76,71 +72,75 @@ def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
         raise ValueError(f"tol must be positive, got {tol!r}")
     m = N - 1
     d = prophet_weights(n, N)
-    i = np.arange(m)  # payoff rows, and the z columns, which come first
-    r, D = 4 * m + np.arange(N), 4 * m + N
-    cols, n_eq = 4 * m + N + 1, 4 * m + 1
-    eq, payoff = reward_rows(n, N)
-    eq += [(3 * m + i, i, 1.0), (3 * m + i, r[:-1], -1.0), (3 * m + i, r[1:], 1.0),
-           (4 * m, D, 1.0), (4 * m, i, -d)]
-    payoff += [(i, D, -1.0)]
-    A = csr_from_blocks(eq + [(n_eq + row, col, val) for row, col, val in payoff],
-                        (n_eq + m, cols))
-    lp = HighsLp()
-    lp.num_col_, lp.num_row_ = cols, n_eq + m
-    lp.col_cost_ = np.zeros(cols)
-    lp.col_lower_ = np.concatenate((np.zeros(4 * m), np.full(N + 1, -np.inf)))
-    lp.col_upper_ = np.full(cols, np.inf)
-    lp.row_lower_ = np.concatenate((np.zeros(n_eq), np.full(m, -np.inf)))
-    lp.row_upper_ = np.concatenate((np.zeros(n_eq), np.full(m, -1.0)))
-    lp.a_matrix_.format_ = MatrixFormat.kRowwise
-    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = cols, n_eq + m
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
-    highs = _Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.passModel(lp)
-    # triangular Hessian 2/N on each r column, so 1/2 r^T H r = ||r||^2 / N
-    highs.passHessian(cols, N, 1, np.clip(np.arange(cols + 1) - 4 * m, 0, N).astype(np.int32),
-                      r.astype(np.int32), np.full(N, 2.0 / N))
-    highs.run()
-    status = highs.getModelStatus()
-    if status != HighsModelStatus.kOptimal:
-        raise SolverError(f"kappa QP ended {highs.modelStatusToString(status)}")
-    solution = highs.getSolution()
 
-    # primal: scale z to min A_N z = 1; its norm is the variance of S
-    z = np.maximum(np.asarray(solution.col_value)[:m], 0.0)
-    a = d @ z - reward_matvec(n, N, z)
+    def dual_direction(mu):  # C^T mu = D^T (d sum(mu) - B^T mu)
+        return np.diff(d * mu.sum() - reward_rmatvec(n, N, mu), prepend=0.0, append=0.0)
+
+    block, w = [0], np.ones(1)  # any start level works
+    rows = dual_direction(np.eye(1, m, 0)[0])[None, :]
+    while True:
+        w = _min_norm_mixture(rows, w)
+        p = isotonic_regression(dual_direction(np.bincount(block, w, m)), increasing=False).x
+        z = -np.diff(p)
+        a = d @ z - reward_matvec(n, N, z)
+        best = int(np.argmin(a))
+        if best in block:
+            break
+        block.append(best)
+        rows = np.vstack((rows, dual_direction(np.eye(1, m, best)[0])))
+        w = np.append(w, 0.0)
+
     if not a.min() > 0.0:
-        raise SolverError("kappa QP gave no feasible direction")
+        raise SolverError(f"kappa primal z = -diff(Pi_K(C^T mu)) is 0 or on A_N's zero diagonal: "
+                          f"min A_N z = {a.min():.3e}, dual end {sigma * np.sqrt(N * (p @ p)):.3e}")
+    # primal: scale z to min A_N z = 1; its norm is the variance of S
     z /= a.min()
     norm_sq = float(np.var(np.append(np.cumsum(z[::-1])[::-1], 0.0)))
-    # dual: y on A_N z >= 1 and s on z >= 0 give w = A_N^T y + s
-    y = np.maximum(-np.asarray(solution.row_dual)[n_eq:], 0.0)
-    s = np.maximum(np.asarray(solution.col_dual)[:m], 0.0)
-    w = d * y.sum() - reward_rmatvec(n, N, y) + s
-    curvature = N * float(np.sum(np.diff(w, prepend=0.0, append=0.0) ** 2))
-    if not (y.sum() > 0.0 and curvature > 0.0):
-        raise SolverError("kappa dual bound is not positive")
-    dual_bound = float(y.sum()) ** 2 / curvature
-
-    kappa_lower = sigma / np.sqrt(norm_sq)
-    kappa_upper = sigma / np.sqrt(dual_bound)
+    dual_bound = min(1.0 / (N * float(p @ p)), norm_sq)
+    kappa_lower, kappa_upper = sigma / np.sqrt(norm_sq), sigma / np.sqrt(dual_bound)
     gap = kappa_upper - kappa_lower
     if gap > tol:
         raise SolverError(f"kappa gap {gap:.3e} exceeds tol {tol:.3e}", gap=gap)
     z_star = kappa_lower * z
     certificate = {
-        "kappa_lower": float(kappa_lower),
-        "kappa_upper": float(kappa_upper),
-        "gap": float(gap),
-        "norm_sq": norm_sq,
-        "dual_bound": dual_bound,
+        "kappa_lower": float(kappa_lower), "kappa_upper": float(kappa_upper), "gap": float(gap),
+        "norm_sq": norm_sq, "dual_bound": dual_bound,
         "feasibility_margin": float((d @ z_star - reward_matvec(n, N, z_star)).min() - kappa_lower),
-        "lbfgs_iterations": 0,
-        "kkt_exact": True,  # HiGHS's active-set QP ended Optimal
-        "qp_iterations": int(highs.getInfo().qp_iteration_count),
+        # each round but the last adds a level; the last finds no new one
+        "lbfgs_iterations": 0, "kkt_exact": True, "rounds": len(block), "block_rows": len(block),
     }
     return KappaResult(value=float(kappa_lower), z=z_star, certificate=certificate)
+
+
+def _min_norm_mixture(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weights on the simplex minimizing ||Pi_K(rows^T w)||, starting from w.
+
+    ||Pi_K||^2 is convex and piecewise quadratic: with PAVA's blocks fixed,
+    Pi_K averages over blocks, so the Newton point is the min-norm point of
+    the block-averaged rows, one NNLS (Lawson and Hanson, ch. 23).  A Newton
+    point that does not lower ||p||^2 is replaced by an exact line search on
+    the segment to it; the loop ends when neither lowers ||p||^2.
+    """
+    def project(w):
+        return isotonic_regression(w @ rows, increasing=False)
+
+    fit = project(w)
+    while True:
+        M = np.add.reduceat(rows, fit.blocks[:-1], axis=1) / np.sqrt(np.diff(fit.blocks))
+        u = nnls(np.vstack((M.T, np.ones(w.size))), np.append(np.zeros(M.shape[1]), 1.0))[0]
+        step = u / u.sum()
+        new, delta = project(step), (step - w) @ rows
+        if not new.x @ new.x < fit.x @ fit.x and fit.x @ delta < 0.0:
+            # phi(t) = ||Pi_K(v + t delta)||^2 is convex with phi'(t) = 2 <Pi_K(.), delta>
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                t = 0.5 * (lo + hi)
+                lo, hi = (lo, t) if project(w + t * (step - w)).x @ delta > 0.0 else (t, hi)
+            step = w + lo * (step - w)
+            new = project(step)
+        if not new.x @ new.x < fit.x @ fit.x:
+            return w
+        w, fit = step, new
 
 
 @dataclass(frozen=True)

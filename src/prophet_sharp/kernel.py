@@ -5,9 +5,9 @@ the uniform level grid {i/N} both derive from the generator, the reward
 weights B and the prophet weights d: R_N = B / d per column, A_N = d - B.
 Any block of R_N or A_N comes from one entry formula (payoff_entries).
 B is semiseparable, so B v and B^T lam take O(N) operations, and B v is
-an LP row block with O(N) nonzeros (reward_rows).  Also: the
-discretization error bounds, the support-exclusion constant, and the
-Lipschitz constants used by property tests.
+an LP row block with O(N) nonzeros (reward_rows, now only for the Pareto
+LP).  Also: the discretization error bounds, the support-exclusion
+constant, and the Lipschitz constants used by property tests.
 """
 
 from __future__ import annotations
