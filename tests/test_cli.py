@@ -194,6 +194,14 @@ class TestSimulate:
         assert code == 2
         assert capsys.readouterr().err != ""
 
+    def test_horizon_beyond_64_bits_exit_2(self, tmp_path, capsys):
+        dist_file = tmp_path / "coin.json"
+        dist_file.write_text(COIN.to_json())
+        code = main(["simulate", "--dist", str(dist_file), "--n", "100000000000000000000",
+                     "--theta", "0.0", "--trials", "10"])
+        assert code == 2
+        assert "horizon" in capsys.readouterr().err
+
     def test_out_file(self, tmp_path):
         dist_file = tmp_path / "coin.json"
         dist_file.write_text(COIN.to_json())

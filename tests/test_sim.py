@@ -18,6 +18,8 @@ from prophet_sharp import (
 
 COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
 THREE = DiscreteDistribution.from_atoms([(0.0, 0.3), (0.3, 0.4), (2.0, 0.3)])
+FIVE = DiscreteDistribution.from_atoms(
+    [(0.1, 0.15), (0.4, 0.25), (0.9, 0.2), (1.7, 0.3), (3.2, 0.1)])
 
 
 def walk_rule(dist, rule, cfg):
@@ -52,6 +54,33 @@ class TestConfig:
             SimConfig(trials=10, seed=1, n=1)
         with pytest.raises(ValueError):
             SimConfig(trials=10, seed=-1, n=4)
+
+    def test_horizon_bound(self):
+        # the coin's draw positions n + t must fit in 64 bits
+        SimConfig(trials=1, seed=1, n=2**63)
+        with pytest.raises(ValueError):
+            SimConfig(trials=1, seed=1, n=2**63 + 1)
+        with pytest.raises(ValueError):
+            SimConfig(trials=1, seed=1, n=10**20)
+
+    @pytest.mark.parametrize("field", ["trials", "seed", "n"])
+    def test_rejects_bools(self, field):
+        kwargs = {"trials": 10, "seed": 1, "n": 4, field: True}
+        with pytest.raises(ValueError):
+            SimConfig(**kwargs)
+
+    def test_draws_at_top_positions(self):
+        # a horizon of 2**63 puts coins at positions up to 2**64 - 2; the
+        # offsets wrap mod 2**64 exactly as in Python integer arithmetic
+        def mix(z):
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+            return z ^ (z >> 31)
+
+        states = sim._stream_states(8, 0, 3)
+        for k in (0, 1, 2**63, 2**64 - 2):
+            want = [mix((int(s) + (k + 1) * 0x9E3779B97F4A7C15) % 2**64) >> 11 for s in states]
+            assert sim._bits(states, k).tolist() == want, k
 
     def test_result_json(self):
         res = run_rule(COIN, ThresholdRule(0.0, 0.0), SimConfig(trials=100, seed=3, n=2))
@@ -137,6 +166,16 @@ class TestRunRule:
         assert run_rule(THREE, rule, cfg) == a
         assert run_prophet(THREE, cfg) == b
 
+    def test_chunk_size_invariant_all_stop_at_once(self, monkeypatch):
+        # theta below every atom: each trial stops at step 0 and the step
+        # loop is left before its second step
+        cfg = SimConfig(trials=1000, seed=5, n=5)
+        rule = ThresholdRule(0.05, 0.25)
+        a = run_rule(FIVE, rule, cfg)
+        monkeypatch.setattr(sim, "_CHUNK", 7)
+        assert run_rule(FIVE, rule, cfg) == a
+        assert a.mean == walk_rule(FIVE, rule, cfg)
+
     def test_rule_never_beats_prophet(self):
         # each trial's rule reward is one of its prophet's draws
         rng = np.random.default_rng(23)
@@ -213,3 +252,59 @@ class TestRunProphet:
             if abs(res.mean - target) > 4 * max(res.std_error, 1e-12):
                 misses += 1
         assert misses <= 1
+
+
+class TestIntegerDraws:
+    """The loops work on the 53-bit draw integers b, the uniform b * 2**-53."""
+
+    @pytest.mark.parametrize("dist", [
+        DiscreteDistribution(np.arange(10.0), np.full(10, 0.1)),  # cumsum ends at 1 - 2**-53
+        DiscreteDistribution(np.array([1.0, 2.0]), np.array([0.5, 0.5 - 4e-13])),
+    ])
+    def test_cut_points_match_quantile(self, dist):
+        assert dist.cumulative[-1] < 1.0  # the last atom also takes the missing mass
+        cuts = sim._cuts(dist)
+        bs = {0, 2**53 - 1} | {int(c) + d for c in cuts for d in (0, 1)}
+        for b in sorted(bs):
+            atom = dist.values[np.searchsorted(cuts, b)]
+            assert atom == dist.quantile(b * 2.0**-53), b
+
+    @pytest.mark.parametrize("p", [1e-17, 0.1, 0.25, 1 / 3, 0.5, 1 - 2.0**-53])
+    def test_coin_edge(self, p):
+        coin = int(np.ceil(p * 2**53))
+        for b in (coin - 1, coin):
+            if 0 <= b < 2**53:
+                assert (b < coin) == (b * 2.0**-53 < p), b
+
+    def test_matches_sequential_walk_randomized(self):
+        rng = np.random.default_rng(41)
+        for rep in range(5):
+            F = random_dist(rng, max_atoms=40)
+            F = DiscreteDistribution(F.values + 0.5, F.probs)  # room below the atoms
+            v = F.values
+            between = 0.5 * (v[0] + v[1]) if v.size > 1 else 0.25
+            cfg = SimConfig(trials=60, seed=5000 + rep, n=int(rng.integers(2, 7)))
+            assert run_prophet(F, cfg).mean == walk_prophet(F, cfg)
+            for theta in (0.25, between, float(rng.choice(v)), v[-1] + 1.0):
+                for p in (0.0, 1e-17, 0.5, 1 - 2.0**-53, 1.0):
+                    rule = ThresholdRule(float(theta), p)
+                    assert run_rule(F, rule, cfg).mean == walk_rule(F, rule, cfg), (rep, theta, p)
+
+    @pytest.mark.parametrize("dist,theta,p,seed,n,rule_hex,prophet_hex", [
+        (THREE, 0.3, 0.25, 11, 2, ("0x1.104ed498171ffp+0", "0x1.c14c83cb94d0ep-9"),
+         ("0x1.244494287dec4p+0", "0x1.b49d96708e402p-9")),
+        (FIVE, 0.9, 0.25, 12, 30, ("0x1.f225a8e8473f2p+0", "0x1.61f35a9318e77p-9"),
+         ("0x1.916298b8e7b75p+1", "0x1.2cc5f53d188abp-10")),
+        (FIVE, 1.0, 0.0, 13, 30, ("0x1.09a63d34b8abbp+1", "0x1.41e34ea568892p-9"),
+         ("0x1.91a54d880bb3dp+1", "0x1.282ca3e803064p-10")),
+        (THREE, 0.3, 1.0, 14, 2, ("0x1.e1d6bc588539ap-1", "0x1.a7db71b1276c5p-9"),
+         ("0x1.24c5376fba284p+0", "0x1.b44c601efbcddp-9")),
+    ])
+    def test_pinned_results(self, dist, theta, p, seed, n, rule_hex, prophet_hex):
+        # (mean, std_error) of the float-uniform simulator these loops replaced;
+        # 70000 trials span two chunks
+        cfg = SimConfig(trials=70000, seed=seed, n=n)
+        rule = run_rule(dist, ThresholdRule(theta, p), cfg)
+        prophet = run_prophet(dist, cfg)
+        assert (rule.mean.hex(), rule.std_error.hex()) == rule_hex
+        assert (prophet.mean.hex(), prophet.std_error.hex()) == prophet_hex
