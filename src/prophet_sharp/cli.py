@@ -174,7 +174,8 @@ def cmd_table3(args) -> int:
         _write_text(out / f"pareto_n{n}.json",
                     json.dumps({"manifest": manifest.as_dict(), "n": n,
                                 "family": "pareto", "params": {"p0": args.p0, "p1": args.p1},
-                                "value": res.value, "certificate": res.certificate},
+                                "value": res.value, "certificate": res.certificate,
+                                "stats": res.stats},
                                indent=2) + "\n")
         return [n, res.value, res.certificate["bracket"][0], res.certificate["bracket"][1]]
 

@@ -3,31 +3,23 @@
 Bounded variance: the worst-case regret over the variance-<=sigma^2 grid
 family is kappa_n * sigma, kappa_n = 1 / sqrt(min{ z^T Q z : A_N z >= 1,
 z >= 0 }), solved by an isotonic-regression split (see kappa).  Pareto-like
-tails: the worst-case ratio over a two-sided band on the cumulative
-quantiles is a linear-fractional program, one sparse LP after the
-Charnes-Cooper change of variables on kernel.reward_rows' row block.
-Both ends of each bracket are replayed in O(N).
+tails: the worst-case ratio over a band on the cumulative quantiles is a
+game against the band's Charnes-Cooper polytope, solved by double oracle
+with Dinkelbach steps for the adversary (see pareto_ratio).  Both ends of
+each bracket are replayed in O(N) or O(N log N) arithmetic.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-# perfbench/spans.py's SOLVERS wraps constrained.minimize by name, although
-# nothing here calls it any more
+# unused: perfbench/spans.py's SOLVERS wraps constrained.linprog and .minimize by name
 from scipy.optimize import isotonic_regression, linprog, minimize, nnls  # noqa: F401
 
-from .game import SolverError
-from .kernel import (
-    check_grid,
-    csr_from_blocks,
-    prophet_weights,
-    reward_matvec,
-    reward_rmatvec,
-    reward_rows,
-)
+from .game import SolverError, double_oracle
+from .kernel import check_grid, prophet_weights, reward_matvec, reward_rmatvec
 
 
 def variance_q_matrix(N: int) -> np.ndarray:
@@ -157,8 +149,9 @@ class ParetoProblem:
     def __post_init__(self):
         if self.q_lo.shape != (self.N - 1,) or self.q_hi.shape != (self.N - 1,):
             raise ValueError(f"quantile bounds must have length N-1 = {self.N - 1}")
-        if np.any(self.q_lo < 0.0):
-            raise ValueError("q_lo must be nonnegative")
+        if (not np.all(np.isfinite(self.q_lo) & (self.q_lo >= 0.0)) or np.any(np.isnan(self.q_hi))
+                or not self.q_hi[-1] > 0.0):
+            raise ValueError("q_lo must be finite and nonnegative, q_hi not NaN, and q_hi[-1] > 0")
         if np.any(self.q_lo > self.q_hi):
             raise ValueError("q_lo must be componentwise <= q_hi")
         if np.any(self.q_lo[1:] < self.q_lo[:-1]) or np.any(self.q_hi[1:] < self.q_hi[:-1]):
@@ -180,9 +173,11 @@ class ParetoResult:
     value: float
     v: np.ndarray
     certificate: dict
+    stats: dict = field(default_factory=dict)  # SharpConstantReport's, and dinkelbach_steps
 
     def to_json(self) -> str:
-        return json.dumps({"value": self.value, "certificate": self.certificate})
+        return json.dumps({"value": self.value, "certificate": self.certificate,
+                           "stats": self.stats})
 
 
 def pareto_ratio(
@@ -194,26 +189,15 @@ def pareto_ratio(
     q_lo: np.ndarray | None = None,
     q_hi: np.ndarray | None = None,
 ) -> ParetoResult:
-    """Worst-case ratio over the Pareto-like band, as one LP.
-
-    The ratio max_i (B v)_i / d^T v over increments v of cumulative
-    quantiles u with q_lo <= u <= q_hi is linear-fractional; the
-    Charnes-Cooper change of variables s = 1 / d^T v, w = s v, y = s u makes
-    it the LP
-        min t  s.t.  (B w)_i <= t,  s q_lo <= y <= s q_hi,  d^T w = 1,
-                     w >= 0, s >= 0,
-    where y is the prefix sum P of w in kernel.reward_rows' block and only
-    positive q_lo and finite q_hi entries give rows.  The witness is
-    u = y / s clipped into the band; value is its ratio replayed through
-    reward_matvec, and the bracket's lower end is a weak-duality bound on
-    the LP optimum rebuilt from its duals through reward_rmatvec (never
-    HiGHS's objective), capped at value.  s = 0 happens when q_hi = +inf
-    where y grows (the unconstrained game, or a one-sided band): the
-    witness is then q_lo + c y with c large enough that its ratio is within
-    1e-6 tol of the optimum, which is v = w on the free band q_lo = 0.
-    q_lo/q_hi may be overridden; they are checked as ParetoProblem checks
-    its band.
-    """
+    """Worst-case ratio max_i (B v)_i / d^T v over increments v of quantiles
+    q_lo <= u <= q_hi: the value of min over w in W = {v / d^T v} of max over
+    lam of lam^T B w, by game.double_oracle on stopper levels and points of
+    W (or rays, where q_hi = +inf), stored as B w_k.  The stopper responds
+    by argmax B w, the adversary by _dinkelbach on c = B^T lam, new when
+    1e-12 (relative) below the block's best.  value is the ratio of the
+    witness u = y / s, (y, s) the mixture of the columns' (cumsum(w), s),
+    replayed through reward_matvec; the lower end is the last certified rho.
+    q_lo/q_hi may be overridden; they are checked as ParetoProblem does."""
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     problem = ParetoProblem.build(n, N, p0, p1)
@@ -222,56 +206,39 @@ def pareto_ratio(
     ParetoProblem(n, N, p0, p1, q_lo, q_hi)  # checks an overridden band
     m = N - 1
     d = prophet_weights(n, N)
-    i = w = np.arange(m)  # payoff rows; the w columns come first
-    P = m + i
-    s, t = 4 * m, 4 * m + 1
-    eq, ub = reward_rows(n, N)
-    eq += [(3 * m, w, d)]
-    ub += [(i, t, -1.0)]
-    # band rows s q_lo_i - y_i <= 0 and y_i - s q_hi_i <= 0
-    lo = np.flatnonzero(q_lo > 0.0)
-    hi = np.flatnonzero(np.isfinite(q_hi))
-    rows_lo, rows_hi = m + np.arange(lo.size), m + lo.size + np.arange(hi.size)
-    ub += [(rows_lo, s, q_lo[lo]), (rows_lo, P[lo], -1.0),
-           (rows_hi, P[hi], 1.0), (rows_hi, s, -q_hi[hi])]
-    n_ub, cols = m + lo.size + hi.size, 4 * m + 2
-    c = np.zeros(cols)
-    c[t] = 1.0
-    res = linprog(c, A_ub=csr_from_blocks(ub, (n_ub, cols)), b_ub=np.zeros(n_ub),
-                  A_eq=csr_from_blocks(eq, (3 * m + 1, cols)), b_eq=np.append(np.zeros(3 * m), 1.0),
-                  bounds=[(0.0, None)] * (cols - 1) + [(None, None)], method="highs")
-    if res.status != 0:
-        raise SolverError(f"pareto LP failed with status {res.status}: {res.message}")
+    band = _band_windows(q_lo, q_hi)
+    finite = bool(np.isfinite(q_hi[-1]))  # the first column: u = q_hi, or the top level's ray
+    points = [_scaled(np.diff(q_hi, prepend=0.0) if finite else np.eye(1, m, m - 1)[0], finite, d)]
+    payoffs, steps = reward_matvec(n, N, points[0][0])[:, None], []
 
-    # weak duality from the duals: lam >= 0 (sum 1) on the payoff rows, alpha
-    # and beta >= 0 on the band rows, beta scaled so that s's reduced cost
-    # sum(alpha q_lo) - sum(beta q_hi) is >= 0; then for every feasible w
-    # t >= sum_j w_j c_j with c = B^T lam + suffix sums of beta - alpha, and
-    # d^T w = 1 gives t >= min_j c_j / d_j
-    duals = np.maximum(-res.ineqlin.marginals, 0.0)
-    lam = duals[:m] / duals[:m].sum()
-    alpha, beta = np.zeros(m), np.zeros(m)
-    alpha[lo], beta[hi] = duals[rows_lo], duals[rows_hi]
-    pull, push = alpha[lo] @ q_lo[lo], beta[hi] @ q_hi[hi]
-    if push > pull:
-        beta *= pull / push
-    c_dual = reward_rmatvec(n, N, lam) + np.cumsum((beta - alpha)[::-1])[::-1]
-    lower = float((c_dual / d).min())
+    def respond(rows, cols, alpha, weights):
+        nonlocal payoffs
+        lam = np.zeros(m)
+        lam[rows] = weights / weights.sum()
+        best_row = int(np.argmax(payoffs[:, cols] @ alpha))
+        restricted = float((lam @ payoffs[:, cols]).min())
+        lower, best, taken = _dinkelbach(reward_rmatvec(n, N, lam), d, band, restricted)
+        steps.append(taken)
+        new_col = None
+        if best is not None and best[0] < restricted - 1e-12 * abs(restricted):
+            new_col = len(points)
+            points.append(best[1])
+            payoffs = np.column_stack((payoffs, reward_matvec(n, N, best[1][0])))
+        return None if best_row in rows else best_row, new_col, (cols, alpha / alpha.sum(), lower)
 
-    y = np.cumsum(np.maximum(res.x[:m], 0.0))
-    scale = res.x[s]
-    if scale > 0.0:
-        u = y / scale
-    else:
-        # y is a recession direction of the band (q_hi = +inf wherever
-        # y > 0): u = q_lo + c y stays in it, and its ratio exceeds the LP's
-        # t by at most excess / c < 1e-6 tol
-        v_lo = np.diff(q_lo, prepend=0.0)
-        excess = max(float((reward_matvec(n, N, v_lo) - lower * (d @ v_lo)).max()), 0.0)
-        u = q_lo + (1.0 + 1e6 * excess / tol) * y
+    # scaled exactly by 2^10, so that HiGHS's absolute 1e-10 tolerances admit 1e-12 better columns
+    (cols, alpha, lower), stats = double_oracle(
+        lambda rows, cols: 1024.0 * payoffs[np.ix_(rows, cols)], respond, m // 2, 0)
+    y = np.cumsum(sum(a * points[k][0] for k, a in zip(cols, alpha)))
+    scale = sum(a * points[k][1] for k, a in zip(cols, alpha))
+    # with scale 0, y is a recession direction of the band (q_hi = +inf where y > 0): u =
+    # q_lo + C y stays in it, and its ratio exceeds the mixture's by <= excess / C < 1e-6 tol
+    v_lo = np.diff(q_lo, prepend=0.0)
+    excess = max(float((reward_matvec(n, N, v_lo) - lower * (d @ v_lo)).max()), 0.0)
+    u = y / scale if scale > 0.0 else q_lo + (1.0 + 1e6 * excess / tol) * y
     # the bounds are nondecreasing, so the clipped u is too and v >= 0
     u = np.clip(u, q_lo, q_hi)
-    v = np.concatenate(([u[0]], np.diff(u)))
+    v = np.diff(u, prepend=0.0)
     achieved = float((reward_matvec(n, N, v) / (d @ v)).max())
     lower = min(lower, achieved)
     certificate = {
@@ -283,8 +250,69 @@ def pareto_ratio(
     }
     gap = achieved - lower
     if not gap <= tol:
-        raise SolverError(f"pareto witness ratio exceeds the dual bound by {gap:.3e} > tol {tol:.3e}",
+        raise SolverError(f"pareto witness ratio exceeds the lower end by {gap:.3e} > tol {tol:.3e}",
                           gap=gap)
     if certificate["band_violation"] > 0.0:
         raise SolverError("pareto witness leaves its band")
-    return ParetoResult(value=achieved, v=v, certificate=certificate)
+    return ParetoResult(value=achieved, v=v, certificate=certificate,
+                        stats={**stats, "dinkelbach_steps": sum(steps)})
+
+
+def _scaled(x: np.ndarray, s: float, d: np.ndarray):  # (v, 1) or (e_k, 0) as (w, s) in W
+    return x / (d @ x), s / float(d @ x)
+
+
+def _band_windows(q_lo: np.ndarray, q_hi: np.ndarray):
+    """Breakpoints s_t (0 and the band's values) and the windows [#{q_hi <= s_t},
+    #{q_lo <= s_t}] of the starts k of {j : u_j > s} = {j >= k}, s in [s_t,
+    s_t+1) (k = N-1: empty); the last one starts where q_hi = +inf starts."""
+    s = np.unique(np.concatenate(([0.0], q_lo, q_hi[np.isfinite(q_hi)])))
+    return s, np.searchsorted(q_hi, s, side="right"), np.searchsorted(q_lo, s, side="right")
+
+
+def _dinkelbach(c: np.ndarray, d: np.ndarray, band, rho: float):
+    """min of c^T v / d^T v over the band and rays by Dinkelbach steps from a
+    point's or ray's ratio rho (Management Sci. 13, 1967).  Returns the first
+    rho at which min (c - rho d)^T v >= 0 in float (a stalled descent steps
+    rho down), the last (ratio, point) that lowered rho or None, and steps."""
+    rays, best, stall, steps = band[1][-1], None, 2.0**-52, 0
+    while True:
+        steps += 1
+        e = c - rho * d
+        u = _band_min(e, *band)
+        if u is not None:
+            v = np.diff(u, prepend=0.0)
+            if e @ v >= 0.0:
+                return rho, best, steps
+            candidate = float(c @ v) / float(d @ v), _scaled(v, 1.0, d)
+        else:
+            k = rays + int(np.argmin(c[rays:] / d[rays:]))
+            candidate = float(c[k] / d[k]), _scaled(np.eye(1, d.size, k)[0], 0.0, d)
+        if candidate[0] < rho:
+            rho, best = candidate[0], candidate
+        else:
+            rho, stall = rho - stall, 2.0 * stall
+
+
+def _band_min(e: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """u minimizing e^T v over the band in O(N log N), or None at -inf (a ray
+    with e_k < 0): e^T v integrates e_k(s) over s, k(s) the start of {j :
+    u_j > s} (e_{N-1} = 0).  The rightmost argmin of e on k(s)'s window,
+    from a sparse table on windows of length 2^level, is optimal and
+    nondecreasing in s, so the sets nest."""
+    e = np.append(e, 0.0)
+    table = np.zeros((e.size.bit_length(), e.size), dtype=np.intp)
+    table[0], mins = np.arange(e.size), e
+    for level in range(1, table.shape[0]):
+        width, count = 2 ** (level - 1), e.size - 2 ** level + 1
+        right = mins[width:width + count] <= mins[:count]
+        table[level, :count] = np.where(right, table[level - 1, width:width + count],
+                                        table[level - 1, :count])
+        mins = np.where(right, mins[width:width + count], mins[:count])
+    level = np.frexp(hi - lo + 1)[1] - 1
+    left, right = table[level, lo], table[level, hi - 2**level + 1]
+    k = np.where(e[right] <= e[left], right, left)
+    if k[-1] < e.size - 1:
+        return None
+    # u_j = s_T for the first interval T whose level set starts above j
+    return s[np.searchsorted(k, np.arange(e.size - 1), side="right")]

@@ -2,9 +2,10 @@
 sharp-constant pipelines for the ratio and difference games.
 
 solve_game takes any dense payoff matrix.  The sharp games never form their
-(N-1) x (N-1) matrix: they are solved by double oracle, on one small HiGHS
-LP over a restricted block of levels that grows by both players' best
-responses over all N-1 levels until neither is new.  The reward-weight
+(N-1) x (N-1) matrix: they are solved by double oracle (double_oracle), on
+one small HiGHS LP over a restricted block of levels that grows by both
+players' best responses over all N-1 levels until neither is new;
+constrained.pareto_ratio runs on the same driver.  The reward-weight
 matrix B of the generator is semiseparable, so the best responses come from
 the O(N) products B v and B^T lam.  Every returned solution is re-verified
 by arithmetic: value and gap are computed by replaying the strategies
@@ -170,7 +171,7 @@ def sharp_ratio(n: int, N: int, tol: float | None = None) -> SharpConstantReport
 
     Both players are restricted to the grid: the adversary to the N-grid
     family, the stopper to the levels {i/N}.  The game min_mu max_i (R_N mu)_i
-    is solved by double oracle (see _solve_sharp); value and gap come from
+    is solved by double oracle (see _sharp_report); value and gap come from
     replaying (lam, mu) through the O(N) products B v and B^T lam.
     rule is the best grid-level rule on the lfd.  The bracket always floors
     at ratio_floor(n); the two-sided discretization certificate exists for
@@ -185,46 +186,19 @@ def sharp_regret(n: int, N: int, tol: float | None = None) -> SharpConstantRepor
     The adversary plays the N-grid family supported in [0, 1], the stopper
     the levels {i/N}.  The game max_mu min_i (A_N mu)_i, with
     A_N mu = (d^T mu) 1 - B mu, is solved by double oracle (see
-    _solve_sharp); value and gap come from the O(N) replay.  rule is the
+    _sharp_report); value and gap come from the O(N) replay.  rule is the
     best grid-level rule on the lfd.
     """
     return _sharp_report(KernelKind.DIFFERENCE, n, N, tol)
 
 
 def _sharp_report(kind: KernelKind, n: int, N: int, tol: float | None) -> SharpConstantReport:
+    """Solve the grid game by double_oracle with M = R_N, or M = -A_N for the
+    regret (value negated), entries from kernel.payoff_entries, from level
+    m // 2.  Each round replays mu and lam over all levels through B v and
+    B^T lam: lower <= value* <= upper (value the midpoint, gap half the
+    width); the argmax row and argmin column are new when not in the block."""
     tol = default_tol(N) if tol is None else tol
-    sol, stats = _solve_sharp(kind, n, N, tol)
-    mu = _cleanup(sol.mu)
-    if kind is KernelKind.RATIO:
-        lfd, floor, certified = lfd_from_mu_ratio(mu, n, N), ratio_floor(n), bool(n >= 4)
-        err = err_bound_ratio(n, N) if certified else 0.0
-    else:
-        lfd, floor, certified = lfd_from_mu_diff(mu, N), 0.0, True
-        err = err_bound_diff(n, N)
-    rule = optimal_rule(lfd, n, mode="grid-exact", grid_size=N).rule
-    lower = sol.value - err - sol.gap if certified else -np.inf
-    bracket = (max(floor, lower), sol.value + err + sol.gap)
-    return SharpConstantReport(
-        n=n, N=N, kind=kind, value=sol.value, bracket=bracket, gap=sol.gap,
-        rule=rule, lfd=lfd, lam=sol.lam, mu=mu, certified=certified, stats=stats,
-    )
-
-
-def _solve_sharp(kind: KernelKind, n: int, N: int, tol: float) -> tuple[GameSolution, dict]:
-    """Solve the (N-1) x (N-1) grid game by double oracle on one HiGHS LP.
-
-    Both games are min t s.t. (M mu)_i <= t over the block's stopper levels
-    i, sum mu = 1, mu >= 0 over its adversary levels, with M = R_N, or
-    M = -A_N for the regret (whose value is minus this one); block entries
-    come from kernel.payoff_entries.  From level m // 2 for both players,
-    each round runs HiGHS warm-started, reads mu from the primal and lam from
-    the payoff rows' duals, and replays both over all N-1 levels through the
-    O(N) products B v and B^T lam.  The replay bounds the game value,
-    lower <= value* <= upper (value is their midpoint, gap half their
-    distance); its argmax row and argmin column are the best responses,
-    added as a row and a column.  The loop stops when a round adds no level,
-    so after at most 2(N-1) rounds.
-    """
     n, N = check_grid(n, N)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -233,38 +207,10 @@ def _solve_sharp(kind: KernelKind, n: int, N: int, tol: float) -> tuple[GameSolu
     m = N - 1
     d = prophet_weights(n, N)
     entries = payoff_entries(kind, n, N)
-    highs = _Highs()
-    for option, setting in _HIGHS_OPTIONS.items():
-        highs.setOptionValue(option, setting)
-    # column 0 is t, row 0 is sum mu = 1; then one column per adversary
-    # level and one row per stopper level, in the order they entered
-    highs.addCol(1.0, -np.inf, np.inf, 0, np.empty(0, np.int32), np.empty(0))
-    highs.addRow(1.0, 1.0, 0, np.empty(0, np.int32), np.empty(0))
-    rows: list[int] = []
-    cols: list[int] = []
-    new_row = new_col = m // 2
-    iterations = rounds = 0
-    while new_row is not None or new_col is not None:
-        if new_row is not None:
-            rows.append(new_row)
-            highs.addRow(-np.inf, 0.0, len(cols) + 1, np.arange(len(cols) + 1, dtype=np.int32),
-                         np.append(-1.0, sgn * entries([new_row], cols)[0]))
-        if new_col is not None:
-            cols.append(new_col)
-            highs.addCol(0.0, 0.0, np.inf, len(rows) + 1, np.arange(len(rows) + 1, dtype=np.int32),
-                         np.append(1.0, sgn * entries(rows, [new_col])[:, 0]))
-        highs.run()
-        status = highs.getModelStatus()
-        if status != HighsModelStatus.kOptimal:
-            raise SolverError(f"restricted game LP ended {highs.modelStatusToString(status)}")
-        iterations += int(highs.getInfo().simplex_iteration_count)
-        rounds += 1
-        solution = highs.getSolution()
+
+    def respond(rows, cols, alpha, weights):
         mu, lam = np.zeros(m), np.zeros(m)
-        mu[cols] = np.maximum(np.asarray(solution.col_value)[1:], 0.0)
-        lam[rows] = np.maximum(-np.asarray(solution.row_dual)[1:], 0.0)
-        if lam.sum() <= 0.0:
-            raise SolverError("LP returned a degenerate dual; no row strategy available")
+        mu[cols], lam[rows] = alpha, weights
         mu /= mu.sum()
         lam /= lam.sum()
         # replay in min-max form: rows M mu, columns M^T lam, with
@@ -278,15 +224,68 @@ def _solve_sharp(kind: KernelKind, n: int, N: int, tol: float) -> tuple[GameSolu
             col_payoffs = reward_rmatvec(n, N, lam) - d
         best_row, best_col = int(np.argmax(row_payoffs)), int(np.argmin(col_payoffs))
         upper, lower = float(row_payoffs[best_row]), float(col_payoffs[best_col])
-        new_row = None if best_row in rows else best_row
-        new_col = None if best_col in cols else best_col
+        return (None if best_row in rows else best_row, None if best_col in cols else best_col,
+                (mu, lam, upper, lower))
+
+    (mu, lam, upper, lower), stats = double_oracle(
+        lambda rows, cols: sgn * entries(rows, cols), respond, m // 2, m // 2)
     value = sgn * 0.5 * (upper + lower)
     gap = max(0.5 * (upper - lower), 0.0)
-    stats = {"iterations": iterations, "rounds": rounds,
-             "block_rows": len(rows), "block_cols": len(cols)}
     if gap > tol:
         raise SolverError(f"duality gap {gap:.3e} exceeds tol {tol:.3e}", gap=gap)
-    return GameSolution(value=value, lam=lam, mu=mu, gap=gap, iterations=iterations), stats
+    mu = _cleanup(mu)
+    if ratio:
+        lfd, floor, certified = lfd_from_mu_ratio(mu, n, N), ratio_floor(n), bool(n >= 4)
+        err = err_bound_ratio(n, N) if certified else 0.0
+    else:
+        lfd, floor, certified = lfd_from_mu_diff(mu, N), 0.0, True
+        err = err_bound_diff(n, N)
+    rule = optimal_rule(lfd, n, mode="grid-exact", grid_size=N).rule
+    bracket = (max(floor, value - err - gap if certified else -np.inf), value + err + gap)
+    return SharpConstantReport(
+        n=n, N=N, kind=kind, value=value, bracket=bracket, gap=gap,
+        rule=rule, lfd=lfd, lam=lam, mu=mu, certified=certified, stats=stats,
+    )
+
+
+def double_oracle(entries, respond, row, col) -> tuple[object, dict]:
+    """min over alpha of max_i (M alpha)_i by double oracle on one warm-started
+    HiGHS LP (min t s.t. M alpha <= t, sum alpha = 1, alpha >= 0) over a block
+    of row and column keys grown from row and col; entries(rows, cols) is
+    M's block.  After each run respond(rows, cols, alpha, lam) gets alpha
+    and the payoff rows' duals lam (clipped at 0, unnormalized) and returns
+    the next row, column (None: not new) and an outcome.  Returns the last
+    outcome and stats."""
+    highs = _Highs()
+    for option, setting in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(option, setting)
+    # column 0 is t, row 0 is sum alpha = 1; then one column and one row
+    # per block column and row, in the order they entered
+    highs.addCol(1.0, -np.inf, np.inf, 0, np.empty(0, np.int32), np.empty(0))
+    highs.addRow(1.0, 1.0, 0, np.empty(0, np.int32), np.empty(0))
+    rows, cols, iterations, rounds = [], [], 0, 0
+    while row is not None or col is not None:
+        if row is not None:
+            rows.append(row)
+            highs.addRow(-np.inf, 0.0, len(cols) + 1, np.arange(len(cols) + 1, dtype=np.int32),
+                         np.append(-1.0, entries([row], cols)[0]))
+        if col is not None:
+            cols.append(col)
+            highs.addCol(0.0, 0.0, np.inf, len(rows) + 1, np.arange(len(rows) + 1, dtype=np.int32),
+                         np.append(1.0, entries(rows, [col])[:, 0]))
+        highs.run()
+        if (status := highs.getModelStatus()) != HighsModelStatus.kOptimal:
+            raise SolverError(f"restricted game LP ended {highs.modelStatusToString(status)}")
+        iterations += int(highs.getInfo().simplex_iteration_count)
+        rounds += 1
+        solution = highs.getSolution()
+        alpha = np.maximum(np.asarray(solution.col_value)[1:], 0.0)
+        lam = np.maximum(-np.asarray(solution.row_dual)[1:], 0.0)
+        if lam.sum() <= 0.0:
+            raise SolverError("LP returned a degenerate dual; no row strategy available")
+        row, col, outcome = respond(rows, cols, alpha, lam)
+    return outcome, {"iterations": iterations, "rounds": rounds,
+                     "block_rows": len(rows), "block_cols": len(cols)}
 
 
 @dataclass(frozen=True)

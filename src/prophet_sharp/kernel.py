@@ -4,10 +4,11 @@ The ratio kernel R and difference kernel A drive the two zero-sum games; on
 the uniform level grid {i/N} both derive from the generator, the reward
 weights B and the prophet weights d: R_N = B / d per column, A_N = d - B.
 Any block of R_N or A_N comes from one entry formula (payoff_entries).
-B is semiseparable, so B v and B^T lam take O(N) operations, and B v is
-an LP row block with O(N) nonzeros (reward_rows, now only for the Pareto
-LP).  Also: the discretization error bounds, the support-exclusion
-constant, and the Lipschitz constants used by property tests.
+B is semiseparable, so B v and B^T lam take O(N) operations
+(reward_matvec, reward_rmatvec); every solver reaches B only through them
+and through payoff_entries' blocks.  Also: the discretization error
+bounds, the support-exclusion constant, and the Lipschitz constants used by
+property tests.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.sparse import csr_array
 
 
 class KernelKind(str, Enum):
@@ -205,34 +205,6 @@ def reward_rmatvec(n: int, N: int, lam) -> np.ndarray:
     prefix = np.cumsum(g * lam)
     strict_prefix = np.concatenate(([0.0], prefix[:-1]))
     return _suffix_sum(lam) - y * _suffix_sum(xp * lam) + (1.0 - y) * strict_prefix
-
-
-def reward_rows(n: int, N: int) -> tuple[list, list]:
-    """B v as LP rows with O(N) nonzeros, in COO blocks (rows, cols, values).
-
-    Columns [0, m), m = N - 1, hold v, followed by m columns each for P, Q
-    and S.  The equality blocks, rows [0, 3m), define P as the prefix sum of
-    v, Q as the prefix sum of y v and S as the strict suffix sum of
-    (1 - y) v (each row sums to 0).  The payoff blocks, rows [0, m), give
-    (B v)_i = P_i - x_i^{n-1} Q_i + g_i S_i.
-    """
-    y, xp, g = generator_factors(n, N)
-    m = N - 1
-    i = np.arange(m)
-    v, P, Q, S = (k * m + i for k in range(4))
-    eq = [(i, P, 1.0), (i[1:], P[:-1], -1.0), (i, v, -1.0),
-          (m + i, Q, 1.0), (m + i[1:], Q[:-1], -1.0), (m + i, v, -y),
-          (2 * m + i, S, 1.0), (2 * m + i[:-1], S[1:], -1.0),
-          (2 * m + i[:-1], v[1:], -(1.0 - y[1:]))]
-    payoff = [(i, P, 1.0), (i, Q, -xp), (i, S, g)]
-    return eq, payoff
-
-
-def csr_from_blocks(blocks, shape) -> csr_array:
-    """CSR matrix from (rows, cols, values) blocks; scalars broadcast."""
-    triples = [np.broadcast_arrays(*block) for block in blocks]
-    rows, cols, vals = (np.concatenate([np.ravel(tr[k]) for tr in triples]) for k in range(3))
-    return csr_array((vals.astype(np.float64), (rows, cols)), shape=shape)
 
 
 def _grid_vector(v, N: int) -> np.ndarray:

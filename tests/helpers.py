@@ -147,6 +147,35 @@ def pareto_bisection(n: int, N: int, q_lo, q_hi, tol: float = 1e-9) -> tuple[flo
     return lo, hi
 
 
+def band_min_lp(e, q_lo, q_hi) -> float:
+    """min e^T v over increments v of nondecreasing u with q_lo <= u <= q_hi,
+    by a dense linprog in u (e^T v = sum_j (e_j - e_{j+1}) u_j, e_m = 0);
+    -inf when it is unbounded below."""
+    m = e.size
+    res = linprog(e - np.append(e[1:], 0.0), A_ub=np.eye(m - 1, m) - np.eye(m - 1, m, 1),
+                  b_ub=np.zeros(m - 1),
+                  bounds=[(lo, hi if np.isfinite(hi) else None) for lo, hi in zip(q_lo, q_hi)],
+                  method="highs")
+    assert res.status in (0, 3), res.message
+    return -np.inf if res.status == 3 else res.fun
+
+
+def band_ratio_lp(c, d, q_lo, q_hi) -> float:
+    """inf of c^T v / d^T v over the band's nonzero increments v, by the
+    Charnes-Cooper LP in w = s v and s >= 0: min c^T w s.t. d^T w = 1 and
+    s q_lo <= cumsum(w) <= s q_hi (finite q_hi only).  s = 0 is allowed, so
+    the band's rays (q_hi = +inf) count."""
+    m = c.size
+    L = np.tril(np.ones((m, m)))
+    hi = np.isfinite(q_hi)
+    A_ub = np.vstack([np.hstack([-L, q_lo[:, None]]), np.hstack([L[hi], -q_hi[hi, None]])])
+    res = linprog(np.append(c, 0.0), A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]),
+                  A_eq=np.append(d, 0.0)[None, :], b_eq=[1.0], bounds=[(0.0, None)] * (m + 1),
+                  method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
 def kappa_ldp(n: int, N: int) -> float:
     """kappa_n as a least-distance program, solved densely by BVLS.
 

@@ -86,6 +86,12 @@ class TestTable2And3:
         assert payload["family"] == "pareto"
         assert payload["params"] == {"p0": 20.0, "p1": 5.0}
 
+    def test_table3_records_stats(self, tmp_path):
+        assert main(["table3", "--n", "4", "--N", "50", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "pareto_n4.json").read_text())
+        assert set(payload["stats"]) == {"iterations", "rounds", "block_rows", "block_cols",
+                                         "dinkelbach_steps"}
+
     @pytest.mark.parametrize("command", ["table2", "table3"])
     def test_jobs_parallel_same_rows(self, tmp_path, monkeypatch, command):
         from prophet_sharp import cli as cli_mod

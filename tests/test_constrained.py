@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import kappa_ldp, pareto_bisection
+from helpers import band_min_lp, band_ratio_lp, kappa_ldp, pareto_bisection
 from prophet_sharp import (
     DiscreteDistribution,
     ParetoProblem,
@@ -12,7 +12,8 @@ from prophet_sharp import (
     pareto_ratio,
     sharp_ratio,
 )
-from prophet_sharp.constrained import variance_q_matrix
+from prophet_sharp.constrained import _band_min, _band_windows, _dinkelbach, variance_q_matrix
+from prophet_sharp.kernel import prophet_weights, reward_rmatvec
 
 
 class TestVariance:
@@ -206,22 +207,61 @@ class TestPareto:
             with pytest.raises(ValueError):
                 pareto_ratio(4, 40, 20.0, 5.0, **bad)
 
-    def test_lower_end_is_replayed_from_duals(self, monkeypatch):
-        # a solver objective 1e-3 too low moves neither the value nor the bracket
-        from prophet_sharp import constrained
+    @pytest.mark.parametrize("bad", ["q_lo nan", "q_hi nan", "q_lo inf", "q_hi zero"])
+    def test_rejects_non_finite_band_override(self, bad):
+        # each of these bands passes the ordering checks
+        prob = ParetoProblem.build(4, 40, 20.0, 5.0)
+        q_lo, q_hi = prob.q_lo.copy(), prob.q_hi.copy()
+        if bad == "q_lo nan":
+            q_lo[3] = np.nan
+        elif bad == "q_hi nan":
+            q_hi[3] = np.nan
+        elif bad == "q_lo inf":
+            q_lo[-1] = q_hi[-1] = np.inf
+        else:
+            q_lo[:], q_hi[:] = 0.0, 0.0
+        with pytest.raises(ValueError):
+            pareto_ratio(4, 40, 20.0, 5.0, q_lo=q_lo, q_hi=q_hi)
+
+    def test_bracket_survives_perturbed_highs_output(self, monkeypatch):
+        # both ends are replayed: strategies that HiGHS got wrong by up to
+        # 1e-4 widen the bracket, but it still holds the optimum
+        from prophet_sharp import game
 
         expected = pareto_ratio(5, 60, 20.0, 5.0)
-        linprog = constrained.linprog
 
-        def lowered(*args, **kwargs):
-            res = linprog(*args, **kwargs)
-            res.fun -= 1e-3
-            return res
+        class Perturbed(game._Highs):
+            def getSolution(self):
+                solution = super().getSolution()
+                for name in ("col_value", "row_dual"):
+                    values = getattr(solution, name)
+                    setattr(solution, name,
+                            [x * (1.0 + 1e-4 * (-1) ** i) for i, x in enumerate(values)])
+                return solution
 
-        monkeypatch.setattr(constrained, "linprog", lowered)
-        res = pareto_ratio(5, 60, 20.0, 5.0)
-        assert res.value == expected.value
-        assert res.certificate["bracket"] == expected.certificate["bracket"]
+        monkeypatch.setattr(game, "_Highs", Perturbed)
+        res = pareto_ratio(5, 60, 20.0, 5.0, tol=1e-3)
+        lower, upper = res.certificate["bracket"]
+        assert lower < expected.certificate["bracket"][0] <= expected.value < upper
+        assert res.value == upper
+
+    def test_large_grid(self):
+        N = 20000
+        res = pareto_ratio(10, N, 20.0, 5.0)
+        prob = ParetoProblem.build(10, N, 20.0, 5.0)
+        lower, upper = res.certificate["bracket"]
+        assert 0.0 <= upper - lower <= 1e-6 and res.value == upper
+        u = np.cumsum(res.v)
+        assert res.v.min() >= 0.0
+        assert np.all(u >= prob.q_lo * (1 - 1e-12)) and np.all(u <= prob.q_hi * (1 + 1e-12))
+
+    def test_stats(self):
+        res = pareto_ratio(4, 40, 20.0, 5.0)
+        assert set(res.stats) == {"iterations", "rounds", "block_rows", "block_cols",
+                                  "dinkelbach_steps"}
+        assert all(isinstance(v, int) and v > 0 for v in res.stats.values())
+        assert res.stats["dinkelbach_steps"] >= res.stats["rounds"]
+        assert max(res.stats["block_rows"], res.stats["block_cols"]) <= res.stats["rounds"]
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
     def test_rejects_bad_tol(self, tol):
@@ -231,3 +271,81 @@ class TestPareto:
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
             pareto_ratio(5, 50, 3.0, 3.0)
+
+
+def _random_band(rng, m, kind):
+    """A band of one of the oracle test kinds; half of them on a coarse
+    lattice, so that band values tie."""
+    if rng.random() < 0.5:
+        q_lo = np.sort(rng.integers(0, 5, m) * 0.5)
+        q_hi = np.maximum.accumulate(q_lo + rng.integers(0, 4, m) * 0.5)
+    else:
+        q_lo = np.cumsum(rng.exponential(1.0, m))
+        q_hi = np.maximum.accumulate(q_lo + rng.exponential(1.0, m))
+    if kind == "narrow":
+        q_hi = q_lo * (1.0 + 1e-3) + 1e-3
+    elif kind == "one-sided":
+        q_hi[rng.integers(0, m):] = np.inf
+    elif kind == "q_lo = 0":
+        q_lo[:] = 0.0
+        if rng.random() < 0.5:
+            q_hi[rng.integers(0, m):] = np.inf
+    q_hi[-1] = max(q_hi[-1], 1.0)
+    return q_lo, q_hi
+
+
+KINDS = ["two-sided", "narrow", "one-sided", "q_lo = 0"]
+
+
+class TestBandOracle:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_band_min_matches_dense_lp(self, kind):
+        rng = np.random.default_rng(KINDS.index(kind))
+        rays = 0
+        for _ in range(60):
+            m = int(rng.integers(2, 12))
+            q_lo, q_hi = _random_band(rng, m, kind)
+            # half of the costs on a lattice: ties, also with the empty set's 0
+            e = rng.normal(size=m) if rng.random() < 0.5 else rng.integers(-2, 3, m) * 1.0
+            band = _band_windows(q_lo, q_hi)
+            u = _band_min(e, *band)
+            reference = band_min_lp(e, q_lo, q_hi)
+            if u is None:
+                # a ray: a unit increment at a level with q_hi = +inf and e_k < 0
+                rays += 1
+                assert reference == -np.inf
+                assert band[1][-1] < m and e[band[1][-1]:].min() < 0.0
+            else:
+                assert np.all(np.diff(u) >= 0.0) and np.all(q_lo <= u) and np.all(u <= q_hi)
+                value = e @ np.diff(u, prepend=0.0)
+                assert value == pytest.approx(reference, rel=1e-9, abs=1e-9)
+        assert (rays > 0) == (kind in ("one-sided", "q_lo = 0"))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dinkelbach_matches_charnes_cooper_lp(self, kind):
+        rng = np.random.default_rng(10 + KINDS.index(kind))
+        for _ in range(60):
+            m = int(rng.integers(2, 12))
+            n = int(rng.integers(2, 12))
+            q_lo, q_hi = _random_band(rng, m, kind)
+            d = prophet_weights(n, m + 1)
+            c = reward_rmatvec(n, m + 1, rng.dirichlet(np.full(m, 0.5)))
+            band = _band_windows(q_lo, q_hi)
+            if np.isfinite(q_hi[-1]):
+                v_hi = np.diff(q_hi, prepend=0.0)
+                start = (c @ v_hi) / (d @ v_hi)
+            else:
+                start = (c[band[1][-1]:] / d[band[1][-1]:]).min()
+            lower, best, steps = _dinkelbach(c, d, band, start)
+            reference = band_ratio_lp(c, d, q_lo, q_hi)
+            assert steps >= 1
+            assert lower == pytest.approx(reference, rel=1e-9)
+            if best is not None:
+                # a Charnes-Cooper point (w, s): s q_lo <= cumsum(w) <= s q_hi, d^T w = 1
+                ratio, (w, s) = best
+                y = np.cumsum(w)
+                assert ratio == pytest.approx(reference, rel=1e-9)
+                assert ratio == pytest.approx(c @ w, rel=1e-14)
+                assert d @ w == pytest.approx(1.0) and w.min() >= 0.0
+                assert np.all(s * q_lo <= y * (1 + 1e-12)) and np.all(y <= s * q_hi * (1 + 1e-12))
+                assert s > 0.0 or np.count_nonzero(w) == 1

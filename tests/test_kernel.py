@@ -20,7 +20,6 @@ from prophet_sharp import (
     stop_weight,
     support_cutoff,
 )
-from prophet_sharp.kernel import csr_from_blocks, reward_rows
 
 
 def kernel_r_minform(x, y, n):
@@ -227,21 +226,6 @@ class TestStructuredProducts:
         B = reward_weights(n, N)
         np.testing.assert_allclose(reward_matvec(n, N, v), B @ v, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(reward_rmatvec(n, N, v), B.T @ v, rtol=1e-12, atol=0.0)
-
-    @pytest.mark.parametrize("n,N", [(2, 3), (5, 40), (10, 200)])
-    def test_lp_rows_give_dense_product(self, n, N):
-        m = N - 1
-        v = np.random.default_rng(N).exponential(1.0, m)
-        y = np.arange(1, N) / N
-        P, Q = np.cumsum(v), np.cumsum(y * v)
-        S = np.append(np.cumsum(((1.0 - y) * v)[::-1])[::-1][1:], 0.0)
-        x = np.concatenate((v, P, Q, S))
-        eq, payoff = reward_rows(n, N)
-        A_eq = csr_from_blocks(eq, (3 * m, x.size))
-        A_ub = csr_from_blocks(payoff, (m, x.size))
-        assert A_eq.nnz == 9 * m - 4 and A_ub.nnz == 3 * m
-        np.testing.assert_allclose(A_eq @ x, 0.0, atol=1e-12 * P[-1])
-        np.testing.assert_allclose(A_ub @ x, reward_weights(n, N) @ v, rtol=1e-12)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,9 @@ def test_traced_name_resolves(module, name):
     assert callable(getattr(importlib.import_module(f"prophet_sharp.{module}"), name, None))
 
 
-def test_pareto_ratio_is_one_traced_lp():
+def test_pareto_ratio_makes_no_lp_call():
+    # the band is solved by double oracle on game's HiGHS driver, so the
+    # wrapped constrained.linprog never fires
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -41,8 +43,9 @@ def test_pareto_ratio_is_one_traced_lp():
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics(0, 0)
-    assert metrics["constrained.pareto_lp_calls"] == 1
-    assert 0 < metrics["constrained.pareto_lp_nonzeros"] <= 18 * 40
+    assert metrics["constrained.pareto_lp_calls"] == 0
+    assert metrics["constrained.pareto_lp_nonzeros"] == 0
+    assert metrics["constrained.pareto_ratio_s"] > 0.0
     assert np.isfinite(res.value)
 
 
