@@ -21,6 +21,10 @@ from scipy.optimize import isotonic_regression, linprog, minimize, nnls  # noqa:
 from .game import SolverError, double_oracle
 from .kernel import check_grid, prophet_weights, reward_matvec, reward_rmatvec
 
+#: cap on the steps of one _dinkelbach call; pareto_ratio at N = 20000 and
+#: n in {10, 100} takes at most 7 per call
+MAX_DINKELBACH_STEPS = 1000
+
 
 def variance_q_matrix(N: int) -> np.ndarray:
     """Q with Q[i-1, j-1] = min(i, j)/N - ij/N^2 (Brownian-bridge covariance)."""
@@ -274,9 +278,12 @@ def _dinkelbach(c: np.ndarray, d: np.ndarray, band, rho: float):
     """min of c^T v / d^T v over the band and rays by Dinkelbach steps from a
     point's or ray's ratio rho (Management Sci. 13, 1967).  Returns the first
     rho at which min (c - rho d)^T v >= 0 in float (a stalled descent steps
-    rho down), the last (ratio, point) that lowered rho or None, and steps."""
+    rho down), the last (ratio, point) that lowered rho or None, and steps;
+    SolverError after MAX_DINKELBACH_STEPS steps."""
     rays, best, stall, steps = band[1][-1], None, 2.0**-52, 0
     while True:
+        if steps == MAX_DINKELBACH_STEPS:
+            raise SolverError(f"Dinkelbach steps did not settle in {MAX_DINKELBACH_STEPS}")
         steps += 1
         e = c - rho * d
         u = _band_min(e, *band)

@@ -45,6 +45,9 @@ MU_CLEANUP = 1e-12
 #: (1e-7) let the replayed gap stall near 1e-8 for N >= 2000
 _HIGHS_OPTIONS = {"output_flag": False, "primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10}
+#: cap on double_oracle's rounds; the sharp games take at most 20 at
+#: N = 2e5 and pareto_ratio at most 19 at N = 20000
+MAX_ROUNDS = 1000
 
 
 class SolverError(RuntimeError):
@@ -255,7 +258,7 @@ def double_oracle(entries, respond, row, col) -> tuple[object, dict]:
     M's block.  After each run respond(rows, cols, alpha, lam) gets alpha
     and the payoff rows' duals lam (clipped at 0, unnormalized) and returns
     the next row, column (None: not new) and an outcome.  Returns the last
-    outcome and stats."""
+    outcome and stats; SolverError after MAX_ROUNDS rounds."""
     highs = _Highs()
     for option, setting in _HIGHS_OPTIONS.items():
         highs.setOptionValue(option, setting)
@@ -265,6 +268,8 @@ def double_oracle(entries, respond, row, col) -> tuple[object, dict]:
     highs.addRow(1.0, 1.0, 0, np.empty(0, np.int32), np.empty(0))
     rows, cols, iterations, rounds = [], [], 0, 0
     while row is not None or col is not None:
+        if rounds == MAX_ROUNDS:
+            raise SolverError(f"double oracle still growing after {MAX_ROUNDS} rounds")
         if row is not None:
             rows.append(row)
             highs.addRow(-np.inf, 0.0, len(cols) + 1, np.arange(len(cols) + 1, dtype=np.int32),

@@ -1,21 +1,27 @@
 """Monte Carlo simulation of threshold rules and the prophet benchmark.
 
 RNG: counter-based splitmix64 streams, one per trial, keyed by (seed, trial
-index): draw k of a stream, a 53-bit integer b (the uniform b * 2**-53), is
-a pure function of (seed, trial, k), so every run replays by seed.
-Observation t of a trial is its draw t (t < n) and the tie-break coin of
-step t its draw n + t, whether or not step t ties.  The loops stay on the
-integers (inversion by cut points, Devroye 1986, sec. III.2): the rule
-compares b with two cut points and the coin with ceil(p * 2**53), keeps the
-stopping b of each trial and drops the stopped ones; the prophet keeps the
-largest b; one lookup per trial then gives the atom.  Trials run in chunks
-of _CHUNK into one float64 reward array, about 16 bytes per trial at the
-peak including the summary; the result does not depend on the chunk size.
+index): the state of trial t is mix(key ^ mix((t + 1) * golden)), and draw
+k of a stream, a 53-bit integer b (the uniform b * 2**-53), is a pure
+function of (seed, trial, k), so every run replays by seed.  The seed-free
+inner mix of the first chunk's trials is made once per process, on first
+use.  Observation t of a trial is its draw t (t < n) and the tie-break coin
+of step t its draw n + t, whether or not step t ties.  The loops stay on
+the integers (inversion by cut points, Devroye 1986, sec. III.2): the rule
+compares b with two cut points and the coin with ceil(p * 2**53), records
+each live trial's b (a trial that goes on overwrites it) and drops the
+stopped ones; the prophet keeps the largest 64-bit word, whose top 53 bits
+are the largest b.  One lookup per trial then gives the atom, from a guide
+table on the top bits of b (_atom_index) that leaves only the draws in
+buckets holding a cut point to a binary search.  Trials run in chunks of
+_CHUNK into one float64 reward array, about 16 bytes per trial at the peak
+including the summary; the result does not depend on the chunk size.
 TrialStream is the sequential view of one stream, by the same generator.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -31,6 +37,15 @@ _MASK = (1 << 64) - 1
 _SCALE = 2**53  # draw b is the uniform b / _SCALE
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_seed(seed) -> None:
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     trials: int
@@ -38,15 +53,12 @@ class SimConfig:
     n: int
 
     def __post_init__(self):
-        if any(isinstance(x, bool) for x in (self.trials, self.seed, self.n)):
-            raise ValueError("trials, seed and n must be integers, not booleans")
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.n, (int, np.integer)) or not 2 <= self.n <= 2**63:
+        if not _is_int(self.n) or not 2 <= self.n <= 2**63:
             # the coin's draw positions n + t, t < n - 1, fit in 64 bits
             raise ValueError(f"horizon must be an integer in [2, 2**63], got {self.n!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -68,6 +80,7 @@ class SimResult:
 _U = np.uint64
 _CHUNK = 1 << 16
 _BLOCK = 256
+_HEAD = _CHUNK  # the trials of a first chunk, whose counter half is cached
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -76,17 +89,35 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U(31))
 
 
+@functools.cache
+def _counter_head() -> np.ndarray:
+    """mix((t + 1) * golden) of trials t < _HEAD, made on first use; read-only,
+    as every caller shares it."""
+    head = _mix(np.arange(1, _HEAD + 1, dtype=np.uint64) * _U(_GOLDEN))
+    head.flags.writeable = False
+    return head
+
+
 def _stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
-    """States of the streams of trials lo, ..., hi - 1."""
+    """States mix(key ^ mix((t + 1) * golden)) of the streams of trials
+    lo, ..., hi - 1; the seed-free inner mix of a chunk that starts at 0
+    is a slice of _counter_head."""
     key = _mix(np.full(1, (seed + _GOLDEN) & _MASK, dtype=np.uint64))
+    if lo == 0 and hi <= _HEAD:
+        return _mix(key ^ _counter_head()[:hi])
     return _mix(key ^ _mix(np.arange(lo + 1, hi + 1, dtype=np.uint64) * _U(_GOLDEN)))
 
 
-def _bits(states: np.ndarray, k) -> np.ndarray:
-    """Draw k (a position or a range of them) of each stream as a 53-bit
-    int64; the offsets (k + 1) * golden wrap mod 2**64 as Python ints."""
+def _words(states: np.ndarray, k) -> np.ndarray:
+    """Draw k (a position or a range of them) of each stream as its 64-bit
+    mixed word; the offsets (k + 1) * golden wrap mod 2**64 as Python ints."""
     offsets = np.array([(int(j) + 1) * _GOLDEN & _MASK for j in np.atleast_1d(k)], dtype=np.uint64)
-    return (_mix(states + offsets) >> _U(11)).view(np.int64)
+    return _mix(states + offsets)
+
+
+def _bits(states: np.ndarray, k) -> np.ndarray:
+    """Draw k of each stream as a 53-bit int64: the top 53 bits of its word."""
+    return (_words(states, k) >> _U(11)).view(np.int64)
 
 
 class TrialStream:
@@ -94,6 +125,9 @@ class TrialStream:
     Draws are made _BLOCK positions at a time and handed out one by one."""
 
     def __init__(self, seed: int, trial: int = 0):
+        _check_seed(seed)
+        if not _is_int(trial) or not 0 <= trial < 2**64 - 1:
+            raise ValueError(f"trial must be an integer in [0, 2**64 - 1), got {trial!r}")
         self._state = _stream_states(int(seed), int(trial), int(trial) + 1)
         self._count = 0
         self._block: list[float] = []
@@ -121,6 +155,26 @@ def _cuts(dist: DiscreteDistribution) -> np.ndarray:
     return np.floor(dist.cumulative[:-1] * _SCALE).astype(np.int64)
 
 
+def _atom_index(cuts: np.ndarray):
+    """b -> searchsorted(cuts, b) for 53-bit draws b, by a guide table (Chen &
+    Asau 1974; Devroye 1986, sec. III.2.4): [0, 2**53) is split on the top
+    m bits into 2**m buckets, fewer than 8 (k + 1) for k cuts.  A bucket
+    that holds no cut gives its draws one index, searchsorted(cuts, its
+    start); the draws in the others (-1 in the table) are searched."""
+    m = (cuts.size + 1).bit_length() + 2
+    shift = 53 - m
+    bounds = np.searchsorted(cuts, np.arange(2**m + 1, dtype=np.int64) << shift)
+    guide = np.where(bounds[1:] == bounds[:-1], bounds[:-1], -1)
+
+    def index(b: np.ndarray) -> np.ndarray:
+        idx = guide[b >> shift]
+        search = np.flatnonzero(idx < 0)
+        idx[search] = np.searchsorted(cuts, b[search])
+        return idx
+
+    return index
+
+
 def _simulate(cfg: SimConfig, rewards_of) -> SimResult:
     """Fill one reward array chunk by chunk from rewards_of(stream states)."""
     trials = int(cfg.trials)
@@ -136,6 +190,7 @@ def _simulate(cfg: SimConfig, rewards_of) -> SimResult:
 def run_rule(dist: DiscreteDistribution, rule: ThresholdRule, cfg: SimConfig) -> SimResult:
     """Estimate the reward of tau_p(theta) over cfg.trials independent runs."""
     values, cuts, n, p = dist.values, _cuts(dist), int(cfg.n), float(rule.p)
+    atom = _atom_index(cuts)
     # b's atom is above theta when b > hi, at theta when lo < b <= hi
     edges = np.concatenate(([-1], cuts, [_SCALE]))
     lo, hi = (int(edges[np.searchsorted(values, rule.theta, side)]) for side in ("left", "right"))
@@ -144,33 +199,35 @@ def run_rule(dist: DiscreteDistribution, rule: ThresholdRule, cfg: SimConfig) ->
     coin = int(np.ceil(p * _SCALE))  # coin b wins when b / 2**53 < p
 
     def rewards_of(states):
-        stops = np.empty(states.size, dtype=np.int64)
+        # stops holds each trial's latest draw: a trial that goes on
+        # overwrites it with its next one
+        stops = b = _bits(states, 0)
         live = np.arange(states.size)
         for t in range(n - 1):
-            b = _bits(states, t)
-            stop = b > hi
+            go = b <= hi
             if lo < hi:
-                tie = np.flatnonzero((b > lo) & ~stop)
-                stop[tie] = _bits(states[tie], n + t) < coin
-            done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
-            stops[live[done]] = b[done]
-            live, states = live[keep], states[keep]
-            if live.size == 0:
+                tie = np.flatnonzero(go & (b > lo))
+                go[tie] = _bits(states[tie], n + t) >= coin
+            keep = np.flatnonzero(go)
+            if keep.size == 0:
                 break
-        stops[live] = _bits(states, n - 1)
-        return values[np.searchsorted(cuts, stops)]
+            live, states = live[keep], states[keep]
+            b = _bits(states, t + 1)
+            stops[live] = b
+        return values[atom(stops)]
 
     return _simulate(cfg, rewards_of)
 
 
 def run_prophet(dist: DiscreteDistribution, cfg: SimConfig) -> SimResult:
     """Estimate the prophet value E max of cfg.n iid draws."""
-    values, cuts, n = dist.values, _cuts(dist), int(cfg.n)
+    values, atom, n = dist.values, _atom_index(_cuts(dist)), int(cfg.n)
 
     def rewards_of(states):
-        best = _bits(states, 0)
+        # the largest word has the largest top 53 bits
+        best = _words(states, 0)
         for k in range(1, n):
-            np.maximum(best, _bits(states, k), out=best)
-        return values[np.searchsorted(cuts, best)]
+            np.maximum(best, _words(states, k), out=best)
+        return values[atom((best >> _U(11)).view(np.int64))]
 
     return _simulate(cfg, rewards_of)

@@ -139,6 +139,13 @@ class TestTable2And3:
         _, header, rows = read_csv_table(tmp_path / "table1.csv")
         assert rows == [] and header[0] == "n"
 
+    def test_round_cap_exit_3(self, tmp_path, monkeypatch, capsys):
+        from prophet_sharp import game
+
+        monkeypatch.setattr(game, "MAX_ROUNDS", 3)
+        assert main(["table1", "--n", "5", "--N", "60", "--out", str(tmp_path)]) == 3
+        assert "3 rounds" in capsys.readouterr().err
+
 
 class TestEval:
     def test_point_mass_ratio_one(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import band_min_lp, band_ratio_lp, kappa_ldp, pareto_bisection
+from prophet_sharp import constrained
 from prophet_sharp import (
     DiscreteDistribution,
     ParetoProblem,
@@ -244,6 +245,20 @@ class TestPareto:
         lower, upper = res.certificate["bracket"]
         assert lower < expected.certificate["bracket"][0] <= expected.value < upper
         assert res.value == upper
+
+    def test_faulty_band_oracle_raises(self, monkeypatch):
+        # with the q_lo windows counted with side="left" the band oracle's
+        # minima are wrong and its Dinkelbach steps never settle; the step
+        # cap turns the endless loop into a SolverError
+        def faulty(q_lo, q_hi):
+            s, hi_starts, _ = _band_windows(q_lo, q_hi)
+            return s, hi_starts, np.searchsorted(q_lo, s, side="left")
+
+        monkeypatch.setattr(constrained, "_band_windows", faulty)
+        N = 120
+        with pytest.raises(SolverError, match="Dinkelbach"):
+            pareto_ratio(5, N, 20.0, 5.0, tol=1e-7, q_lo=np.zeros(N - 1),
+                         q_hi=np.full(N - 1, np.inf))
 
     def test_large_grid(self):
         N = 20000

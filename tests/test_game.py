@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import oracle_maxmin, oracle_minmax, random_grid_member
+from prophet_sharp import game
 from prophet_sharp import (
     KernelKind,
+    SolverError,
     ratio_floor,
     err_bound_diff,
     optimal_rule,
@@ -210,6 +212,13 @@ class TestStructuredLP:
         rep = (sharp_ratio if kind == "ratio" else sharp_regret)(n, N)
         keys = ("rounds", "block_rows", "block_cols")
         assert tuple(rep.stats[k] for k in keys) == stats
+
+    @pytest.mark.parametrize("solve", [sharp_ratio, sharp_regret])
+    def test_round_cap_raises(self, solve, monkeypatch):
+        # (5, 60) takes 7-8 rounds (test_stats_pinned)
+        monkeypatch.setattr(game, "MAX_ROUNDS", 3)
+        with pytest.raises(SolverError, match="3 rounds"):
+            solve(5, 60)
 
     @pytest.mark.parametrize("solve", [sharp_ratio, sharp_regret])
     def test_large_grid(self, solve):

@@ -22,6 +22,16 @@ FIVE = DiscreteDistribution.from_atoms(
     [(0.1, 0.15), (0.4, 0.25), (0.9, 0.2), (1.7, 0.3), (3.2, 0.1)])
 
 
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix(z):
+    """splitmix64's finalizer on a Python integer."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
 def walk_rule(dist, rule, cfg):
     """Reference: walk each trial in turn; observation t is draw t of the
     trial's stream and the coin of step t its draw n + t."""
@@ -69,18 +79,37 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed,trial", [
+        (2**64, 0), (-5, 0), (1.9, 0), (True, 0), (np.bool_(True), 0), ("1", 0),
+        (0, 2**64 - 1), (0, -1), (0, 1.0), (0, False),
+    ])
+    def test_stream_rejects(self, seed, trial):
+        # seed 2**64 would replay seed 0, -5 seed 2**64 - 5 and 1.9 or True
+        # seed 1; trial 2**64 - 1 has no counter t + 1 in 64 bits
+        with pytest.raises(ValueError):
+            TrialStream(seed, trial)
+
+    def test_stream_accepts_extremes(self):
+        for seed, trial in [(0, 0), (2**64 - 1, 2**64 - 2), (np.uint64(2**64 - 1), np.int64(3))]:
+            assert 0.0 <= TrialStream(seed, trial).uniform() < 1.0
+
     def test_draws_at_top_positions(self):
         # a horizon of 2**63 puts coins at positions up to 2**64 - 2; the
         # offsets wrap mod 2**64 exactly as in Python integer arithmetic
-        def mix(z):
-            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
-            z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
-            return z ^ (z >> 31)
-
         states = sim._stream_states(8, 0, 3)
         for k in (0, 1, 2**63, 2**64 - 2):
-            want = [mix((int(s) + (k + 1) * 0x9E3779B97F4A7C15) % 2**64) >> 11 for s in states]
+            want = [mix((int(s) + (k + 1) * GOLDEN) % 2**64) >> 11 for s in states]
             assert sim._bits(states, k).tolist() == want, k
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0, 1), (0, 2 * 10**4), (0, sim._CHUNK), (sim._CHUNK, sim._CHUNK + 7), (5, 9)])
+    @pytest.mark.parametrize("seed", [0, 8, 2**64 - 1])
+    def test_stream_states_formula(self, seed, lo, hi):
+        # the first chunk's seed-free half comes from a cache, the others'
+        # (and TrialStream's with trial > 0) are computed
+        key = mix((seed + GOLDEN) % 2**64)
+        want = [mix(key ^ mix((t + 1) * GOLDEN % 2**64)) for t in range(lo, hi)]
+        assert sim._stream_states(seed, lo, hi).tolist() == want
 
     def test_result_json(self):
         res = run_rule(COIN, ThresholdRule(0.0, 0.0), SimConfig(trials=100, seed=3, n=2))
@@ -264,10 +293,28 @@ class TestIntegerDraws:
     def test_cut_points_match_quantile(self, dist):
         assert dist.cumulative[-1] < 1.0  # the last atom also takes the missing mass
         cuts = sim._cuts(dist)
-        bs = {0, 2**53 - 1} | {int(c) + d for c in cuts for d in (0, 1)}
-        for b in sorted(bs):
-            atom = dist.values[np.searchsorted(cuts, b)]
+        bs = np.array(sorted({0, 2**53 - 1} | {int(c) + d for c in cuts for d in (0, 1)}))
+        atoms = dist.values[sim._atom_index(cuts)(bs)]
+        for b, atom in zip(bs.tolist(), atoms):
             assert atom == dist.quantile(b * 2.0**-53), b
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 40, 10**4])
+    @pytest.mark.parametrize("layout", ["uniform", "near top", "duplicates"])
+    def test_atom_index_matches_searchsorted(self, k, layout):
+        rng = np.random.default_rng(k)
+        if layout == "uniform":
+            cuts = rng.integers(0, 2**53, k)
+        elif layout == "near top":  # heavy first atoms: every cut within 2**40 of 2**53
+            cuts = 2**53 - rng.integers(0, 2**40, k)
+        else:  # atoms lighter than 2**-53 share their cut point
+            cuts = rng.choice(rng.integers(0, 2**53, max(k // 3, 1)), k)
+        cuts = np.sort(cuts).astype(np.int64)
+        m = (k + 1).bit_length() + 2  # the guide table's buckets: 2**m on the top bits
+        starts = np.arange(2**m, dtype=np.int64) << (53 - m)
+        bs = np.concatenate(([0, 2**53 - 1], cuts - 1, cuts, cuts + 1, starts, starts - 1,
+                             rng.integers(0, 2**53, 1000)))
+        bs = bs[(bs >= 0) & (bs < 2**53)]
+        assert np.array_equal(sim._atom_index(cuts)(bs), np.searchsorted(cuts, bs))
 
     @pytest.mark.parametrize("p", [1e-17, 0.1, 0.25, 1 / 3, 0.5, 1 - 2.0**-53])
     def test_coin_edge(self, p):
