@@ -74,9 +74,11 @@ def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
 
     block, w = [0], np.ones(1)  # any start level works
     rows = dual_direction(np.eye(1, m, 0)[0])[None, :]
+    projections = line_searches = 0
     while True:
-        w = _min_norm_mixture(rows, w)
+        w, projected, searched = _min_norm_mixture(rows, w)
         p = isotonic_regression(dual_direction(np.bincount(block, w, m)), increasing=False).x
+        projections, line_searches = projections + projected + 1, line_searches + searched
         z = -np.diff(p)
         a = d @ z - reward_matvec(n, N, z)
         best = int(np.argmin(a))
@@ -104,20 +106,32 @@ def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
         "feasibility_margin": float((d @ z_star - reward_matvec(n, N, z_star)).min() - kappa_lower),
         # each round but the last adds a level; the last finds no new one
         "lbfgs_iterations": 0, "kkt_exact": True, "rounds": len(block), "block_rows": len(block),
+        "projections": projections, "line_searches": line_searches,
     }
     return KappaResult(value=float(kappa_lower), z=z_star, certificate=certificate)
 
 
-def _min_norm_mixture(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weights on the simplex minimizing ||Pi_K(rows^T w)||, starting from w.
+def _min_norm_mixture(rows: np.ndarray, w: np.ndarray):
+    """Weights on the simplex minimizing ||Pi_K(rows^T w)||, starting from w,
+    with the number of PAVA projections and of line searches it ran.
 
     ||Pi_K||^2 is convex and piecewise quadratic: with PAVA's blocks fixed,
     Pi_K averages over blocks, so the Newton point is the min-norm point of
     the block-averaged rows, one NNLS (Lawson and Hanson, ch. 23).  A Newton
-    point that does not lower ||p||^2 is replaced by an exact line search on
-    the segment to it; the loop ends when neither lowers ||p||^2.
+    point that does not lower ||p||^2 is replaced by the point a 60-step
+    bisection on the sign of phi' finds on the segment to it, phi(t) =
+    ||Pi_K(v + t delta)||^2; the loop ends when neither lowers ||p||^2.
+    phi is convex with phi'(0) = 2 <p, delta>, so phi >= ||p||^2 + 2 <p, delta>
+    on the segment: when -2 <p, delta> <= (N-1) eps ||p||^2, which bounds the
+    rounding of the length-(N-1) dot product ||p||^2 itself, no point of the
+    segment lowers ||p||^2 by more than that rounding and w is returned
+    without the search.
     """
+    projections = searches = 0
+
     def project(w):
+        nonlocal projections
+        projections += 1
         return isotonic_regression(w @ rows, increasing=False)
 
     fit = project(w)
@@ -126,16 +140,20 @@ def _min_norm_mixture(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         u = nnls(np.vstack((M.T, np.ones(w.size))), np.append(np.zeros(M.shape[1]), 1.0))[0]
         step = u / u.sum()
         new, delta = project(step), (step - w) @ rows
-        if not new.x @ new.x < fit.x @ fit.x and fit.x @ delta < 0.0:
+        norm_sq = fit.x @ fit.x
+        if not new.x @ new.x < norm_sq and (slope := fit.x @ delta) < 0.0:
+            if -2.0 * slope <= rows.shape[1] * np.finfo(np.float64).eps * norm_sq:
+                return w, projections, searches
             # phi(t) = ||Pi_K(v + t delta)||^2 is convex with phi'(t) = 2 <Pi_K(.), delta>
+            searches += 1
             lo, hi = 0.0, 1.0
             for _ in range(60):
                 t = 0.5 * (lo + hi)
                 lo, hi = (lo, t) if project(w + t * (step - w)).x @ delta > 0.0 else (t, hi)
             step = w + lo * (step - w)
             new = project(step)
-        if not new.x @ new.x < fit.x @ fit.x:
-            return w
+        if not new.x @ new.x < norm_sq:
+            return w, projections, searches
         w, fit = step, new
 
 

@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog, lsq_linear
+from scipy.optimize import isotonic_regression, linprog, lsq_linear, nnls
 
 from prophet_sharp import DiscreteDistribution, QuantileIncrements, prophet_weights, reward_weights
 
@@ -196,6 +196,38 @@ def kappa_ldp(n: int, N: int) -> float:
     rho = E @ u - f
     r = -rho[:-1] / rho[-1]
     return float(np.sqrt(N) / np.linalg.norm(r))
+
+
+def min_norm_mixture_bisecting(rows: np.ndarray, w: np.ndarray):
+    """constrained._min_norm_mixture without its convexity skip: every Newton
+    point that does not lower ||Pi_K(rows^T w)||^2 while the slope <p, delta>
+    is negative is followed by the 60-step bisection.  Same returns (w,
+    projections, line searches), so it can be patched in for the fast path.
+    """
+    projections = searches = 0
+
+    def project(w):
+        nonlocal projections
+        projections += 1
+        return isotonic_regression(w @ rows, increasing=False)
+
+    fit = project(w)
+    while True:
+        M = np.add.reduceat(rows, fit.blocks[:-1], axis=1) / np.sqrt(np.diff(fit.blocks))
+        u = nnls(np.vstack((M.T, np.ones(w.size))), np.append(np.zeros(M.shape[1]), 1.0))[0]
+        step = u / u.sum()
+        new, delta = project(step), (step - w) @ rows
+        if not new.x @ new.x < fit.x @ fit.x and fit.x @ delta < 0.0:
+            searches += 1
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                t = 0.5 * (lo + hi)
+                lo, hi = (lo, t) if project(w + t * (step - w)).x @ delta > 0.0 else (t, hi)
+            step = w + lo * (step - w)
+            new = project(step)
+        if not new.x @ new.x < fit.x @ fit.x:
+            return w, projections, searches
+        w, fit = step, new
 
 
 def _adjugate(B: np.ndarray) -> np.ndarray:

@@ -75,6 +75,7 @@ class TestTable2And3:
         payload = json.loads((tmp_path / "kappa_n5.json").read_text())
         assert payload["family"] == "variance"
         assert payload["params"] == {"sigma": 1.0}
+        assert payload["certificate"]["projections"] > payload["certificate"]["line_searches"] >= 0
 
     def test_table3(self, tmp_path):
         code = main(["table3", "--n", "4", "--N", "50", "--tol", "1e-4",

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import band_min_lp, band_ratio_lp, kappa_ldp, pareto_bisection
+from helpers import (
+    band_min_lp,
+    band_ratio_lp,
+    kappa_ldp,
+    min_norm_mixture_bisecting,
+    pareto_bisection,
+)
 from prophet_sharp import constrained
 from prophet_sharp import (
     DiscreteDistribution,
@@ -92,6 +98,7 @@ class TestKappa:
         assert cert["kkt_exact"] is True and cert["lbfgs_iterations"] == 0
         assert cert["rounds"] == cert["block_rows"] >= 1
         assert cert["dual_bound"] <= cert["norm_sq"]
+        assert cert["projections"] >= 2 * cert["rounds"] and cert["line_searches"] >= 0
 
     def test_gap_at_large_grid(self):
         cert = kappa(10, 2000).certificate
@@ -103,6 +110,58 @@ class TestKappa:
     def test_matches_least_distance_oracle(self, n, N):
         cert = kappa(n, N).certificate
         assert cert["kappa_lower"] - 1e-10 <= kappa_ldp(n, N) <= cert["kappa_upper"] + 1e-10
+
+    # (n, N, sigma): value and kappa_upper, recorded before the line-search skip
+    PINNED = {
+        (10, 200, 1.0): ("0x1.2fa7436f0dffcp-1", "0x1.2fa7436f0e00cp-1"),
+        (10, 200, 2.0): ("0x1.2fa7436f0dffcp+0", "0x1.2fa7436f0e00cp+0"),
+        (25, 200, 1.0): ("0x1.e790a5cded15cp-1", "0x1.e790a5cded15cp-1"),
+        (50, 5, 1.0): ("0x1.6e94a349543adp-16", "0x1.6e94ba2d94579p-16"),
+        (100, 5, 1.0): ("0x1.56e3a9e0eeb44p-32", "0x1.56e3b2920381bp-32"),
+        (1000, 60, 1.0): ("0x1.1e26883b8c1b4p-22", "0x1.273aada9831d7p-22"),
+        (2, 3, 1.0): ("0x1.16b28f55d72ccp-3", "0x1.16b28f55d72d1p-3"),
+    }
+
+    @pytest.mark.parametrize("n,N,sigma", list(PINNED))
+    def test_pinned_values(self, n, N, sigma):
+        res = kappa(n, N, tol=1e-3, sigma=sigma)
+        assert (res.value.hex(), res.certificate["kappa_upper"].hex()) == self.PINNED[n, N, sigma]
+
+    def test_futile_line_searches_skipped(self, monkeypatch):
+        calls = 0
+        project = constrained.isotonic_regression
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(constrained, "isotonic_regression", counted)
+        cert = kappa(10, 200, tol=1e-3).certificate
+        # the always-bisecting loop projects 152 times here, in two futile searches
+        assert calls == cert["projections"] <= 40
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 25, 50, 100, 1000])
+    def test_matches_always_bisecting_oracle(self, n, monkeypatch):
+        for N in (3, 4, 5, 10, 25, 60, 120, 200, 500):
+            try:
+                fast = kappa(n, N)
+            except SolverError:
+                fast = None
+            with monkeypatch.context() as patch:
+                patch.setattr(constrained, "_min_norm_mixture", min_norm_mixture_bisecting)
+                try:
+                    slow = kappa(n, N)
+                except SolverError:
+                    slow = None
+            if fast is None or slow is None:
+                assert fast is slow, (n, N)
+                continue
+            assert fast.value.hex() == slow.value.hex() and fast.z.tobytes() == slow.z.tobytes()
+            counters = ("projections", "line_searches")
+            assert {k: v for k, v in fast.certificate.items() if k not in counters} == \
+                {k: v for k, v in slow.certificate.items() if k not in counters}
+            assert all(fast.certificate[k] <= slow.certificate[k] for k in counters), (n, N)
 
     @pytest.mark.parametrize("n,N", [(50, 3), (100, 4)])
     def test_degenerate_corner_raises(self, n, N):
