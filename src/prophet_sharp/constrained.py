@@ -183,8 +183,7 @@ class ParetoProblem:
     def build(cls, n: int, N: int, p0: float, p1: float) -> "ParetoProblem":
         if not p0 > p1 > 1.0:
             raise ValueError(f"need p0 > p1 > 1, got p0={p0!r}, p1={p1!r}")
-        if n < 2 or N < 3:
-            raise ValueError(f"need n >= 2 and N >= 3, got n={n!r}, N={N!r}")
+        n, N = check_grid(n, N)
         i = np.arange(1, N, dtype=np.float64)
         base = N / (N - i)
         return cls(n=n, N=N, p0=p0, p1=p1, q_lo=base ** (1.0 / p0), q_hi=base ** (1.0 / p1))

@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .kernel import prophet_weights
+
 #: absolute tolerance for probability normalization; inputs outside it are
 #: rejected, never renormalized (silent renormalization hides caller bugs).
 PROB_TOL = 1e-12
@@ -233,9 +235,7 @@ def lfd_from_mu_ratio(mu: Sequence[float], n: int, N: int) -> DiscreteDistributi
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"ratio-game reconstruction needs horizon n >= 2, got {n!r}")
     mu = _checked_mu(mu, N, require_sum_one=True)
-    j = np.arange(1, N, dtype=np.float64)
-    d = 1.0 - (j / N) ** n
-    return grid_distribution(np.cumsum(mu / d), N)
+    return grid_distribution(np.cumsum(mu / prophet_weights(n, N)), N)
 
 
 def lfd_from_mu_diff(mu: Sequence[float], N: int) -> DiscreteDistribution:

@@ -1,16 +1,16 @@
 """Zero-sum matrix game solver with duality-gap certificates and the
 sharp-constant pipelines for the ratio and difference games.
 
-solve_game takes any dense payoff matrix.  The sharp games never form their
-(N-1) x (N-1) matrix: they are solved by double oracle (double_oracle), on
-one small HiGHS LP over a restricted block of levels that grows by both
-players' best responses over all N-1 levels until neither is new;
-constrained.pareto_ratio runs on the same driver.  The reward-weight
-matrix B of the generator is semiseparable, so the best responses come from
-the O(N) products B v and B^T lam.  Every returned solution is re-verified
-by arithmetic: value and gap are computed by replaying the strategies
-against the payoff matrix, for the sharp games through those same O(N)
-products, never taken from solver internals.
+Every game is solved by double oracle (double_oracle) on one small HiGHS
+LP over a restricted block of rows and columns that grows by both players'
+best responses until neither is new (_matrix_game).  solve_game takes any
+dense payoff matrix and finds the best responses by full matrix-vector
+products.  The sharp games never form their (N-1) x (N-1) matrix: the
+reward-weight matrix B of the generator is semiseparable, so their best
+responses come from the O(N) products B v and B^T lam;
+constrained.pareto_ratio runs on the same driver.  Every returned solution
+is re-verified by arithmetic: value and gap are computed by replaying the
+strategies against the payoff matrix, never taken from solver internals.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import linprog
+# unused: perfbench/spans.py's SOLVERS wraps game.linprog by name
+from scipy.optimize import linprog  # noqa: F401
 # HiGHS's incremental model interface (addRow, addCol, warm restarts), which
 # scipy exposes only through its private bindings
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
@@ -77,50 +78,53 @@ class GameSolution:
 def solve_game(payoff, sense: str, tol: float = 1e-7) -> GameSolution:
     """Solve min_mu max_i (M mu)_i ("minmax") or max_mu min_i (M mu)_i ("maxmin").
 
-    lam is the row player's mixed strategy recovered from the LP duals; the
-    gap certificate is recomputed from the returned (cleaned) vectors.
+    Runs _matrix_game on sgn M (sgn = -1 for "maxmin"), from row and column
+    0, with the full-matrix products M mu and M^T lam as best-response
+    oracles.  Every round adds a row or a column, so a dense game needs at
+    most rows + cols - 1 rounds; past MAX_ROUNDS it raises SolverError.
+    value is the midpoint of the replayed bounds, gap their half-width.
     """
-    M = np.ascontiguousarray(
-        payoff.entries if isinstance(payoff, PayoffMatrix) else payoff, dtype=np.float64
-    )
-    if M.ndim != 2 or M.size == 0:
-        raise ValueError("payoff must be a nonempty 2-D matrix")
+    M = np.ascontiguousarray(payoff.entries if isinstance(payoff, PayoffMatrix) else payoff,
+                             dtype=np.float64)
+    if M.ndim != 2 or M.size == 0 or not np.isfinite(M).all():
+        raise ValueError("payoff must be a nonempty 2-D matrix of finite entries")
     if sense not in ("minmax", "maxmin"):
         raise ValueError(f"sense must be 'minmax' or 'maxmin', got {sense!r}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    rows, cols = M.shape
     sgn = 1.0 if sense == "minmax" else -1.0
-    c = np.concatenate((np.zeros(cols), [sgn]))
-    A_ub = np.hstack([sgn * M, -sgn * np.ones((rows, 1))])
-    A_eq = np.concatenate((np.ones(cols), [0.0])).reshape(1, -1)
-    bounds = [(0.0, None)] * cols + [(None, None)]
+    mu, lam, value, gap, stats = _matrix_game(
+        lambda rows, cols: sgn * M[np.ix_(rows, cols)], lambda mu: sgn * (M @ mu),
+        lambda lam: sgn * (M.T @ lam), M.shape, 0, 0, tol)
+    return GameSolution(value=sgn * value, lam=lam, mu=mu, gap=gap,
+                        iterations=stats["iterations"])
 
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(rows), A_eq=A_eq, b_eq=[1.0],
-                  bounds=bounds, method="highs")
-    if res.status != 0:
-        raise SolverError(f"LP solver failed with status {res.status}: {res.message}")
 
-    mu = np.maximum(res.x[:cols], 0.0)
-    mu /= mu.sum()
-    lam = np.maximum(-np.asarray(res.ineqlin.marginals, dtype=np.float64), 0.0)
-    if lam.sum() <= 0.0:
-        raise SolverError("LP returned a degenerate dual; no row strategy available")
-    lam /= lam.sum()
+def _matrix_game(entries, matvec, rmatvec, shape, row, col, tol):
+    """min_mu max_i (M mu)_i for the (rows, cols) = shape matrix M by
+    double_oracle from row and col, entries(rows, cols) being M's block.
+    Each round replays mu and lam over all rows and columns, matvec(mu) =
+    M mu and rmatvec(lam) = M^T lam: lower <= value* <= upper; the argmax
+    row and argmin column are new when not in the block.  Returns (mu, lam,
+    value, gap, stats), value the midpoint and gap the half-width;
+    SolverError when gap is not <= tol."""
 
-    value = float(res.x[-1])
-    row_payoffs = M @ mu
-    col_payoffs = M.T @ lam
-    if sense == "minmax":
-        upper, lower = float(row_payoffs.max()), float(col_payoffs.min())
-    else:
-        lower, upper = float(row_payoffs.min()), float(col_payoffs.max())
-    value = min(max(value, lower), upper)
-    gap = max(upper - value, value - lower, 0.0)
-    iterations = int(getattr(res, "nit", -1))
-    if gap > tol:
+    def respond(rows, cols, alpha, weights):
+        mu, lam = np.zeros(shape[1]), np.zeros(shape[0])
+        mu[cols], lam[rows] = alpha, weights
+        mu /= mu.sum()
+        lam /= lam.sum()
+        row_payoffs, col_payoffs = matvec(mu), rmatvec(lam)
+        best_row, best_col = int(np.argmax(row_payoffs)), int(np.argmin(col_payoffs))
+        upper, lower = float(row_payoffs[best_row]), float(col_payoffs[best_col])
+        return (None if best_row in rows else best_row, None if best_col in cols else best_col,
+                (mu, lam, upper, lower))
+
+    (mu, lam, upper, lower), stats = double_oracle(entries, respond, row, col)
+    gap = max(0.5 * (upper - lower), 0.0)
+    if not gap <= tol:
         raise SolverError(f"duality gap {gap:.3e} exceeds tol {tol:.3e}", gap=gap)
-    return GameSolution(value=value, lam=lam, mu=mu, gap=gap, iterations=iterations)
+    return mu, lam, 0.5 * (upper + lower), gap, stats
 
 
 @dataclass(frozen=True)
@@ -196,11 +200,9 @@ def sharp_regret(n: int, N: int, tol: float | None = None) -> SharpConstantRepor
 
 
 def _sharp_report(kind: KernelKind, n: int, N: int, tol: float | None) -> SharpConstantReport:
-    """Solve the grid game by double_oracle with M = R_N, or M = -A_N for the
+    """Solve the grid game by _matrix_game with M = R_N, or M = -A_N for the
     regret (value negated), entries from kernel.payoff_entries, from level
-    m // 2.  Each round replays mu and lam over all levels through B v and
-    B^T lam: lower <= value* <= upper (value the midpoint, gap half the
-    width); the argmax row and argmin column are new when not in the block."""
+    m // 2, replaying mu and lam through the O(N) products B v and B^T lam."""
     tol = default_tol(N) if tol is None else tol
     n, N = check_grid(n, N)
     if not tol > 0.0:
@@ -211,31 +213,15 @@ def _sharp_report(kind: KernelKind, n: int, N: int, tol: float | None) -> SharpC
     d = prophet_weights(n, N)
     entries = payoff_entries(kind, n, N)
 
-    def respond(rows, cols, alpha, weights):
-        mu, lam = np.zeros(m), np.zeros(m)
-        mu[cols], lam[rows] = alpha, weights
-        mu /= mu.sum()
-        lam /= lam.sum()
-        # replay in min-max form: rows M mu, columns M^T lam, with
-        # R mu = B (mu/d), R^T lam = (B^T lam)/d, -A mu = B mu - d^T mu and
-        # -A^T lam = B^T lam - d
-        if ratio:
-            row_payoffs = reward_matvec(n, N, mu / d)
-            col_payoffs = reward_rmatvec(n, N, lam) / d
-        else:
-            row_payoffs = reward_matvec(n, N, mu) - d @ mu
-            col_payoffs = reward_rmatvec(n, N, lam) - d
-        best_row, best_col = int(np.argmax(row_payoffs)), int(np.argmin(col_payoffs))
-        upper, lower = float(row_payoffs[best_row]), float(col_payoffs[best_col])
-        return (None if best_row in rows else best_row, None if best_col in cols else best_col,
-                (mu, lam, upper, lower))
+    def matvec(mu):  # R mu = B (mu/d), -A mu = B mu - d^T mu
+        return reward_matvec(n, N, mu / d) if ratio else reward_matvec(n, N, mu) - d @ mu
 
-    (mu, lam, upper, lower), stats = double_oracle(
-        lambda rows, cols: sgn * entries(rows, cols), respond, m // 2, m // 2)
-    value = sgn * 0.5 * (upper + lower)
-    gap = max(0.5 * (upper - lower), 0.0)
-    if gap > tol:
-        raise SolverError(f"duality gap {gap:.3e} exceeds tol {tol:.3e}", gap=gap)
+    def rmatvec(lam):  # R^T lam = (B^T lam)/d, -A^T lam = B^T lam - d
+        return reward_rmatvec(n, N, lam) / d if ratio else reward_rmatvec(n, N, lam) - d
+
+    mu, lam, value, gap, stats = _matrix_game(
+        lambda rows, cols: sgn * entries(rows, cols), matvec, rmatvec, (m, m), m // 2, m // 2, tol)
+    value *= sgn
     mu = _cleanup(mu)
     if ratio:
         lfd, floor, certified = lfd_from_mu_ratio(mu, n, N), ratio_floor(n), bool(n >= 4)

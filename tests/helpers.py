@@ -106,6 +106,43 @@ def exact_expected_max(dist, n: int) -> Fraction:
     return sum(w * (1 - y**n) for y, w in zip(levels, weights))
 
 
+def game_lp(M: np.ndarray, sense: str) -> tuple[float, float]:
+    """(value, gap) of min_mu max_i (M mu)_i ("minmax") or max_mu min_i
+    (M mu)_i ("maxmin") by one dense linprog over (mu, t): sgn M mu <= sgn t,
+    sum mu = 1, min sgn t.  lam comes from the LP duals; value is t clipped
+    into the replayed bounds and gap the larger distance to them."""
+    M = np.asarray(M, dtype=np.float64)
+    rows, cols = M.shape
+    sgn = 1.0 if sense == "minmax" else -1.0
+    c = np.concatenate((np.zeros(cols), [sgn]))
+    A_ub = np.hstack([sgn * M, -sgn * np.ones((rows, 1))])
+    A_eq = np.concatenate((np.ones(cols), [0.0])).reshape(1, -1)
+    bounds = [(0.0, None)] * cols + [(None, None)]
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(rows), A_eq=A_eq, b_eq=[1.0],
+                  bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    mu = np.maximum(res.x[:cols], 0.0)
+    mu /= mu.sum()
+    lam = np.maximum(-np.asarray(res.ineqlin.marginals, dtype=np.float64), 0.0)
+    lam /= lam.sum()
+    row_payoffs, col_payoffs = M @ mu, M.T @ lam
+    if sense == "minmax":
+        upper, lower = float(row_payoffs.max()), float(col_payoffs.min())
+    else:
+        lower, upper = float(row_payoffs.min()), float(col_payoffs.max())
+    value = min(max(float(res.x[-1]), lower), upper)
+    return value, max(upper - value, value - lower, 0.0)
+
+
+def limit_regret_matrix(K: int) -> np.ndarray:
+    """The n -> infinity regret game A_inf(s, t) on a geometric grid of K
+    points in [1e-4, 60], rows the stopper's s and columns the adversary's t:
+    e^-s - e^-t for t >= s, (1 - e^-t) - (t/s)(1 - e^-s) for t < s."""
+    x = np.geomspace(1e-4, 60.0, K)
+    s, t = x[:, None], x[None, :]
+    return np.where(t >= s, np.exp(-s) - np.exp(-t), -np.expm1(-t) + (t / s) * np.expm1(-s))
+
+
 def pareto_bisection(n: int, N: int, q_lo, q_hi, tol: float = 1e-9) -> tuple[float, float]:
     """[lo, hi] around the worst-case ratio max_i (B v)_i / d^T v over
     increments v of cumulative quantiles u with q_lo <= u <= q_hi.

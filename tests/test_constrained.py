@@ -202,6 +202,12 @@ class TestPareto:
         with pytest.raises(ValueError):
             ParetoProblem.build(10, 100, 5.0, 20.0)
 
+    @pytest.mark.parametrize("n,N", [(2.5, 40), (10, 40.0), (True, 40)])
+    def test_rejects_non_integer_sizes(self, n, N):
+        # the same check as kappa and the sharp games (kernel.check_grid)
+        with pytest.raises(ValueError, match="integer"):
+            pareto_ratio(n, N, 20.0, 5.0)
+
     def test_band_certificates(self):
         res = pareto_ratio(5, 120, 20.0, 5.0, tol=1e-6)
         cert = res.certificate

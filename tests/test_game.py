@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import oracle_maxmin, oracle_minmax, random_grid_member
+from helpers import game_lp, limit_regret_matrix, oracle_maxmin, oracle_minmax, random_grid_member
 from prophet_sharp import game
 from prophet_sharp import (
     KernelKind,
@@ -76,6 +76,39 @@ class TestSolveGame:
             solve_game(np.array([[1.0]]), "sideways")
         with pytest.raises(ValueError):
             solve_game(np.array([[1.0]]), "minmax", tol=0.0)
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            M = np.array([[0.2, 0.7], [0.9, bad]])
+            for sense in ("minmax", "maxmin"):
+                with pytest.raises(ValueError, match="finite"):
+                    solve_game(M, sense)
+
+    def test_nan_gap_raises(self):
+        # a NaN replay makes gap > tol False; the driver must still refuse it
+        with pytest.raises(SolverError):
+            game._matrix_game(lambda rows, cols: np.zeros((len(rows), len(cols))),
+                              lambda mu: np.full(2, np.nan), lambda lam: np.zeros(2),
+                              (2, 2), 0, 0, 1e-7)
+
+    def test_round_cap_raises(self, monkeypatch):
+        # a random 20 x 20 game with full support needs more than 3 rounds
+        monkeypatch.setattr(game, "MAX_ROUNDS", 3)
+        with pytest.raises(SolverError, match="3 rounds"):
+            solve_game(np.random.default_rng(5).random((20, 20)), "minmax")
+
+    def test_matches_lp_oracle(self):
+        rng = np.random.default_rng(11)
+        games = [rng.random((int(rng.integers(1, 41)), int(rng.integers(1, 41))))
+                 for _ in range(40)]
+        games += [payoff_matrix(kind, n, N).entries for kind in ("ratio", "difference")
+                  for n, N in ((6, 100), (10, 200))]
+        games.append(limit_regret_matrix(200))
+        for M in games:
+            for sense in ("minmax", "maxmin"):
+                sol = solve_game(M, sense)
+                value, gap = game_lp(M, sense)
+                assert abs(sol.value - value) <= sol.gap + gap + 1e-12
 
     def test_saddle_consistency(self):
         sol = solve_game(payoff_matrix(KernelKind.RATIO, 6, 100), "minmax")
