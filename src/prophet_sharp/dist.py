@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernel import prophet_weights
+from .kernel import check_horizon, prophet_weights
 
 #: absolute tolerance for probability normalization; inputs outside it are
 #: rejected, never renormalized (silent renormalization hides caller bugs).
@@ -124,8 +124,7 @@ class DiscreteDistribution:
         tail mass t = 1 - y as -expm1(n log1p(-t)), which does not cancel
         for y near 1; the jump at level 0 contributes values[0].
         """
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"horizon must be a positive integer, got {n!r}")
+        check_horizon(n, minimum=1)
         _, weights, tails = self.quantile_jumps()
         # probs may sum to 1 + PROB_TOL; at a tail of 1, log1p(-1) = -inf is exact
         with np.errstate(divide="ignore"):
@@ -232,8 +231,7 @@ def lfd_from_mu_ratio(mu: Sequence[float], n: int, N: int) -> DiscreteDistributi
     u_i = sum_{j<=i} mu_j / (1 - (j/N)^n); the result is the grid member with
     i/N-quantiles u_i and prophet value exactly sum(mu).
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"ratio-game reconstruction needs horizon n >= 2, got {n!r}")
+    check_horizon(n)
     mu = _checked_mu(mu, N, require_sum_one=True)
     return grid_distribution(np.cumsum(mu / prophet_weights(n, N)), N)
 

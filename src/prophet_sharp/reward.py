@@ -18,7 +18,7 @@ from numpy.polynomial.polynomial import polyval
 from scipy.optimize import brentq
 
 from .dist import DiscreteDistribution, infer_grid_size
-from .kernel import stop_weight_sums
+from .kernel import check_horizon, stop_weight_sums, weight_sums
 
 # below this no-stop probability complement the rule degenerates to "take the
 # last observation" and the reward is the mean
@@ -74,7 +74,7 @@ def _pieces(dist: DiscreteDistribution, rule: ThresholdRule):
 
 def reward_v1(dist: DiscreteDistribution, n: int, rule: ThresholdRule) -> float:
     """First closed form: geometric sum up to n plus the terminal below-theta term."""
-    _require_horizon(n)
+    check_horizon(n)
     _, _, Fp, delta, tail_mean, below_mean = _pieces(dist, rule)
     if Fp >= _DEGENERATE:
         return dist.mean()
@@ -89,7 +89,7 @@ def reward_v2(dist: DiscreteDistribution, n: int, rule: ThresholdRule) -> float:
 
     Agrees with reward_v1 to floating-point accuracy for every rule.
     """
-    _require_horizon(n)
+    check_horizon(n)
     _, _, Fp, delta, tail_mean, _ = _pieces(dist, rule)
     if Fp >= _DEGENERATE:
         return dist.mean()
@@ -127,7 +127,7 @@ def reward_by_level(dist: DiscreteDistribution, n: int, x):
     against dF^{<-} (kernel.stop_weight_sums); equals reward_v2 at
     rule_at_level(dist, x).  A float for scalar x, else an array like x.
     """
-    _require_horizon(n)
+    check_horizon(n)
     out = stop_weight_sums(_clamped_level(x), *dist.quantile_jumps(), n)
     return float(out) if out.ndim == 0 else out
 
@@ -153,7 +153,7 @@ def optimal_rule(
     call, is within 1e-9 of the best.  mode "level-search" maximizes over
     every level in [0, 1] exactly (see best_level), so its search_gap is 0.
     """
-    _require_horizon(n)
+    check_horizon(n)
     if mode == "grid-exact":
         N = grid_size if grid_size is not None else infer_grid_size(dist)
         if N is None:
@@ -168,27 +168,27 @@ def optimal_rule(
 
     if mode != "level-search":
         raise ValueError(f"unknown mode {mode!r}")
-    rule = rule_at_level(dist, best_level(dist, n))
+    rule = rule_at_level(dist, best_level(*dist.quantile_jumps(), n))
     return OptimalRule(rule, evaluate_rule(dist, n, rule), 0.0)
 
 
-def best_level(dist: DiscreteDistribution, n: int) -> float:
-    """Level x in [0, 1] with the largest level-x rule reward.
+def best_level(levels, weights, tails, n: int) -> float:
+    """Level x in [0, 1] with the largest level-x rule reward, for the
+    measure dF^{<-} with masses weights at sorted levels and tail masses
+    tails (DiscreteDistribution.quantile_jumps).
 
-    Between consecutive jump levels of dF^{<-} the reward is the polynomial
-    P + T sum_{k<n} x^k - Q x^{n-1}, where P and Q sum the jump weights w and
-    w y at levels y <= x and T sums w (1 - y) at levels y > x.  Its
-    derivative T sum_{k<n} k x^{k-1} - (n-1) Q x^{n-2} has at most one sign
-    change in its coefficients, so by Descartes' rule it changes sign at
-    most once on x > 0, from + to -.  The reward is continuous in x, so each
-    piece is settled by the derivative's signs at its ends and, when they
-    differ, one bracketed root; the candidates are scored in one
-    stop_weight_sums call.
+    Between consecutive jump levels the reward is the polynomial
+    P + T sum_{k<n} x^k - Q x^{n-1}, where P and Q sum the weights w and
+    w y at levels y <= x and T sums w (1 - y) at levels y > x
+    (kernel.weight_sums).  Its derivative T sum_{k<n} k x^{k-1}
+    - (n-1) Q x^{n-2} has at most one sign change in its coefficients, so
+    by Descartes' rule it changes sign at most once on x > 0, from + to -.
+    The reward is continuous in x, so each piece is settled by the
+    derivative's signs at its ends and, when they differ, one bracketed
+    root; the candidates are scored in one stop_weight_sums call.
     """
-    levels, weights, tails = dist.quantile_jumps()
     a, b = levels, np.append(levels[1:], 1.0)
-    Q = np.cumsum(weights * levels)
-    T = np.append(np.cumsum((weights * tails)[::-1])[::-1][1:], 0.0)
+    _, Q, T = (s[1:] for s in weight_sums(levels, weights, tails))
     ramp = np.arange(1.0, n)
 
     def slope(x, j):
@@ -204,7 +204,7 @@ def best_level(dist: DiscreteDistribution, n: int) -> float:
 
 def ratio_floor(n: int) -> float:
     """Guaranteed competitive-ratio floor 1 - (1 - 1/n)^n (>= 1 - 1/e)."""
-    _require_horizon(n, minimum=1)
+    check_horizon(n, minimum=1)
     return 1.0 - (1.0 - 1.0 / n) ** n
 
 
@@ -214,14 +214,13 @@ def floor_rule(dist: DiscreteDistribution, n: int) -> ThresholdRule:
 
     Its ratio is at least ratio_floor(n) for every distribution.
     """
-    _require_horizon(n)
+    check_horizon(n)
     return rule_at_level(dist, 1.0 - 1.0 / n)
 
 
 def growth_bound_check(dist: DiscreteDistribution, n: int, k: int) -> tuple[float, float]:
     """Both sides of M_n >= (1 - lam) M_{n+k} + lam M_1, lam = (1-1/(n+k))^{n-1}."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    check_horizon(n, minimum=1)
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     lam = (1.0 - 1.0 / (n + k)) ** (n - 1)
@@ -256,7 +255,7 @@ def samuel_cahn_closed_forms(
 
 
 def _check_sc_params(n, a, b, c):
-    _require_horizon(n)
+    check_horizon(n)
     if not 0.0 < a < 1.0:
         raise ValueError(f"a must lie in (0, 1), got {a!r}")
     if b <= 0.0 or c <= 0.0 or b + c >= n:
@@ -268,13 +267,8 @@ def ehsani_distribution(n: int) -> DiscreteDistribution:
 
     The optimal single-threshold ratio on this family tends to one.
     """
-    _require_horizon(n)
+    check_horizon(n)
     e = math.e
     return DiscreteDistribution.from_atoms(
         [((e - 2.0) / (e - 1.0), 1.0 - 1.0 / n**2), (n / (e - 1.0), 1.0 / n**2)]
     )
-
-
-def _require_horizon(n, minimum: int = 2):
-    if not isinstance(n, (int, np.integer)) or n < minimum:
-        raise ValueError(f"horizon must be an integer >= {minimum}, got {n!r}")

@@ -103,7 +103,7 @@ def ratio_certificates(n: int):
     """
     points = 10**6
     ys = np.linspace(0.0, 1.0, points + 1)
-    guarantee = sum(w * np.array([kernel_r(x, float(y), n) for y in ys]) for x, w in STOPPER[n])
+    guarantee = sum(w * kernel_r(x, ys, n) for x, w in STOPPER[n])
     slack = lipschitz_r(n, 1.0 - max(x for x, _ in STOPPER[n])) / (2 * points)
     F = DiscreteDistribution.from_atoms(ADVERSARY[n])
     prophet = F.expected_max(n)
@@ -310,22 +310,18 @@ def test_criterion_14_kernel_lipschitz():
     for n in (2, 5, 10):
         La = lipschitz_a(n)
         x, xp, y = rng.random((3, 100000))
-        va = np.array([kernel_a(a, c, n) for a, c in zip(x, y)])
-        vb = np.array([kernel_a(b, c, n) for b, c in zip(xp, y)])
+        va, vb = kernel_a(x, y, n), kernel_a(xp, y, n)
         ok &= bool(np.all(np.abs(va - vb) <= La * np.abs(x - xp) + 1e-12))
-        vc = np.array([kernel_a(c, a, n) for a, c in zip(x, y)])
-        vd = np.array([kernel_a(c, b, n) for b, c in zip(xp, y)])
+        vc, vd = kernel_a(y, x, n), kernel_a(y, xp, n)
         ok &= bool(np.all(np.abs(vc - vd) <= La * np.abs(x - xp) + 1e-12))
         eps = 0.2
         Lr = lipschitz_r(n, eps)
         xr, xrp = rng.uniform(0, 1 - eps, (2, 100000))
         yr = rng.random(100000)
-        ra = np.array([kernel_r(a, c, n) for a, c in zip(xr, yr)])
-        rb = np.array([kernel_r(b, c, n) for b, c in zip(xrp, yr)])
+        ra, rb = kernel_r(xr, yr, n), kernel_r(xrp, yr, n)
         ok &= bool(np.all(np.abs(ra - rb) <= Lr * np.abs(xr - xrp) + 1e-12))
         yrp = rng.random(100000)
-        rc = np.array([kernel_r(a, c, n) for a, c in zip(xr, yr)])
-        rd = np.array([kernel_r(a, c, n) for a, c in zip(xr, yrp)])
+        rc, rd = kernel_r(xr, yr, n), kernel_r(xr, yrp, n)
         ok &= bool(np.all(np.abs(rc - rd) <= Lr * np.abs(yr - yrp) + 1e-12))
     check("criterion 14: kernel Lipschitz bounds hold on 1e5 random triples per n",
           ok)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prophet_sharp import (
+    DiscreteDistribution,
     KernelKind,
-    PayoffMatrix,
     err_bound_diff,
     err_bound_ratio,
     kernel_a,
@@ -20,6 +20,9 @@ from prophet_sharp import (
     stop_weight,
     support_cutoff,
 )
+from prophet_sharp.dist import lfd_from_mu_ratio
+from prophet_sharp.kernel import check_grid, payoff_entries
+from prophet_sharp.reward import ThresholdRule, growth_bound_check, ratio_floor, reward_v1
 
 
 def kernel_r_minform(x, y, n):
@@ -55,14 +58,14 @@ class TestKernelR:
     def test_min_form_agrees(self):
         rng = np.random.default_rng(5)
         for n in (2, 5, 10):
-            for _ in range(2000):
-                x, y = rng.random(2)
-                assert kernel_r(x, y, n) == pytest.approx(kernel_r_minform(x, y, n), abs=1e-14)
+            x, y = rng.random((2000, 2)).T
+            expected = [kernel_r_minform(a, b, n) for a, b in zip(x, y)]
+            np.testing.assert_allclose(kernel_r(x, y, n), expected, rtol=0.0, atol=1e-14)
 
     def test_positive_on_grid(self):
         for n in range(2, 13):
             g = np.linspace(0, 1, 200)
-            vals = np.array([[kernel_r(x, y, n) for y in g] for x in g])
+            vals = kernel_r(g[:, None], g[None, :], n)
             assert vals.min() > 0.0
 
     def test_discontinuity_at_corner(self):
@@ -74,10 +77,9 @@ class TestKernelR:
     def test_branch_limits_meet_diagonal(self):
         rng = np.random.default_rng(6)
         for n in (2, 5, 10):
-            for _ in range(200):
-                y = rng.uniform(0.05, 0.9)
-                assert kernel_r(y + 1e-9, y, n) == pytest.approx(1.0, abs=1e-6)
-                assert kernel_r(y - 1e-9, y, n) == pytest.approx(1.0, abs=1e-6)
+            y = rng.uniform(0.05, 0.9, 200)
+            np.testing.assert_allclose(kernel_r(y + 1e-9, y, n), 1.0, rtol=0.0, atol=1e-6)
+            np.testing.assert_allclose(kernel_r(y - 1e-9, y, n), 1.0, rtol=0.0, atol=1e-6)
 
 
 class TestKernelA:
@@ -95,22 +97,74 @@ class TestKernelA:
     def test_nonnegative_on_grid(self):
         for n in range(2, 13):
             g = np.linspace(0, 1, 200)
-            vals = np.array([[kernel_a(x, y, n) for y in g] for x in g])
+            vals = kernel_a(g[:, None], g[None, :], n)
             assert vals.min() >= 0.0
 
     def test_min_form_agrees(self):
         rng = np.random.default_rng(7)
         for n in (2, 5, 10):
-            for _ in range(2000):
-                x, y = rng.random(2)
-                assert kernel_a(x, y, n) == pytest.approx(kernel_a_minform(x, y, n), abs=1e-14)
+            x, y = rng.random((2000, 2)).T
+            expected = [kernel_a_minform(a, b, n) for a, b in zip(x, y)]
+            np.testing.assert_allclose(kernel_a(x, y, n), expected, rtol=0.0, atol=1e-14)
 
     def test_branch_limits_meet_diagonal(self):
         rng = np.random.default_rng(8)
         for n in (2, 5, 10):
-            for _ in range(200):
-                y = rng.uniform(0.05, 0.95)
-                assert kernel_a(y + 1e-9, y, n) == pytest.approx(0.0, abs=1e-6)
+            y = rng.uniform(0.05, 0.95, 200)
+            np.testing.assert_allclose(kernel_a(y + 1e-9, y, n), 0.0, rtol=0.0, atol=1e-6)
+
+
+class TestArrays:
+    @pytest.mark.parametrize("kernel", [kernel_r, kernel_a])
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_arrays_match_scalar_calls(self, kernel, n):
+        # random points plus 0, 1/2 and 1: the diagonal, the row x = 1, the
+        # column y = 1 and the corner (1, 1) are all in the grid
+        pts = np.concatenate((np.random.default_rng(30 + n).random(20), [0.0, 0.5, 1.0]))
+        scalar = np.array([[kernel(x, y, n) for y in pts] for x in pts])
+        assert type(kernel(0.5, 0.25, n)) is float
+        assert kernel(pts[:, None], pts[None, :], n).tobytes() == scalar.tobytes()
+
+    def test_edges(self):
+        # exact diagonal, the y = 1 limit g(x)/n, and the row x = 1
+        n, x = 5, np.array([0.0, 0.3, 0.9, 1.0])
+        np.testing.assert_array_equal(kernel_r(x, x, n), 1.0)
+        np.testing.assert_array_equal(kernel_a(x, x, n), 0.0)
+        np.testing.assert_array_equal(kernel_a(x, 1.0, n), 0.0)
+        z = x[:3]
+        np.testing.assert_allclose(kernel_r(z, 1.0, n), (1 - z**n) / (1 - z) / n, rtol=1e-15)
+        np.testing.assert_allclose(kernel_r(1.0, z, n), (1 - z) / (1 - z**n), rtol=1e-15)
+        np.testing.assert_allclose(kernel_a(1.0, z, n), z * (1 - z ** (n - 1)), rtol=1e-15, atol=1e-17)
+
+    def test_rejects_points_outside_square(self):
+        for x, y in ((np.array([0.5, 1.5]), 0.5), (0.5, np.array([-0.1, 0.5])), (np.nan, 0.5)):
+            with pytest.raises(ValueError):
+                kernel_r(x, y, 3)
+            with pytest.raises(ValueError):
+                kernel_a(x, y, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: err_bound_ratio(4.5, 100),
+    lambda: err_bound_diff(2.5, 100),
+    lambda: support_cutoff(4.5),
+    lambda: lipschitz_a(2.5),
+    lambda: lipschitz_r(2.5, 0.5),
+    lambda: kernel_r(0.5, 0.25, 2.5),
+    lambda: kernel_a(0.5, 0.25, 3.0),
+    lambda: check_grid(2.5, 40),
+    lambda: ratio_floor(1.5),
+    lambda: reward_v1(DiscreteDistribution.point_mass(1.0), 2.5, ThresholdRule(0.0, 0.0)),
+    lambda: growth_bound_check(DiscreteDistribution.point_mass(1.0), 1.5, 1),
+    lambda: DiscreteDistribution.point_mass(1.0).expected_max(2.5),
+    lambda: lfd_from_mu_ratio(np.full(3, 0.25), 2.5, 5),
+    lambda: ratio_floor(True),
+], ids=["err_bound_ratio", "err_bound_diff", "support_cutoff", "lipschitz_a", "lipschitz_r",
+        "kernel_r", "kernel_a", "check_grid", "ratio_floor", "reward_v1", "growth_bound_check",
+        "expected_max", "lfd_from_mu_ratio", "bool"])
+def test_rejects_non_integer_horizon(call):
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        call()
 
 
 class TestLipschitz:
@@ -119,11 +173,9 @@ class TestLipschitz:
         rng = np.random.default_rng(n)
         L = lipschitz_a(n)
         x, xp, y = rng.random((3, 100000))
-        va = np.array([kernel_a(a, c, n) for a, c in zip(x, y)])
-        vb = np.array([kernel_a(b, c, n) for b, c in zip(xp, y)])
+        va, vb = kernel_a(x, y, n), kernel_a(xp, y, n)
         assert np.all(np.abs(va - vb) <= L * np.abs(x - xp) + 1e-12)
-        vc = np.array([kernel_a(c, a, n) for a, c in zip(x, y)])
-        vd = np.array([kernel_a(c, b, n) for b, c in zip(xp, y)])
+        vc, vd = kernel_a(y, x, n), kernel_a(y, xp, n)
         assert np.all(np.abs(vc - vd) <= L * np.abs(x - xp) + 1e-12)
 
     @pytest.mark.parametrize("n", [2, 5, 10])
@@ -133,13 +185,11 @@ class TestLipschitz:
         L = lipschitz_r(n, eps)
         x, xp = rng.uniform(0, 1 - eps, (2, 100000))
         y = rng.random(100000)
-        va = np.array([kernel_r(a, c, n) for a, c in zip(x, y)])
-        vb = np.array([kernel_r(b, c, n) for b, c in zip(xp, y)])
+        va, vb = kernel_r(x, y, n), kernel_r(xp, y, n)
         assert np.all(np.abs(va - vb) <= L * np.abs(x - xp) + 1e-12)
         # and in y for x restricted
         yp = rng.random(100000)
-        vc = np.array([kernel_r(a, c, n) for a, c in zip(x, y)])
-        vd = np.array([kernel_r(a, c, n) for a, c in zip(x, yp)])
+        vc, vd = kernel_r(x, y, n), kernel_r(x, yp, n)
         assert np.all(np.abs(vc - vd) <= L * np.abs(y - yp) + 1e-12)
 
     def test_lipschitz_constants(self):
@@ -158,9 +208,8 @@ class TestMatrices:
         n, N = 5, 40
         M = payoff_matrix(kind, n, N).entries
         fn = kernel_r if kind is KernelKind.RATIO else kernel_a
-        for i in range(1, N):
-            for j in range(1, N):
-                assert M[i - 1, j - 1] == pytest.approx(fn(i / N, j / N, n), abs=1e-14)
+        levels = np.arange(1, N) / N
+        np.testing.assert_allclose(M, fn(levels[:, None], levels[None, :], n), rtol=0.0, atol=1e-14)
 
     def test_exact_diagonals(self):
         R = payoff_matrix("ratio", 7, 30).entries
@@ -197,23 +246,20 @@ class TestMatrices:
         with pytest.raises(ValueError):
             payoff_matrix("bogus", 5, 10)
 
-    def test_json_roundtrip(self):
-        M = payoff_matrix("ratio", 3, 6)
-        M2 = PayoffMatrix.from_json(M.to_json())
-        assert M2.kind is KernelKind.RATIO and M2.n == 3 and M2.N == 6
-        np.testing.assert_array_equal(M.entries, M2.entries)
-
-    def test_csv_shape(self):
-        M = payoff_matrix("difference", 3, 6)
-        lines = M.to_csv().strip().split("\n")
-        assert len(lines) == 5 and len(lines[0].split(",")) == 5
-
     def test_stop_weight_matches_reward_weights(self):
-        n, N = 4, 12
-        B = reward_weights(n, N)
-        for i in range(1, N):
-            row = stop_weight(i / N, np.arange(1, N) / N, n)
-            np.testing.assert_allclose(row, B[i - 1], rtol=1e-15)
+        # one factor form of b: the dense B, b at grid levels and the game
+        # blocks agree exactly
+        for n, N in ((2, 12), (4, 12), (10, 60), (25, 60)):
+            B, d = reward_weights(n, N), prophet_weights(n, N)
+            levels = np.arange(1, N) / N
+            for i in range(1, N):
+                np.testing.assert_array_equal(stop_weight(i / N, levels, n), B[i - 1])
+            rows, cols = np.array([0, N // 3, N - 2]), np.arange(N - 1)
+            diag = rows[:, None] == cols
+            R = payoff_entries("ratio", n, N)(rows, cols)
+            A = payoff_entries("difference", n, N)(rows, cols)
+            np.testing.assert_array_equal(R, np.where(diag, 1.0, B[rows] / d))
+            np.testing.assert_array_equal(A, np.where(diag, 0.0, d - B[rows]))
 
 
 class TestStructuredProducts:
