@@ -2,8 +2,9 @@
 evaluation, and simulation.
 
 Exit codes: 0 success, 2 invalid arguments, 3 solver failure, 4 I/O error.
-Every output file embeds a run manifest (command, parameters, version,
-timestamp, seeds); numeric columns are reproducible given the same inputs.
+Tables and result files hold a run manifest (command, every parsed option but
+--out, version, timestamp, seeds, environment), then the result's as_dict();
+lfd_*.json files are bare distributions.  Numeric columns are reproducible.
 """
 
 from __future__ import annotations
@@ -12,36 +13,40 @@ import argparse
 import inspect
 import json
 import os
+import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .constrained import kappa, pareto_ratio
 from .dist import DiscreteDistribution
-from .game import SharpConstantReport, SolverError, sharp_ratio, sharp_regret
+from .game import SolverError, sharp_ratio, sharp_regret
 from .reward import ThresholdRule, ratio_floor, evaluate_rule, reward_v1, reward_v2
 from .sim import SimConfig, run_rule
 
-_FMT = ".17g"
 
-
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    version: str = __version__
-    timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
-    seeds: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), _FMT)
+def _manifest(args) -> dict:
+    """How a run was made: the parsed options except --out, and the
+    environment, read from the modules the solvers have loaded."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "out")}
+    highs = sys.modules["scipy.optimize._highspy._core"]
+    return {
+        "command": args.command,
+        "parameters": params,
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "seeds": [args.seed] if "seed" in params else [],
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": sys.modules["numpy"].__version__,
+            "scipy": sys.modules["scipy"].__version__,
+            "highs": f"{highs.HIGHS_VERSION_MAJOR}.{highs.HIGHS_VERSION_MINOR}"
+                     f".{highs.HIGHS_VERSION_PATCH}",
+            "cpu_count": os.cpu_count(),
+        },
+    }
 
 
 def _write_text(path: Path, text: str):
@@ -49,30 +54,26 @@ def _write_text(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
 
 
-def _write_table(path: Path, manifest: RunManifest, header: list, rows: list, fmt: str):
-    if fmt == "json":
-        payload = {"manifest": manifest.as_dict(),
-                   "rows": [dict(zip(header, row)) for row in rows]}
-        _write_text(path.with_suffix(".json"), json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = ["# manifest: " + json.dumps(manifest.as_dict()), ",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-        _write_text(path.with_suffix(".csv"), "\n".join(lines) + "\n")
-
-
-def _print_or_write(out: str, payload: dict) -> int:
-    text = json.dumps(payload, indent=2)
+def _write_json(out, manifest: dict, **fields) -> None:
+    """{manifest, **fields} as indented JSON, to the file out or, when out
+    is empty, to stdout."""
+    text = json.dumps({"manifest": manifest, **fields}, indent=2)
     if out:
         _write_text(Path(out), text + "\n")
     else:
         print(text)
-    return 0
 
 
-def _write_report(path: Path, manifest: RunManifest, report: SharpConstantReport):
-    payload = {"manifest": manifest.as_dict(), "report": report.as_dict()}
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+def _write_table(path: Path, manifest: dict, header: list, rows: list, fmt: str):
+    if fmt == "json":
+        _write_json(path.with_suffix(".json"), manifest,
+                    rows=[dict(zip(header, row)) for row in rows])
+    else:
+        lines = ["# manifest: " + json.dumps(manifest), ",".join(header)]
+        for row in rows:
+            lines.append(",".join(format(float(v), ".17g") if isinstance(v, float) else str(v)
+                                  for v in row))
+        _write_text(path.with_suffix(".csv"), "\n".join(lines) + "\n")
 
 
 def _parse_n_list(text: str) -> list:
@@ -113,19 +114,18 @@ def _map_jobs(fn, items, jobs):
         return list(pool.map(one, items))
 
 
-def _run_table(name: str, args, params: dict, solve, header: list, emit) -> int:
+def _run_table(args, solve, header: list, emit) -> int:
     """Solve each n in args.n on up to args.jobs threads and write the table;
     emit(out, manifest, n, result) writes n's own files and returns its row."""
-    out = Path(args.out)
-    manifest = RunManifest(name, params)
+    out, manifest = Path(args.out), _manifest(args)
     rows, failed = [], False
     for n, res in _map_jobs(solve, args.n, args.jobs):
         if isinstance(res, SolverError):
-            print(f"{name}: solver failed for n={n}: {res}", file=sys.stderr)
+            print(f"{args.command}: solver failed for n={n}: {res}", file=sys.stderr)
             failed = True
         else:
             rows.append(emit(out, manifest, n, res))
-    _write_table(out / name, manifest, header, rows, args.format)
+    _write_table(out / args.command, manifest, header, rows, args.format)
     return 3 if failed else 0
 
 
@@ -134,17 +134,15 @@ def cmd_table1(args) -> int:
         return sharp_ratio(n, args.N, args.tol), sharp_regret(n, args.N, args.tol)
 
     def emit(out, manifest, n, res):
+        for kind, report in zip(("ratio", "regret"), res):
+            _write_json(out / f"report_{kind}_n{n}.json", manifest, report=report.as_dict())
+            _write_text(out / f"lfd_{kind}_n{n}.json", report.lfd.to_json() + "\n")
         ratio, regret = res
-        _write_report(out / f"report_ratio_n{n}.json", manifest, ratio)
-        _write_report(out / f"report_regret_n{n}.json", manifest, regret)
-        _write_text(out / f"lfd_ratio_n{n}.json", ratio.lfd.to_json() + "\n")
-        _write_text(out / f"lfd_regret_n{n}.json", regret.lfd.to_json() + "\n")
         return [n, ratio.value, ratio.bracket[0], ratio.bracket[1],
                 regret.value, regret.bracket[0], regret.bracket[1], ratio.gap, regret.gap]
 
-    params = {"n": args.n, "N": args.N, "tol": args.tol, "jobs": args.jobs, "format": args.format}
     header = ["n", "R_value", "R_lo", "R_hi", "A_value", "A_lo", "A_hi", "gap_R", "gap_A"]
-    return _run_table("table1", args, params, solve, header, emit)
+    return _run_table(args, solve, header, emit)
 
 
 def cmd_table2(args) -> int:
@@ -152,18 +150,12 @@ def cmd_table2(args) -> int:
         return kappa(n, args.N, tol=args.tol, sigma=args.sigma)
 
     def emit(out, manifest, n, res):
-        _write_text(out / f"kappa_n{n}.json",
-                    json.dumps({"manifest": manifest.as_dict(), "n": n,
-                                "family": "variance", "params": {"sigma": args.sigma},
-                                "kappa": res.value, "certificate": res.certificate},
-                               indent=2) + "\n")
-        return [n, res.value, res.certificate["kappa_lower"],
-                res.certificate["kappa_upper"], res.certificate["gap"]]
+        _write_json(out / f"kappa_n{n}.json", manifest, n=n, family="variance",
+                    params={"sigma": args.sigma}, **res.as_dict())
+        cert = res.certificate
+        return [n, res.value, cert["kappa_lower"], cert["kappa_upper"], cert["gap"]]
 
-    params = {"n": args.n, "N": args.N, "tol": args.tol, "sigma": args.sigma,
-              "jobs": args.jobs, "format": args.format}
-    return _run_table("table2", args, params, solve,
-                      ["n", "kappa", "kappa_lo", "kappa_hi", "gap"], emit)
+    return _run_table(args, solve, ["n", "kappa", "kappa_lo", "kappa_hi", "gap"], emit)
 
 
 def cmd_table3(args) -> int:
@@ -171,51 +163,28 @@ def cmd_table3(args) -> int:
         return pareto_ratio(n, args.N, args.p0, args.p1, tol=args.tol)
 
     def emit(out, manifest, n, res):
-        _write_text(out / f"pareto_n{n}.json",
-                    json.dumps({"manifest": manifest.as_dict(), "n": n,
-                                "family": "pareto", "params": {"p0": args.p0, "p1": args.p1},
-                                "value": res.value, "certificate": res.certificate,
-                                "stats": res.stats},
-                               indent=2) + "\n")
+        _write_json(out / f"pareto_n{n}.json", manifest, n=n, family="pareto",
+                    params={"p0": args.p0, "p1": args.p1}, **res.as_dict())
         return [n, res.value, res.certificate["bracket"][0], res.certificate["bracket"][1]]
 
-    params = {"n": args.n, "N": args.N, "p0": args.p0, "p1": args.p1, "tol": args.tol,
-              "jobs": args.jobs, "format": args.format}
-    return _run_table("table3", args, params, solve, ["n", "value", "rho_lo", "rho_hi"], emit)
+    return _run_table(args, solve, ["n", "value", "rho_lo", "rho_hi"], emit)
 
 
 def cmd_eval(args) -> int:
     dist = DiscreteDistribution.from_file(args.dist)
     rule = ThresholdRule(args.theta, args.p)
-    ev = evaluate_rule(dist, args.n, rule)
-    payload = {
-        "manifest": RunManifest("eval", {"dist": args.dist, "n": args.n,
-                                         "theta": args.theta, "p": args.p}).as_dict(),
-        "reward_v1": reward_v1(dist, args.n, rule),
-        "reward_v2": reward_v2(dist, args.n, rule),
-        "value": ev.value,
-        "ratio": ev.ratio,
-        "regret": ev.regret,
-        "ratio_floor": ratio_floor(args.n),
-    }
-    return _print_or_write(args.out, payload)
+    _write_json(args.out, _manifest(args), reward_v1=reward_v1(dist, args.n, rule),
+                reward_v2=reward_v2(dist, args.n, rule),
+                **evaluate_rule(dist, args.n, rule).as_dict(), ratio_floor=ratio_floor(args.n))
+    return 0
 
 
 def cmd_simulate(args) -> int:
     dist = DiscreteDistribution.from_file(args.dist)
     cfg = SimConfig(trials=args.trials, seed=args.seed, n=args.n)
     result = run_rule(dist, ThresholdRule(args.theta, args.p), cfg)
-    payload = {
-        "manifest": RunManifest("simulate", {"dist": args.dist, "n": args.n,
-                                             "theta": args.theta, "p": args.p,
-                                             "trials": args.trials},
-                                seeds=[args.seed]).as_dict(),
-        "mean": result.mean,
-        "std_error": result.std_error,
-        "trials": result.trials,
-        "seed": result.seed,
-    }
-    return _print_or_write(args.out, payload)
+    _write_json(args.out, _manifest(args), **result.as_dict())
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=1e-7):
+    def table(name, fn, help, tol=1e-7, **floats):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--n", type=_parse_n_list, default=[10, 25, 50, 100])
+        for option, default in floats.items():
+            p.add_argument(f"--{option}", type=float, default=default)
         p.add_argument("--N", type=int, default=1000, help="grid size (default 1000)")
         p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--out", default=".", help="output directory")
@@ -235,48 +208,30 @@ def build_parser() -> argparse.ArgumentParser:
         # PROPHET_SHARP_JOBS is a usage error (exit 2), not a traceback
         p.add_argument("--jobs", type=_jobs,
                        default=os.environ.get("PROPHET_SHARP_JOBS", "").strip() or "1")
+        p.set_defaults(fn=fn)
 
-    p1 = sub.add_parser("table1", help="sharp ratio and regret constants per n")
-    p1.add_argument("--n", type=_parse_n_list, default=[10, 25, 50, 100])
-    common(p1)
-    p1.set_defaults(fn=cmd_table1)
+    def rule(name, fn, help, **ints):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--dist", required=True, help="distribution file (.json or .csv)")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--p", type=float, default=0.0)
+        for option, default in ints.items():
+            p.add_argument(f"--{option}", type=int, default=default)
+        p.add_argument("--out", default="")
+        p.set_defaults(fn=fn)
 
-    p2 = sub.add_parser("table2", help="bounded-variance constants kappa_n")
-    p2.add_argument("--n", type=_parse_n_list, default=[10, 25, 50, 100])
-    p2.add_argument("--sigma", type=float, default=1.0)
-    common(p2, tol=inspect.signature(kappa).parameters["tol"].default)
-    p2.set_defaults(fn=cmd_table2)
-
-    p3 = sub.add_parser("table3", help="Pareto-band ratio constants")
-    p3.add_argument("--n", type=_parse_n_list, default=[10, 25, 50, 100])
-    p3.add_argument("--p0", type=float, default=20.0)
-    p3.add_argument("--p1", type=float, default=5.0)
-    common(p3)
-    p3.set_defaults(fn=cmd_table3)
-
-    pe = sub.add_parser("eval", help="closed-form evaluation of one rule")
-    pe.add_argument("--dist", required=True, help="distribution file (.json or .csv)")
-    pe.add_argument("--n", type=int, required=True)
-    pe.add_argument("--theta", type=float, required=True)
-    pe.add_argument("--p", type=float, default=0.0)
-    pe.add_argument("--out", default="")
-    pe.set_defaults(fn=cmd_eval)
-
-    ps = sub.add_parser("simulate", help="Monte Carlo estimate of one rule")
-    ps.add_argument("--dist", required=True)
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--theta", type=float, required=True)
-    ps.add_argument("--p", type=float, default=0.0)
-    ps.add_argument("--trials", type=int, default=100000)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--out", default="")
-    ps.set_defaults(fn=cmd_simulate)
+    table("table1", cmd_table1, "sharp ratio and regret constants per n")
+    table("table2", cmd_table2, "bounded-variance constants kappa_n",
+          tol=inspect.signature(kappa).parameters["tol"].default, sigma=1.0)
+    table("table3", cmd_table3, "Pareto-band ratio constants", p0=20.0, p1=5.0)
+    rule("eval", cmd_eval, "closed-form evaluation of one rule")
+    rule("simulate", cmd_simulate, "Monte Carlo estimate of one rule", trials=100000, seed=0)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, argparse.ArgumentTypeError) as exc:

@@ -38,8 +38,11 @@ class KappaResult:
     z: np.ndarray
     certificate: dict
 
+    def as_dict(self) -> dict:
+        return {"kappa": self.value, "certificate": self.certificate}
+
     def to_json(self) -> str:
-        return json.dumps({"kappa": self.value, "certificate": self.certificate})
+        return json.dumps(self.as_dict())
 
 
 def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
@@ -196,9 +199,11 @@ class ParetoResult:
     certificate: dict
     stats: dict = field(default_factory=dict)  # SharpConstantReport's, and dinkelbach_steps
 
+    def as_dict(self) -> dict:
+        return {"value": self.value, "certificate": self.certificate, "stats": self.stats}
+
     def to_json(self) -> str:
-        return json.dumps({"value": self.value, "certificate": self.certificate,
-                           "stats": self.stats})
+        return json.dumps(self.as_dict())
 
 
 def pareto_ratio(

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernel import check_horizon, prophet_weights
+from .kernel import check_horizon, check_integer, prophet_weights
 
 #: absolute tolerance for probability normalization; inputs outside it are
 #: rejected, never renormalized (silent renormalization hides caller bugs).
@@ -147,8 +147,11 @@ class DiscreteDistribution:
 
     # -- serialization -----------------------------------------------------
 
+    def as_dict(self) -> dict:
+        return {"atoms": [[v, p] for v, p in zip(self.values, self.probs)]}
+
     def to_json(self) -> str:
-        return json.dumps({"atoms": [[v, p] for v, p in zip(self.values, self.probs)]})
+        return json.dumps(self.as_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteDistribution":
@@ -196,8 +199,7 @@ class QuantileIncrements:
     v: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 2:
-            raise ValueError(f"grid size N must be an integer >= 2, got {self.N!r}")
+        check_integer(self.N, "grid size", 2)
         v = np.ascontiguousarray(self.v, dtype=np.float64)
         if v.shape != (self.N - 1,):
             raise ValueError(f"v must have length N-1 = {self.N - 1}, got {v.shape}")

@@ -159,7 +159,7 @@ class SharpConstantReport:
             "gap": self.gap,
             "certified": self.certified,
             "rule": {"theta": self.rule.theta, "p": self.rule.p},
-            "lfd": {"atoms": [[v, p] for v, p in zip(self.lfd.values, self.lfd.probs)]},
+            "lfd": self.lfd.as_dict(),
             "stats": dict(self.stats),
         }
 
@@ -203,8 +203,8 @@ def _sharp_report(kind: KernelKind, n: int, N: int, tol: float | None) -> SharpC
     """Solve the grid game by _matrix_game with M = R_N, or M = -A_N for the
     regret (value negated), entries from kernel.payoff_entries, from level
     m // 2, replaying mu and lam through the O(N) products B v and B^T lam."""
-    tol = default_tol(N) if tol is None else tol
     n, N = check_grid(n, N)
+    tol = default_tol(N) if tol is None else tol
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     ratio = kind is KernelKind.RATIO

@@ -30,10 +30,18 @@ class KernelKind(str, Enum):
     DIFFERENCE = "difference"
 
 
+def check_integer(value, name: str, minimum: int, maximum=None) -> None:
+    """Reject a value that is not an integer (int or np.integer, not bool) in
+    [minimum, maximum]; name is the argument's name in the message."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum
+            or maximum is not None and value > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 def check_horizon(n, minimum: int = 2) -> None:
     """Reject a horizon n that is not an integer >= minimum."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
-        raise ValueError(f"horizon must be an integer >= {minimum}, got {n!r}")
+    check_integer(n, "horizon", minimum)
 
 
 def kernel_r(x, y, n: int):
@@ -59,6 +67,7 @@ def stop_weight(x, y, n: int) -> np.ndarray:
     This is the integrand of the quantile representation of the rule reward;
     R(x, y) = b(x, y) / (1 - y^n).  Broadcasts over x and y.
     """
+    check_horizon(n)
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     return _weight(x, x ** (n - 1), _g(x, n), y)
 
@@ -108,8 +117,7 @@ class PayoffMatrix:
 def check_grid(n: int, N: int) -> tuple[int, int]:
     """Validate a game size: horizon n >= 2 and grid size N >= 3."""
     check_horizon(n)
-    if not isinstance(N, (int, np.integer)) or N < 3:
-        raise ValueError(f"grid size must be an integer >= 3, got {N!r}")
+    check_integer(N, "grid size", 3)
     return int(n), int(N)
 
 
@@ -148,6 +156,7 @@ def reward_weights(n: int, N: int) -> np.ndarray:
     B[i, j] = 1 - x_i^{n-1} y_j for j <= i (rank 2) and (1 - y_j) g(x_i)
     for j > i (rank 1), so B is semiseparable.
     """
+    check_horizon(n)
     y = _levels(N)
     x = y[:, None]
     return _weight(x, x ** (n - 1), _g(x, n), y)
@@ -155,6 +164,7 @@ def reward_weights(n: int, N: int) -> np.ndarray:
 
 def prophet_weights(n: int, N: int) -> np.ndarray:
     """Vector d with d[j-1] = 1 - (j/N)^n (prophet weight of increment j)."""
+    check_horizon(n)
     return 1.0 - _levels(N) ** n
 
 
@@ -187,19 +197,21 @@ def stop_weight_sums(x, y, w, tail, n: int) -> np.ndarray:
 def reward_matvec(n: int, N: int, v) -> np.ndarray:
     """B v from O(N) running sums: stop_weight_sums at the grid levels, weights v."""
     y = _levels(N)
-    return stop_weight_sums(y, y, _grid_vector(v, N), 1.0 - y, n)
+    return stop_weight_sums(y, y, _grid_vector(v, n, N), 1.0 - y, n)
 
 
 def reward_rmatvec(n: int, N: int, lam) -> np.ndarray:
     """B^T lam in O(N): (B^T lam)_j = sum_{i>=j} lam_i - y_j sum_{i>=j} x_i^{n-1} lam_i
     + (1 - y_j) sum_{i<j} g(x_i) lam_i."""
-    y, lam = _levels(N), _grid_vector(lam, N)
+    y, lam = _levels(N), _grid_vector(lam, n, N)
     prefix = np.cumsum(_g(y, n) * lam)
     strict_prefix = np.concatenate(([0.0], prefix[:-1]))
     return _suffix_sum(lam) - y * _suffix_sum(y ** (n - 1) * lam) + (1.0 - y) * strict_prefix
 
 
-def _grid_vector(v, N: int) -> np.ndarray:
+def _grid_vector(v, n: int, N: int) -> np.ndarray:
+    """v as a float vector on the N-grid's N-1 levels, for horizon n."""
+    check_horizon(n)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (N - 1,):
         raise ValueError(f"vector must have length N-1 = {N - 1}, got {v.shape}")
@@ -213,16 +225,14 @@ def _suffix_sum(a: np.ndarray) -> np.ndarray:
 def err_bound_diff(n: int, N: int) -> float:
     """Discretization error bound (n-1)/(2N) for the difference game, n >= 2."""
     check_horizon(n)
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N!r}")
+    check_integer(N, "grid size", 1)
     return (n - 1) / (2.0 * N)
 
 
 def err_bound_ratio(n: int, N: int) -> float:
     """Discretization error bound (n-1) / (2N [(1-1/e)^2 - 1/(n-1)]), n >= 4."""
     check_horizon(n, minimum=4)
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N!r}")
+    check_integer(N, "grid size", 1)
     return (n - 1) / (2.0 * N * ((1.0 - math.exp(-1.0)) ** 2 - 1.0 / (n - 1)))
 
 

@@ -18,7 +18,7 @@ from numpy.polynomial.polynomial import polyval
 from scipy.optimize import brentq
 
 from .dist import DiscreteDistribution, infer_grid_size
-from .kernel import check_horizon, stop_weight_sums, weight_sums
+from .kernel import check_horizon, check_integer, stop_weight_sums, weight_sums
 
 # below this no-stop probability complement the rule degenerates to "take the
 # last observation" and the reward is the mean
@@ -158,8 +158,7 @@ def optimal_rule(
         N = grid_size if grid_size is not None else infer_grid_size(dist)
         if N is None:
             raise ValueError("grid-exact mode needs a distribution on a 1/N probability grid")
-        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 2:
-            raise ValueError(f"grid size must be an integer >= 2, got {N!r}")
+        check_integer(N, "grid size", 2)
         xs = np.arange(1, N) / N
         vals = reward_by_level(dist, n, xs)
         i_star = int(np.flatnonzero(vals >= vals.max() - 1e-9)[0])
@@ -221,8 +220,7 @@ def floor_rule(dist: DiscreteDistribution, n: int) -> ThresholdRule:
 def growth_bound_check(dist: DiscreteDistribution, n: int, k: int) -> tuple[float, float]:
     """Both sides of M_n >= (1 - lam) M_{n+k} + lam M_1, lam = (1-1/(n+k))^{n-1}."""
     check_horizon(n, minimum=1)
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    check_integer(k, "k", 0)
     lam = (1.0 - 1.0 / (n + k)) ** (n - 1)
     lhs = dist.expected_max(n)
     rhs = (1.0 - lam) * dist.expected_max(n + k) + lam * dist.mean()

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DiscreteDistribution
+from .kernel import check_integer
 from .reward import ThresholdRule
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -37,15 +38,6 @@ _MASK = (1 << 64) - 1
 _SCALE = 2**53  # draw b is the uniform b / _SCALE
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _check_seed(seed) -> None:
-    if not _is_int(seed) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     trials: int
@@ -53,12 +45,10 @@ class SimConfig:
     n: int
 
     def __post_init__(self):
-        if not _is_int(self.trials) or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if not _is_int(self.n) or not 2 <= self.n <= 2**63:
-            # the coin's draw positions n + t, t < n - 1, fit in 64 bits
-            raise ValueError(f"horizon must be an integer in [2, 2**63], got {self.n!r}")
-        _check_seed(self.seed)
+        check_integer(self.trials, "trials", 1)
+        # the coin's draw positions n + t, t < n - 1, fit in 64 bits
+        check_integer(self.n, "horizon", 2, 2**63)
+        check_integer(self.seed, "seed", 0, 2**64 - 1)
 
 
 @dataclass(frozen=True)
@@ -68,11 +58,12 @@ class SimResult:
     trials: int
     seed: int
 
+    def as_dict(self) -> dict:
+        return {"mean": self.mean, "std_error": self.std_error,
+                "trials": self.trials, "seed": self.seed}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"mean": self.mean, "std_error": self.std_error,
-             "trials": self.trials, "seed": self.seed}
-        )
+        return json.dumps(self.as_dict())
 
 
 # -- splitmix64 ---------------------------------------------------------------
@@ -125,9 +116,8 @@ class TrialStream:
     Draws are made _BLOCK positions at a time and handed out one by one."""
 
     def __init__(self, seed: int, trial: int = 0):
-        _check_seed(seed)
-        if not _is_int(trial) or not 0 <= trial < 2**64 - 1:
-            raise ValueError(f"trial must be an integer in [0, 2**64 - 1), got {trial!r}")
+        check_integer(seed, "seed", 0, 2**64 - 1)
+        check_integer(trial, "trial", 0, 2**64 - 2)
         self._state = _stream_states(int(seed), int(trial), int(trial) + 1)
         self._count = 0
         self._block: list[float] = []

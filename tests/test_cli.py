@@ -1,14 +1,44 @@
 import functools
 import json
+import os
+import platform
+import re
 import threading
 
 import numpy as np
 import pytest
+import scipy
 
-from prophet_sharp import DiscreteDistribution
-from prophet_sharp.cli import main
+from prophet_sharp import (
+    DiscreteDistribution,
+    SimConfig,
+    ThresholdRule,
+    evaluate_rule,
+    kappa,
+    pareto_ratio,
+    run_rule,
+    sharp_ratio,
+    sharp_regret,
+)
+from prophet_sharp.cli import build_parser, main
+from prophet_sharp.reward import ratio_floor, reward_v1, reward_v2
 
 COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
+ENVIRONMENT = {"python", "numpy", "scipy", "highs", "cpu_count"}
+
+
+def assert_environment(manifest):
+    env = manifest["environment"]
+    assert set(env) == ENVIRONMENT
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+    assert env["cpu_count"] == os.cpu_count()
+    assert re.fullmatch(r"\d+\.\d+\.\d+", env["highs"])
+
+
+def as_json(obj):
+    """obj as the CLI's JSON files hold it (tuples become lists)."""
+    return json.loads(json.dumps(obj))
 
 
 def read_csv_table(path):
@@ -29,6 +59,7 @@ class TestTable1:
                           "gap_R", "gap_A"]
         assert len(rows) == 1 and rows[0][0] == "5"
         assert manifest_lines and "table1" in manifest_lines[0]
+        assert_environment(json.loads(manifest_lines[0].removeprefix("# manifest: ")))
         for stem in ("report_ratio_n5", "report_regret_n5", "lfd_ratio_n5", "lfd_regret_n5"):
             assert (tmp_path / f"{stem}.json").exists()
         # lfd files round-trip as distributions
@@ -225,6 +256,7 @@ class TestSimulate:
         payload = json.loads(out.read_text())
         assert payload["trials"] == 100
         assert payload["manifest"]["seeds"] == [1]
+        assert_environment(payload["manifest"])
 
 
 class TestParsing:
@@ -289,3 +321,100 @@ class TestParsing:
         code = main([command, "--dist", str(dist_file), "--n", "2", "--theta", "0.0"])
         assert code == 2
         assert "pairs of numbers" in capsys.readouterr().err
+
+
+def write_coin(tmp_path):
+    dist_file = tmp_path / "coin.json"
+    dist_file.write_text(COIN.to_json())
+    return str(dist_file)
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--n", "4", "--N", "40", "--format", "json"],
+        ["table2", "--n", "5", "--N", "60", "--tol", "1e-5", "--sigma", "2.0"],
+        ["table3", "--n", "4", "--N", "50", "--tol", "1e-4", "--p0", "10", "--p1", "4"],
+        ["eval", "--n", "3", "--theta", "0.5", "--p", "0.25"],
+        ["simulate", "--n", "3", "--theta", "0.5", "--trials", "200", "--seed", "9"],
+    ], ids=lambda argv: argv[0])
+    def test_parameters_are_parsed_options(self, tmp_path, argv):
+        # every option the parser knows is recorded, except --out; so an
+        # option added to the parser cannot be left out of the manifest
+        if argv[0] in ("eval", "simulate"):
+            out = tmp_path / "result.json"
+            argv = argv + ["--dist", write_coin(tmp_path), "--out", str(out)]
+        else:
+            out = tmp_path / f"{argv[0]}.{'json' if 'json' in argv else 'csv'}"
+            argv = argv + ["--out", str(tmp_path)]
+        assert main(argv) == 0
+        text = out.read_text()
+        manifest = (json.loads(text.split("\n")[0].removeprefix("# manifest: "))
+                    if out.suffix == ".csv" else json.loads(text)["manifest"])
+        options = vars(build_parser().parse_args(argv))
+        assert manifest["command"] == options.pop("command") == argv[0]
+        del options["fn"], options["out"]
+        assert manifest["parameters"] == as_json(options)
+        assert manifest["seeds"] == ([9] if argv[0] == "simulate" else [])
+        assert_environment(manifest)
+
+
+class TestPayloads:
+    """Each written payload is the manifest, the family fields, and the
+    result's as_dict()."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table1(self, tmp_path, fmt):
+        assert main(["table1", "--n", "4", "--N", "40", "--format", fmt,
+                     "--out", str(tmp_path)]) == 0
+        for kind, solve in (("ratio", sharp_ratio), ("regret", sharp_regret)):
+            report = solve(4, 40, 1e-7)
+            payload = json.loads((tmp_path / f"report_{kind}_n4.json").read_text())
+            assert list(payload) == ["manifest", "report"]
+            assert payload["report"] == as_json(report.as_dict())
+            lfd = json.loads((tmp_path / f"lfd_{kind}_n4.json").read_text())
+            assert lfd == as_json(report.lfd.as_dict()) == payload["report"]["lfd"]
+
+    def test_table2(self, tmp_path):
+        assert main(["table2", "--n", "5", "--N", "60", "--tol", "1e-5", "--sigma", "2.0",
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "kappa_n5.json").read_text())
+        manifest = payload.pop("manifest")
+        assert manifest["command"] == "table2"
+        assert payload == {"n": 5, "family": "variance", "params": {"sigma": 2.0},
+                           **as_json(kappa(5, 60, tol=1e-5, sigma=2.0).as_dict())}
+
+    def test_table3(self, tmp_path):
+        assert main(["table3", "--n", "4", "--N", "50", "--tol", "1e-4",
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "pareto_n4.json").read_text())
+        manifest = payload.pop("manifest")
+        assert manifest["command"] == "table3"
+        assert payload == {"n": 4, "family": "pareto", "params": {"p0": 20.0, "p1": 5.0},
+                           **as_json(pareto_ratio(4, 50, 20.0, 5.0, tol=1e-4).as_dict())}
+
+    def test_eval(self, tmp_path, capsys):
+        assert main(["eval", "--dist", write_coin(tmp_path), "--n", "3", "--theta", "0.5",
+                     "--p", "0.25"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload.pop("manifest")["command"] == "eval"
+        rule = ThresholdRule(0.5, 0.25)
+        assert payload == {"reward_v1": reward_v1(COIN, 3, rule),
+                           "reward_v2": reward_v2(COIN, 3, rule),
+                           **evaluate_rule(COIN, 3, rule).as_dict(),
+                           "ratio_floor": ratio_floor(3)}
+
+    def test_simulate(self, tmp_path):
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--dist", write_coin(tmp_path), "--n", "3", "--theta", "0.5",
+                     "--trials", "300", "--seed", "4", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload.pop("manifest")["command"] == "simulate"
+        result = run_rule(COIN, ThresholdRule(0.5, 0.0), SimConfig(trials=300, seed=4, n=3))
+        assert payload == result.as_dict()
+
+    def test_to_json_is_as_dict(self):
+        results = [sharp_ratio(4, 30), kappa(5, 60, tol=1e-5), pareto_ratio(4, 50, 20.0, 5.0),
+                   run_rule(COIN, ThresholdRule(0.5, 0.0), SimConfig(trials=50, seed=1, n=3)),
+                   COIN]
+        for result in results:
+            assert result.to_json() == json.dumps(result.as_dict())

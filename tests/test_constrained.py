@@ -18,6 +18,7 @@ from prophet_sharp import (
     kappa,
     pareto_ratio,
     sharp_ratio,
+    sharp_regret,
 )
 from prophet_sharp.constrained import _band_min, _band_windows, _dinkelbach, variance_q_matrix
 from prophet_sharp.kernel import prophet_weights, reward_rmatvec
@@ -202,11 +203,13 @@ class TestPareto:
         with pytest.raises(ValueError):
             ParetoProblem.build(10, 100, 5.0, 20.0)
 
-    @pytest.mark.parametrize("n,N", [(2.5, 40), (10, 40.0), (True, 40)])
+    @pytest.mark.parametrize("n,N", [(2.5, 40), (10, 40.0), (True, 40), (10, "abc")])
     def test_rejects_non_integer_sizes(self, n, N):
         # the same check as kappa and the sharp games (kernel.check_grid)
-        with pytest.raises(ValueError, match="integer"):
-            pareto_ratio(n, N, 20.0, 5.0)
+        for solve in (lambda: pareto_ratio(n, N, 20.0, 5.0), lambda: kappa(n, N),
+                      lambda: sharp_ratio(n, N), lambda: sharp_regret(n, N)):
+            with pytest.raises(ValueError, match="integer"):
+                solve()
 
     def test_band_certificates(self):
         res = pareto_ratio(5, 120, 20.0, 5.0, tol=1e-6)

@@ -20,9 +20,16 @@ from prophet_sharp import (
     stop_weight,
     support_cutoff,
 )
-from prophet_sharp.dist import lfd_from_mu_ratio
+from prophet_sharp.dist import QuantileIncrements, lfd_from_mu_ratio
 from prophet_sharp.kernel import check_grid, payoff_entries
-from prophet_sharp.reward import ThresholdRule, growth_bound_check, ratio_floor, reward_v1
+from prophet_sharp.reward import (
+    ThresholdRule,
+    growth_bound_check,
+    optimal_rule,
+    ratio_floor,
+    reward_v1,
+)
+from prophet_sharp.sim import SimConfig, TrialStream
 
 
 def kernel_r_minform(x, y, n):
@@ -159,11 +166,43 @@ class TestArrays:
     lambda: DiscreteDistribution.point_mass(1.0).expected_max(2.5),
     lambda: lfd_from_mu_ratio(np.full(3, 0.25), 2.5, 5),
     lambda: ratio_floor(True),
+    lambda: stop_weight(0.5, 0.2, 2.5),
+    lambda: prophet_weights(2.5, 5),
+    lambda: reward_weights(2.5, 4),
+    lambda: reward_matvec(2.5, 5, np.ones(4)),
+    lambda: reward_rmatvec(2.5, 5, np.ones(4)),
 ], ids=["err_bound_ratio", "err_bound_diff", "support_cutoff", "lipschitz_a", "lipschitz_r",
         "kernel_r", "kernel_a", "check_grid", "ratio_floor", "reward_v1", "growth_bound_check",
-        "expected_max", "lfd_from_mu_ratio", "bool"])
+        "expected_max", "lfd_from_mu_ratio", "bool", "stop_weight", "prophet_weights",
+        "reward_weights", "reward_matvec", "reward_rmatvec"])
 def test_rejects_non_integer_horizon(call):
     with pytest.raises(ValueError, match="horizon must be an integer"):
+        call()
+
+
+COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: err_bound_diff(10, 2.5),
+    lambda: err_bound_ratio(10, True),
+    lambda: growth_bound_check(COIN, 3, True),
+    lambda: growth_bound_check(COIN, 3, 1.0),
+    lambda: check_grid(10, True),
+    lambda: check_grid(10, 40.0),
+    lambda: QuantileIncrements(4.0, np.ones(3)),
+    lambda: QuantileIncrements(np.bool_(True), np.ones(0)),
+    lambda: optimal_rule(COIN, 2, mode="grid-exact", grid_size=True),
+    lambda: SimConfig(trials=10.0, seed=1, n=4),
+    lambda: SimConfig(trials=10, seed=1, n=np.int64(1)),
+    lambda: TrialStream(np.uint64(1), 0.5),
+], ids=["err_bound_diff", "err_bound_ratio", "growth_bound_check_bool",
+        "growth_bound_check_float", "check_grid_bool", "check_grid_float", "quantile_increments",
+        "quantile_increments_numpy_bool", "optimal_rule", "sim_trials", "sim_horizon",
+        "trial_stream"])
+def test_rejects_non_integer_size(call):
+    # one predicate (kernel.check_integer): int or np.integer, never bool, >= a minimum
+    with pytest.raises(ValueError, match="integer"):
         call()
 
 
