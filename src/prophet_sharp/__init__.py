@@ -14,9 +14,7 @@ from .constrained import (
 )
 from .dist import (
     DiscreteDistribution,
-    QuantileIncrements,
     grid_distribution,
-    infer_grid_size,
     lfd_from_mu_diff,
     lfd_from_mu_ratio,
 )

@@ -2,17 +2,15 @@
 
 Everything downstream (rewards, games, simulation) consumes this one type:
 sorted atoms with positive probabilities summing to one.  Also holds the
-equal-probability-grid machinery (quantile increments, i/N levels) and the
-reconstruction of least-favorable distributions from optimal adversary
-strategies.
+constructor of the N-atom equal-probability grid family (grid_distribution)
+and the reconstruction of least-favorable distributions from optimal
+adversary strategies.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -102,12 +100,6 @@ class DiscreteDistribution:
         k = int(np.searchsorted(self._cum, min(t, 1.0), side="left"))
         return float(self.values[min(k, self.values.size - 1)])
 
-    def tail_quantile(self, t: float) -> float:
-        """U(t) = quantile(1 - 1/t) for t >= 1."""
-        if t < 1.0:
-            raise ValueError(f"tail_quantile needs t >= 1, got {t!r}")
-        return self.quantile(1.0 - 1.0 / t)
-
     # -- moments and extremes ---------------------------------------------
 
     def mean(self) -> float:
@@ -185,39 +177,16 @@ class DiscreteDistribution:
         return cls.from_json(text)
 
 
-@dataclass(frozen=True)
-class QuantileIncrements:
-    """Increments v_j = u_j - u_{j-1} (u_0 = 0) of an equal-probability grid.
-
-    A member of the N-atom grid family is the distribution with atoms
-    {0, u_1, ..., u_{N-1}}, each carrying mass 1/N (equal values merged).
-    The top increment carries zero weight in every value formula, so it is
-    pinned to zero (u_N = u_{N-1}).
-    """
-
-    N: int
-    v: np.ndarray
-
-    def __post_init__(self):
-        check_integer(self.N, "grid size", 2)
-        v = np.ascontiguousarray(self.v, dtype=np.float64)
-        if v.shape != (self.N - 1,):
-            raise ValueError(f"v must have length N-1 = {self.N - 1}, got {v.shape}")
-        if np.any(v < 0.0) or not np.all(np.isfinite(v)):
-            raise ValueError("increments must be finite and nonnegative")
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "v", v)
-
-    def levels(self) -> np.ndarray:
-        """Cumulative sums u_1, ..., u_{N-1}."""
-        return np.cumsum(self.v)
-
-    def to_distribution(self) -> DiscreteDistribution:
-        return grid_distribution(self.levels(), self.N)
-
-
 def grid_distribution(u: Sequence[float], N: int) -> DiscreteDistribution:
-    """Distribution with atoms {0, u_1, ..., u_{N-1}} of mass 1/N each."""
+    """Member of the N-atom grid family with i/N-quantiles u_1, ..., u_{N-1}.
+
+    Its atoms are {0, u_1, ..., u_{N-1}}, each carrying mass 1/N (equal
+    values merged); u_i is the cumulative sum of the increments
+    v_j = u_j - u_{j-1} (u_0 = 0), so callers with increments write
+    grid_distribution(np.cumsum(v), N).  The top increment carries zero
+    weight in every value formula, so it is pinned to zero (u_N = u_{N-1}).
+    """
+    check_integer(N, "grid size", 2)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (N - 1,):
         raise ValueError(f"expected N-1 = {N - 1} quantiles, got {u.shape}")
@@ -257,20 +226,3 @@ def _checked_mu(mu: Sequence[float], N: int, require_sum_one: bool) -> np.ndarra
     if not require_sum_one and total > 1.0 + 1e-9:
         raise ValueError(f"mu must sum to at most 1, got {total!r}")
     return mu
-
-
-def infer_grid_size(dist: DiscreteDistribution, max_size: int = 20000) -> int | None:
-    """Smallest N >= 2 for which dist lies on the 1/N-probability grid, else None.
-
-    A grid member lies on every multiple of its grid, so a point mass gets 2.
-    """
-    denominators = []
-    for c in dist.cumulative:
-        frac = Fraction(float(c)).limit_denominator(max_size)
-        if abs(float(frac) - float(c)) > 1e-9:
-            return None
-        denominators.append(frac.denominator)
-    N = max(math.lcm(*denominators), 2)
-    if N > max_size:
-        return None
-    return N

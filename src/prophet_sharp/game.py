@@ -167,13 +167,7 @@ class SharpConstantReport:
         return json.dumps(self.as_dict())
 
 
-def default_tol(N: int) -> float:
-    """Looser default above N=2000: the bracket is dominated by the
-    discretization term there, not the solver gap."""
-    return 1e-7 if N <= 2000 else 1e-5
-
-
-def sharp_ratio(n: int, N: int, tol: float | None = None) -> SharpConstantReport:
+def sharp_ratio(n: int, N: int, tol: float = 1e-7) -> SharpConstantReport:
     """Value of the N-grid game for the competitive ratio, with bracket.
 
     Both players are restricted to the grid: the adversary to the N-grid
@@ -187,7 +181,7 @@ def sharp_ratio(n: int, N: int, tol: float | None = None) -> SharpConstantReport
     return _sharp_report(KernelKind.RATIO, n, N, tol)
 
 
-def sharp_regret(n: int, N: int, tol: float | None = None) -> SharpConstantReport:
+def sharp_regret(n: int, N: int, tol: float = 1e-7) -> SharpConstantReport:
     """Value of the N-grid game for the regret, with bracket.
 
     The adversary plays the N-grid family supported in [0, 1], the stopper
@@ -199,12 +193,11 @@ def sharp_regret(n: int, N: int, tol: float | None = None) -> SharpConstantRepor
     return _sharp_report(KernelKind.DIFFERENCE, n, N, tol)
 
 
-def _sharp_report(kind: KernelKind, n: int, N: int, tol: float | None) -> SharpConstantReport:
+def _sharp_report(kind: KernelKind, n: int, N: int, tol: float) -> SharpConstantReport:
     """Solve the grid game by _matrix_game with M = R_N, or M = -A_N for the
     regret (value negated), entries from kernel.payoff_entries, from level
     m // 2, replaying mu and lam through the O(N) products B v and B^T lam."""
     n, N = check_grid(n, N)
-    tol = default_tol(N) if tol is None else tol
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     ratio = kind is KernelKind.RATIO

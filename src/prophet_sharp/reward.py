@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.optimize import brentq
 
-from .dist import DiscreteDistribution, infer_grid_size
+from .dist import DiscreteDistribution
 from .kernel import check_horizon, check_integer, stop_weight_sums, weight_sums
 
 # below this no-stop probability complement the rule degenerates to "take the
@@ -53,11 +53,10 @@ class RuleEvaluation:
 
 @dataclass(frozen=True)
 class OptimalRule:
-    """Search result: best rule found, its evaluation, certified search gap."""
+    """Search result: the best rule and its evaluation."""
 
     rule: ThresholdRule
     evaluation: RuleEvaluation
-    search_gap: float
 
 
 def _pieces(dist: DiscreteDistribution, rule: ThresholdRule):
@@ -147,28 +146,22 @@ def optimal_rule(
 ) -> OptimalRule:
     """Best single-threshold rule for dist.
 
-    mode "grid-exact" requires dist to live on a 1/N-probability grid
-    (N = grid_size when given, else inferred) and takes the first of the
-    levels {1/N, ..., (N-1)/N} whose reward, scored in one reward_by_level
+    mode "grid-exact" takes the first of the levels {1/N, ..., (N-1)/N},
+    N = grid_size (required), whose reward, scored in one reward_by_level
     call, is within 1e-9 of the best.  mode "level-search" maximizes over
-    every level in [0, 1] exactly (see best_level), so its search_gap is 0.
+    every level in [0, 1] exactly (see best_level).
     """
     check_horizon(n)
     if mode == "grid-exact":
-        N = grid_size if grid_size is not None else infer_grid_size(dist)
-        if N is None:
-            raise ValueError("grid-exact mode needs a distribution on a 1/N probability grid")
-        check_integer(N, "grid size", 2)
-        xs = np.arange(1, N) / N
+        check_integer(grid_size, "grid size", 2)
+        xs = np.arange(1, grid_size) / grid_size
         vals = reward_by_level(dist, n, xs)
-        i_star = int(np.flatnonzero(vals >= vals.max() - 1e-9)[0])
-        rule = rule_at_level(dist, xs[i_star])
-        return OptimalRule(rule, evaluate_rule(dist, n, rule), 0.0)
-
-    if mode != "level-search":
+        rule = rule_at_level(dist, xs[int(np.flatnonzero(vals >= vals.max() - 1e-9)[0])])
+    elif mode == "level-search":
+        rule = rule_at_level(dist, best_level(*dist.quantile_jumps(), n))
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    rule = rule_at_level(dist, best_level(*dist.quantile_jumps(), n))
-    return OptimalRule(rule, evaluate_rule(dist, n, rule), 0.0)
+    return OptimalRule(rule, evaluate_rule(dist, n, rule))
 
 
 def best_level(levels, weights, tails, n: int) -> float:

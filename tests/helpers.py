@@ -5,14 +5,30 @@ are computed by exhaustive enumeration, game values by Shapley-Snow kernel
 enumeration (optimal strategies of a matrix game live on square submatrices).
 """
 
+import importlib
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import isotonic_regression, linprog, lsq_linear, nnls
 
-from prophet_sharp import DiscreteDistribution, QuantileIncrements, prophet_weights, reward_weights
+from prophet_sharp import DiscreteDistribution, grid_distribution, prophet_weights, reward_weights
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str):
+    """Import perfbench/<name>.py under its own name, as the benchmark's
+    worker does; its own imports of sibling modules (checks imports oracles
+    and workloads) resolve the same way."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))
 
 
 def enumerate_prophet(dist: DiscreteDistribution, n: int) -> float:
@@ -330,4 +346,4 @@ def random_dist(rng, max_atoms: int = 5, vmax: float = 3.0) -> DiscreteDistribut
 def random_grid_member(rng, N: int, scale: float = 2.0) -> DiscreteDistribution:
     v = rng.exponential(scale / N, size=N - 1)
     v[rng.random(N - 1) < 0.4] = 0.0
-    return QuantileIncrements(N, v).to_distribution()
+    return grid_distribution(np.cumsum(v), N)

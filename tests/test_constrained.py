@@ -12,8 +12,8 @@ from prophet_sharp import constrained
 from prophet_sharp import (
     DiscreteDistribution,
     ParetoProblem,
-    QuantileIncrements,
     SolverError,
+    grid_distribution,
     ratio_floor,
     kappa,
     pareto_ratio,
@@ -34,10 +34,10 @@ class TestVariance:
 
     def test_grid_quadratic_form_hand_value(self):
         # atoms {0,1,2,3} each 1/4: v^T Q v with v = (1,1,1) equals 1.25
-        inc = QuantileIncrements(4, np.array([1.0, 1.0, 1.0]))
+        v = np.array([1.0, 1.0, 1.0])
         Q = variance_q_matrix(4)
-        assert inc.v @ Q @ inc.v == pytest.approx(1.25, abs=1e-14)
-        assert inc.to_distribution().variance() == pytest.approx(1.25, abs=1e-14)
+        assert v @ Q @ v == pytest.approx(1.25, abs=1e-14)
+        assert grid_distribution(np.cumsum(v), 4).variance() == pytest.approx(1.25, abs=1e-14)
 
     @pytest.mark.parametrize("N", [4, 10, 50])
     def test_quadratic_form_matches_moments(self, N):
@@ -45,9 +45,8 @@ class TestVariance:
         Q = variance_q_matrix(N)
         for _ in range(30):
             v = rng.exponential(1.0, N - 1)
-            inc = QuantileIncrements(N, v)
             assert v @ Q @ v == pytest.approx(
-                inc.to_distribution().variance(), abs=1e-10, rel=1e-10
+                grid_distribution(np.cumsum(v), N).variance(), abs=1e-10, rel=1e-10
             )
 
     def test_problem_validation(self):

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from helpers import enumerate_prophet, random_dist
 from prophet_sharp import (
     DiscreteDistribution,
-    QuantileIncrements,
     grid_distribution,
-    infer_grid_size,
     lfd_from_mu_diff,
     lfd_from_mu_ratio,
 )
@@ -89,15 +87,6 @@ class TestQuantile:
 
     def test_quantile_point_mass(self):
         assert DiscreteDistribution.point_mass(2.0).quantile(1.0) == 2.0
-
-    @pytest.mark.parametrize("t,expected", [(10.0, 0.0), (20.0, 5.0), (1.0, 0.0)])
-    def test_tail_quantile(self, t, expected):
-        F = DiscreteDistribution.from_atoms([(0.0, 0.9), (5.0, 0.1)])
-        assert F.tail_quantile(t) == expected
-
-    def test_tail_quantile_rejects_below_one(self):
-        with pytest.raises(ValueError):
-            COIN.tail_quantile(0.5)
 
     def test_galois_property_random(self):
         rng = np.random.default_rng(7)
@@ -211,29 +200,20 @@ class TestReconstruction:
 
 class TestGridTypes:
     def test_increments_roundtrip(self):
-        inc = QuantileIncrements(4, np.array([1.0, 1.0, 1.0]))
-        F = inc.to_distribution()
+        F = grid_distribution(np.cumsum([1.0, 1.0, 1.0]), 4)
         np.testing.assert_allclose(F.values, [0.0, 1.0, 2.0, 3.0])
         np.testing.assert_allclose(F.probs, [0.25] * 4)
 
     def test_increments_validation(self):
         with pytest.raises(ValueError):
-            QuantileIncrements(4, np.array([1.0, -1.0, 1.0]))
+            grid_distribution(np.cumsum([1.0, -1.0, 1.0]), 4)
         with pytest.raises(ValueError):
-            QuantileIncrements(3, np.array([1.0, 1.0, 1.0]))
+            grid_distribution(np.cumsum([1.0, 1.0, 1.0]), 3)
 
     def test_grid_distribution_merges(self):
         F = grid_distribution(np.array([0.0, 0.0, 2.0]), 4)
         np.testing.assert_allclose(F.values, [0.0, 2.0])
         np.testing.assert_allclose(F.probs, [0.75, 0.25])
-
-    def test_infer_grid_size(self):
-        assert infer_grid_size(DiscreteDistribution.point_mass(2.0)) == 2
-        assert infer_grid_size(COIN) == 2
-        F = grid_distribution(np.array([0.5, 1.0, 1.5, 9.0]), 5)
-        assert infer_grid_size(F) == 5
-        irr = DiscreteDistribution.from_atoms([(0.0, 1 / np.pi), (1.0, 1 - 1 / np.pi)])
-        assert infer_grid_size(irr, max_size=10**4) is None
 
 
 class TestSerialization:

@@ -20,7 +20,7 @@ from prophet_sharp import (
     stop_weight,
     support_cutoff,
 )
-from prophet_sharp.dist import QuantileIncrements, lfd_from_mu_ratio
+from prophet_sharp.dist import grid_distribution, lfd_from_mu_ratio
 from prophet_sharp.kernel import check_grid, payoff_entries
 from prophet_sharp.reward import (
     ThresholdRule,
@@ -190,8 +190,8 @@ COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
     lambda: growth_bound_check(COIN, 3, 1.0),
     lambda: check_grid(10, True),
     lambda: check_grid(10, 40.0),
-    lambda: QuantileIncrements(4.0, np.ones(3)),
-    lambda: QuantileIncrements(np.bool_(True), np.ones(0)),
+    lambda: grid_distribution(np.cumsum(np.ones(3)), 4.0),
+    lambda: grid_distribution(np.cumsum(np.ones(0)), np.bool_(True)),
     lambda: optimal_rule(COIN, 2, mode="grid-exact", grid_size=True),
     lambda: SimConfig(trials=10.0, seed=1, n=4),
     lambda: SimConfig(trials=10, seed=1, n=np.int64(1)),

@@ -28,8 +28,9 @@ from prophet_sharp import (
     rule_at_level,
     samuel_cahn_closed_forms,
     samuel_cahn_distribution,
+    sharp_regret,
 )
-from prophet_sharp.dist import QuantileIncrements
+from prophet_sharp.dist import grid_distribution
 
 COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
 #: the fixed distributions of acceptance criteria 1 (n = 10) and 2 (n = 25):
@@ -126,7 +127,7 @@ class TestRewardByLevel:
         rng = np.random.default_rng(127)
         for N in (4, 9, 16):
             v = rng.exponential(1.0, N - 1)
-            F = QuantileIncrements(N, v).to_distribution()
+            F = grid_distribution(np.cumsum(v), N)
             B = reward_weights(4, N)
             expected = B @ v
             got = [reward_by_level(F, 4, i / N) for i in range(1, N)]
@@ -183,12 +184,12 @@ class TestOptimalRule:
         assert res.evaluation.value == pytest.approx(3.0, abs=1e-12)
 
     def test_point_mass_grid_exact(self):
-        res = optimal_rule(DiscreteDistribution.point_mass(2.0), 3, mode="grid-exact")
+        res = optimal_rule(DiscreteDistribution.point_mass(2.0), 3, mode="grid-exact", grid_size=2)
         assert res.rule.theta == 2.0
         assert res.evaluation.value == 2.0
 
     def test_coin_grid_exact(self):
-        res = optimal_rule(COIN, 2, mode="grid-exact")
+        res = optimal_rule(COIN, 2, mode="grid-exact", grid_size=2)
         assert res.rule.theta == 0.0
         assert res.rule.p == 0.0
         assert res.evaluation.value == pytest.approx(0.75, abs=1e-14)
@@ -216,7 +217,6 @@ class TestOptimalRule:
             res = optimal_rule(F, n, mode="level-search")
             fallback = max(reward_by_level(F, n, x) for x in np.linspace(0, 1, 41))
             assert res.evaluation.value >= fallback - 1e-10
-            assert res.search_gap >= 0.0
 
     @pytest.mark.parametrize("case", ["criterion_1", "ehsani_100"])
     def test_level_search_is_exact(self, case):
@@ -225,7 +225,6 @@ class TestOptimalRule:
         else:
             F, n = ehsani_distribution(100), 100
         res = optimal_rule(F, n, mode="level-search")
-        assert res.search_gap == 0.0
         best = exact_best_level(F, n)[1]
         theta, p = res.rule.theta, res.rule.p
         level = p * F.cdf_left(theta) + (1.0 - p) * F.cdf(theta)
@@ -272,8 +271,12 @@ class TestOptimalRule:
 
     def test_grid_exact_requires_grid(self):
         irr = DiscreteDistribution.from_atoms([(0.0, 1 / np.pi), (1.0, 1 - 1 / np.pi)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid size"):
             optimal_rule(irr, 3, mode="grid-exact")
+        # this lfd's cumulative probabilities all lie on the coarser 1/175
+        # grid, so no size read off the atoms can tell it from N = 700
+        with pytest.raises(ValueError, match="grid size"):
+            optimal_rule(sharp_regret(25, 700).lfd, 25, mode="grid-exact")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

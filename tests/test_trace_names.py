@@ -2,28 +2,15 @@
 name; every name it lists must exist, or a traced run stops at install."""
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import prophet_sharp
 import prophet_sharp.cli  # noqa: F401  (the tracer rebinds names in cli too)
+from helpers import load_perfbench
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-spans = _load_spans()
+spans = load_perfbench("spans")
 #: Tracer.install also rebinds reward.reward_by_level to count calls
 NAMES = sorted({*spans.TRACED, *spans.SOLVERS, ("reward", "reward_by_level")})
 
