@@ -7,9 +7,9 @@ __version__ = "0.1.0"
 
 from .constrained import (
     KappaResult,
-    ParetoProblem,
     ParetoResult,
     kappa,
+    pareto_band,
     pareto_ratio,
 )
 from .dist import (

@@ -3,10 +3,10 @@
 Bounded variance: the worst-case regret over the variance-<=sigma^2 grid
 family is kappa_n * sigma, kappa_n = 1 / sqrt(min{ z^T Q z : A_N z >= 1,
 z >= 0 }), solved by an isotonic-regression split (see kappa).  Pareto-like
-tails: the worst-case ratio over a band on the cumulative quantiles is a
-game against the band's Charnes-Cooper polytope, solved by double oracle
-with Dinkelbach steps for the adversary (see pareto_ratio).  Both ends of
-each bracket are replayed in O(N) or O(N log N) arithmetic.
+tails: the worst-case ratio over the band pareto_band(N, p0, p1) on the
+cumulative quantiles is a game against the band's points, solved by double
+oracle with Dinkelbach steps for the adversary (see pareto_ratio).  Both
+ends of each bracket are replayed in O(N) or O(N log N) arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression, linprog, minimize, nnls  # noqa: F401
 
 from .game import SolverError, double_oracle
-from .kernel import check_grid, prophet_weights, reward_matvec, reward_rmatvec
+from .kernel import check_grid, check_integer, prophet_weights, reward_matvec, reward_rmatvec
 
 #: cap on the steps of one _dinkelbach call; pareto_ratio at N = 20000 and
 #: n in {10, 100} takes at most 7 per call
@@ -160,36 +160,14 @@ def _min_norm_mixture(rows: np.ndarray, w: np.ndarray):
         w, fit = step, new
 
 
-@dataclass(frozen=True)
-class ParetoProblem:
-    """Quantile band for the Pareto-like family: q_lo <= u_i <= q_hi."""
-
-    n: int
-    N: int
-    p0: float
-    p1: float
-    q_lo: np.ndarray
-    q_hi: np.ndarray
-
-    def __post_init__(self):
-        if self.q_lo.shape != (self.N - 1,) or self.q_hi.shape != (self.N - 1,):
-            raise ValueError(f"quantile bounds must have length N-1 = {self.N - 1}")
-        if (not np.all(np.isfinite(self.q_lo) & (self.q_lo >= 0.0)) or np.any(np.isnan(self.q_hi))
-                or not self.q_hi[-1] > 0.0):
-            raise ValueError("q_lo must be finite and nonnegative, q_hi not NaN, and q_hi[-1] > 0")
-        if np.any(self.q_lo > self.q_hi):
-            raise ValueError("q_lo must be componentwise <= q_hi")
-        if np.any(self.q_lo[1:] < self.q_lo[:-1]) or np.any(self.q_hi[1:] < self.q_hi[:-1]):
-            raise ValueError("quantile bounds must be nondecreasing")
-
-    @classmethod
-    def build(cls, n: int, N: int, p0: float, p1: float) -> "ParetoProblem":
-        if not p0 > p1 > 1.0:
-            raise ValueError(f"need p0 > p1 > 1, got p0={p0!r}, p1={p1!r}")
-        n, N = check_grid(n, N)
-        i = np.arange(1, N, dtype=np.float64)
-        base = N / (N - i)
-        return cls(n=n, N=N, p0=p0, p1=p1, q_lo=base ** (1.0 / p0), q_hi=base ** (1.0 / p1))
+def pareto_band(N: int, p0: float, p1: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Pareto-like band (q_lo, q_hi) on the cumulative quantiles u_i, i < N:
+    the i/N-quantiles (N/(N-i))^{1/p} of P(X > x) = x^{-p} at p = p0 and p1."""
+    check_integer(N, "grid size", 3)
+    if not p0 > p1 > 1.0:
+        raise ValueError(f"need p0 > p1 > 1, got p0={p0!r}, p1={p1!r}")
+    base = N / (N - np.arange(1, N, dtype=np.float64))
+    return base ** (1.0 / p0), base ** (1.0 / p1)
 
 
 @dataclass(frozen=True)
@@ -206,35 +184,23 @@ class ParetoResult:
         return json.dumps(self.as_dict())
 
 
-def pareto_ratio(
-    n: int,
-    N: int,
-    p0: float,
-    p1: float,
-    tol: float = 1e-6,
-    q_lo: np.ndarray | None = None,
-    q_hi: np.ndarray | None = None,
-) -> ParetoResult:
+def pareto_ratio(n: int, N: int, p0: float, p1: float, tol: float = 1e-6) -> ParetoResult:
     """Worst-case ratio max_i (B v)_i / d^T v over increments v of quantiles
-    q_lo <= u <= q_hi: the value of min over w in W = {v / d^T v} of max over
-    lam of lam^T B w, by game.double_oracle on stopper levels and points of
-    W (or rays, where q_hi = +inf), stored as B w_k.  The stopper responds
+    q_lo <= u <= q_hi, the band pareto_band(N, p0, p1): the value of min over
+    w in W = {v / d^T v} of max over lam of lam^T B w, by game.double_oracle
+    on stopper levels and points of W, stored as B w_k.  The stopper responds
     by argmax B w, the adversary by _dinkelbach on c = B^T lam, new when
     1e-12 (relative) below the block's best.  value is the ratio of the
     witness u = y / s, (y, s) the mixture of the columns' (cumsum(w), s),
-    replayed through reward_matvec; the lower end is the last certified rho.
-    q_lo/q_hi may be overridden; they are checked as ParetoProblem does."""
+    replayed through reward_matvec; the lower end is the last certified rho."""
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    problem = ParetoProblem.build(n, N, p0, p1)
-    q_lo = problem.q_lo if q_lo is None else np.asarray(q_lo, dtype=np.float64)
-    q_hi = problem.q_hi if q_hi is None else np.asarray(q_hi, dtype=np.float64)
-    ParetoProblem(n, N, p0, p1, q_lo, q_hi)  # checks an overridden band
+    n, N = check_grid(n, N)
+    q_lo, q_hi = pareto_band(N, p0, p1)
     m = N - 1
     d = prophet_weights(n, N)
     band = _band_windows(q_lo, q_hi)
-    finite = bool(np.isfinite(q_hi[-1]))  # the first column: u = q_hi, or the top level's ray
-    points = [_scaled(np.diff(q_hi, prepend=0.0) if finite else np.eye(1, m, m - 1)[0], finite, d)]
+    points = [_scaled(np.diff(q_hi, prepend=0.0), d)]  # the first column: u = q_hi
     payoffs, steps = reward_matvec(n, N, points[0][0])[:, None], []
 
     def respond(rows, cols, alpha, weights):
@@ -256,12 +222,7 @@ def pareto_ratio(
     (cols, alpha, lower), stats = double_oracle(
         lambda rows, cols: 1024.0 * payoffs[np.ix_(rows, cols)], respond, m // 2, 0)
     y = np.cumsum(sum(a * points[k][0] for k, a in zip(cols, alpha)))
-    scale = sum(a * points[k][1] for k, a in zip(cols, alpha))
-    # with scale 0, y is a recession direction of the band (q_hi = +inf where y > 0): u =
-    # q_lo + C y stays in it, and its ratio exceeds the mixture's by <= excess / C < 1e-6 tol
-    v_lo = np.diff(q_lo, prepend=0.0)
-    excess = max(float((reward_matvec(n, N, v_lo) - lower * (d @ v_lo)).max()), 0.0)
-    u = y / scale if scale > 0.0 else q_lo + (1.0 + 1e6 * excess / tol) * y
+    u = y / sum(a * points[k][1] for k, a in zip(cols, alpha))
     # the bounds are nondecreasing, so the clipped u is too and v >= 0
     u = np.clip(u, q_lo, q_hi)
     v = np.diff(u, prepend=0.0)
@@ -284,51 +245,45 @@ def pareto_ratio(
                         stats={**stats, "dinkelbach_steps": sum(steps)})
 
 
-def _scaled(x: np.ndarray, s: float, d: np.ndarray):  # (v, 1) or (e_k, 0) as (w, s) in W
-    return x / (d @ x), s / float(d @ x)
+def _scaled(v: np.ndarray, d: np.ndarray):  # the band point v as (w, s) in W
+    return v / (d @ v), 1.0 / float(d @ v)
 
 
 def _band_windows(q_lo: np.ndarray, q_hi: np.ndarray):
     """Breakpoints s_t (0 and the band's values) and the windows [#{q_hi <= s_t},
     #{q_lo <= s_t}] of the starts k of {j : u_j > s} = {j >= k}, s in [s_t,
-    s_t+1) (k = N-1: empty); the last one starts where q_hi = +inf starts."""
-    s = np.unique(np.concatenate(([0.0], q_lo, q_hi[np.isfinite(q_hi)])))
+    s_t+1) (k = N-1: empty)."""
+    s = np.unique(np.concatenate(([0.0], q_lo, q_hi)))
     return s, np.searchsorted(q_hi, s, side="right"), np.searchsorted(q_lo, s, side="right")
 
 
 def _dinkelbach(c: np.ndarray, d: np.ndarray, band, rho: float):
-    """min of c^T v / d^T v over the band and rays by Dinkelbach steps from a
-    point's or ray's ratio rho (Management Sci. 13, 1967).  Returns the first
-    rho at which min (c - rho d)^T v >= 0 in float (a stalled descent steps
-    rho down), the last (ratio, point) that lowered rho or None, and steps;
-    SolverError after MAX_DINKELBACH_STEPS steps."""
-    rays, best, stall, steps = band[1][-1], None, 2.0**-52, 0
+    """min of c^T v / d^T v over the band by Dinkelbach steps from a point's
+    ratio rho (Management Sci. 13, 1967).  Returns the first rho at which
+    min (c - rho d)^T v >= 0 in float (a stalled descent steps rho down), the
+    last (ratio, point) that lowered rho or None, and steps; SolverError
+    after MAX_DINKELBACH_STEPS steps."""
+    best, stall, steps = None, 2.0**-52, 0
     while True:
         if steps == MAX_DINKELBACH_STEPS:
             raise SolverError(f"Dinkelbach steps did not settle in {MAX_DINKELBACH_STEPS}")
         steps += 1
         e = c - rho * d
-        u = _band_min(e, *band)
-        if u is not None:
-            v = np.diff(u, prepend=0.0)
-            if e @ v >= 0.0:
-                return rho, best, steps
-            candidate = float(c @ v) / float(d @ v), _scaled(v, 1.0, d)
-        else:
-            k = rays + int(np.argmin(c[rays:] / d[rays:]))
-            candidate = float(c[k] / d[k]), _scaled(np.eye(1, d.size, k)[0], 0.0, d)
+        v = np.diff(_band_min(e, *band), prepend=0.0)
+        if e @ v >= 0.0:
+            return rho, best, steps
+        candidate = float(c @ v) / float(d @ v), _scaled(v, d)
         if candidate[0] < rho:
             rho, best = candidate[0], candidate
         else:
             rho, stall = rho - stall, 2.0 * stall
 
 
-def _band_min(e: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """u minimizing e^T v over the band in O(N log N), or None at -inf (a ray
-    with e_k < 0): e^T v integrates e_k(s) over s, k(s) the start of {j :
-    u_j > s} (e_{N-1} = 0).  The rightmost argmin of e on k(s)'s window,
-    from a sparse table on windows of length 2^level, is optimal and
-    nondecreasing in s, so the sets nest."""
+def _band_min(e: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """u minimizing e^T v over the band in O(N log N): e^T v integrates
+    e_k(s) over s, k(s) the start of {j : u_j > s} (e_{N-1} = 0).  The
+    rightmost argmin of e on k(s)'s window, from a sparse table on windows
+    of length 2^level, is optimal and nondecreasing in s, so the sets nest."""
     e = np.append(e, 0.0)
     table = np.zeros((e.size.bit_length(), e.size), dtype=np.intp)
     table[0], mins = np.arange(e.size), e
@@ -341,7 +296,5 @@ def _band_min(e: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     level = np.frexp(hi - lo + 1)[1] - 1
     left, right = table[level, lo], table[level, hi - 2**level + 1]
     k = np.where(e[right] <= e[left], right, left)
-    if k[-1] < e.size - 1:
-        return None
     # u_j = s_T for the first interval T whose level set starts above j
     return s[np.searchsorted(k, np.arange(e.size - 1), side="right")]

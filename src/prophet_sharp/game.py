@@ -290,11 +290,14 @@ def verify_solution(
 
     Ratio kind: every alternative's optimal single-threshold ratio must be at
     least bracket lower.  Difference kind: optimal regret at most bracket
-    upper.  Each alternative is measured by the exact level search;
-    counterexamples come back as (index, measured value).
+    upper, for the [0, 1]-supported alternatives that bound covers; an atom
+    above 1 raises ValueError.  Each alternative is measured by the exact
+    level search; counterexamples come back as (index, measured value).
     """
     bad = []
     for idx, alt in enumerate(alternatives):
+        if report.kind is KernelKind.DIFFERENCE and alt.values[-1] > 1.0:
+            raise ValueError(f"alternative {idx} has an atom above 1: the regret covers [0, 1] only")
         best = optimal_rule(alt, report.n).evaluation
         if report.kind is KernelKind.RATIO and best.ratio < report.bracket[0] - slack:
             bad.append((idx, best.ratio))

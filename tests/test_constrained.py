@@ -5,17 +5,18 @@ from helpers import (
     band_min_lp,
     band_ratio_lp,
     kappa_ldp,
+    load_perfbench,
     min_norm_mixture_bisecting,
     pareto_bisection,
 )
 from prophet_sharp import constrained
 from prophet_sharp import (
     DiscreteDistribution,
-    ParetoProblem,
     SolverError,
     grid_distribution,
     ratio_floor,
     kappa,
+    pareto_band,
     pareto_ratio,
     sharp_ratio,
     sharp_regret,
@@ -195,12 +196,20 @@ class TestKappa:
 
 class TestPareto:
     def test_problem_band(self):
-        prob = ParetoProblem.build(10, 100, 20.0, 5.0)
-        assert np.all(prob.q_lo <= prob.q_hi)
-        assert np.all(np.diff(prob.q_lo) >= 0) and np.all(np.diff(prob.q_hi) >= 0)
-        assert prob.q_lo[0] > 1.0
+        q_lo, q_hi = pareto_band(100, 20.0, 5.0)
+        assert np.all(q_lo <= q_hi)
+        assert np.all(np.diff(q_lo) >= 0) and np.all(np.diff(q_hi) >= 0)
+        assert q_lo[0] > 1.0
         with pytest.raises(ValueError):
-            ParetoProblem.build(10, 100, 5.0, 20.0)
+            pareto_band(100, 5.0, 20.0)
+
+    @pytest.mark.parametrize("N", [3, 200, 20000])
+    @pytest.mark.parametrize("p0,p1", [(20.0, 5.0), (5.5, 5.0), (100.0, 1.01)])
+    def test_band_is_the_benchmark_band(self, N, p0, p1):
+        # the benchmark checks pareto_ratio against its own copy of the band
+        oracles = load_perfbench("oracles")
+        for ours, theirs in zip(pareto_band(N, p0, p1), oracles.pareto_band(N, p0, p1)):
+            assert ours.tobytes() == theirs.tobytes()
 
     @pytest.mark.parametrize("n,N", [(2.5, 40), (10, 40.0), (True, 40), (10, "abc")])
     def test_rejects_non_integer_sizes(self, n, N):
@@ -225,14 +234,6 @@ class TestPareto:
         assert constrained.value >= unconstrained.value - 2e-6
         assert constrained.value >= ratio_floor(n) - 2e-6
 
-    def test_unconstrained_band_recovers_game(self):
-        n, N = 5, 120
-        free = pareto_ratio(
-            n, N, 20.0, 5.0, tol=1e-7,
-            q_lo=np.zeros(N - 1), q_hi=np.full(N - 1, np.inf),
-        )
-        assert free.value == pytest.approx(sharp_ratio(n, N).value, abs=2e-7)
-
     def test_witness_is_distribution_increments(self):
         res = pareto_ratio(4, 80, 20.0, 5.0, tol=1e-6)
         assert res.v.min() >= 0.0
@@ -241,55 +242,16 @@ class TestPareto:
     @pytest.mark.parametrize("n,N", [(4, 40), (5, 60), (10, 120)])
     @pytest.mark.parametrize("band", ["default", "narrow"])
     def test_matches_dense_bisection(self, n, N, band):
-        prob = ParetoProblem.build(n, N, 20.0, 5.0)
-        q_lo = prob.q_lo if band == "default" else np.sqrt(prob.q_lo * prob.q_hi)
-        res = pareto_ratio(n, N, 20.0, 5.0, q_lo=q_lo)
-        lo, hi = pareto_bisection(n, N, q_lo, prob.q_hi)
+        # "narrow": p0 = 5.5 close to p1 = 5 pins u to a thin band
+        p0, p1 = (20.0, 5.0) if band == "default" else (5.5, 5.0)
+        q_lo, q_hi = pareto_band(N, p0, p1)
+        res = pareto_ratio(n, N, p0, p1)
+        lo, hi = pareto_bisection(n, N, q_lo, q_hi)
         # the oracle counts a level as feasible at slack <= 1e-9
         assert lo - 1e-8 <= res.value <= hi + 1e-8
         assert res.value == res.certificate["bracket"][1]
         u = np.cumsum(res.v)
-        assert np.all(u >= q_lo * (1 - 1e-12)) and np.all(u <= prob.q_hi * (1 + 1e-12))
-
-    @pytest.mark.parametrize("n,N", [(4, 40), (10, 120)])
-    def test_one_sided_band(self, n, N):
-        # with q_hi = +inf the LP optimum has s = 0, and the band's infimum,
-        # not attained, is the unconstrained game's value
-        prob = ParetoProblem.build(n, N, 20.0, 5.0)
-        q_hi = np.full(N - 1, np.inf)
-        res = pareto_ratio(n, N, 20.0, 5.0, q_hi=q_hi)
-        lo, hi = pareto_bisection(n, N, prob.q_lo, q_hi)
-        assert lo - 1e-8 <= res.value <= hi + 1e-8
-        assert res.value == pytest.approx(sharp_ratio(n, N).value, abs=1e-9)
-        cert = res.certificate
-        assert cert["bracket"][1] - cert["bracket"][0] <= 1e-6
-        assert cert["band_violation"] == 0.0
-        assert res.v.min() >= 0.0
-
-    def test_rejects_bad_band_override(self):
-        prob = ParetoProblem.build(4, 40, 20.0, 5.0)
-        dip = prob.q_lo.copy()
-        dip[5] = 0.5 * dip[4]
-        for bad in ({"q_lo": dip}, {"q_lo": prob.q_hi + 1.0}, {"q_lo": -prob.q_lo},
-                    {"q_hi": prob.q_hi[:-1]}):
-            with pytest.raises(ValueError):
-                pareto_ratio(4, 40, 20.0, 5.0, **bad)
-
-    @pytest.mark.parametrize("bad", ["q_lo nan", "q_hi nan", "q_lo inf", "q_hi zero"])
-    def test_rejects_non_finite_band_override(self, bad):
-        # each of these bands passes the ordering checks
-        prob = ParetoProblem.build(4, 40, 20.0, 5.0)
-        q_lo, q_hi = prob.q_lo.copy(), prob.q_hi.copy()
-        if bad == "q_lo nan":
-            q_lo[3] = np.nan
-        elif bad == "q_hi nan":
-            q_hi[3] = np.nan
-        elif bad == "q_lo inf":
-            q_lo[-1] = q_hi[-1] = np.inf
-        else:
-            q_lo[:], q_hi[:] = 0.0, 0.0
-        with pytest.raises(ValueError):
-            pareto_ratio(4, 40, 20.0, 5.0, q_lo=q_lo, q_hi=q_hi)
+        assert np.all(u >= q_lo * (1 - 1e-12)) and np.all(u <= q_hi * (1 + 1e-12))
 
     def test_bracket_survives_perturbed_highs_output(self, monkeypatch):
         # both ends are replayed: strategies that HiGHS got wrong by up to
@@ -313,29 +275,21 @@ class TestPareto:
         assert lower < expected.certificate["bracket"][0] <= expected.value < upper
         assert res.value == upper
 
-    def test_faulty_band_oracle_raises(self, monkeypatch):
-        # with the q_lo windows counted with side="left" the band oracle's
-        # minima are wrong and its Dinkelbach steps never settle; the step
-        # cap turns the endless loop into a SolverError
-        def faulty(q_lo, q_hi):
-            s, hi_starts, _ = _band_windows(q_lo, q_hi)
-            return s, hi_starts, np.searchsorted(q_lo, s, side="left")
-
-        monkeypatch.setattr(constrained, "_band_windows", faulty)
-        N = 120
+    def test_dinkelbach_step_cap_raises(self, monkeypatch):
+        # the step cap turns a Dinkelbach search that does not settle into a SolverError
+        monkeypatch.setattr(constrained, "MAX_DINKELBACH_STEPS", 1)
         with pytest.raises(SolverError, match="Dinkelbach"):
-            pareto_ratio(5, N, 20.0, 5.0, tol=1e-7, q_lo=np.zeros(N - 1),
-                         q_hi=np.full(N - 1, np.inf))
+            pareto_ratio(5, 120, 20.0, 5.0)
 
     def test_large_grid(self):
         N = 20000
         res = pareto_ratio(10, N, 20.0, 5.0)
-        prob = ParetoProblem.build(10, N, 20.0, 5.0)
+        q_lo, q_hi = pareto_band(N, 20.0, 5.0)
         lower, upper = res.certificate["bracket"]
         assert 0.0 <= upper - lower <= 1e-6 and res.value == upper
         u = np.cumsum(res.v)
         assert res.v.min() >= 0.0
-        assert np.all(u >= prob.q_lo * (1 - 1e-12)) and np.all(u <= prob.q_hi * (1 + 1e-12))
+        assert np.all(u >= q_lo * (1 - 1e-12)) and np.all(u <= q_hi * (1 + 1e-12))
 
     def test_stats(self):
         res = pareto_ratio(4, 40, 20.0, 5.0)
@@ -366,42 +320,29 @@ def _random_band(rng, m, kind):
         q_hi = np.maximum.accumulate(q_lo + rng.exponential(1.0, m))
     if kind == "narrow":
         q_hi = q_lo * (1.0 + 1e-3) + 1e-3
-    elif kind == "one-sided":
-        q_hi[rng.integers(0, m):] = np.inf
     elif kind == "q_lo = 0":
         q_lo[:] = 0.0
-        if rng.random() < 0.5:
-            q_hi[rng.integers(0, m):] = np.inf
     q_hi[-1] = max(q_hi[-1], 1.0)
     return q_lo, q_hi
 
 
-KINDS = ["two-sided", "narrow", "one-sided", "q_lo = 0"]
+KINDS = ["two-sided", "narrow", "q_lo = 0"]
 
 
 class TestBandOracle:
     @pytest.mark.parametrize("kind", KINDS)
     def test_band_min_matches_dense_lp(self, kind):
         rng = np.random.default_rng(KINDS.index(kind))
-        rays = 0
         for _ in range(60):
             m = int(rng.integers(2, 12))
             q_lo, q_hi = _random_band(rng, m, kind)
             # half of the costs on a lattice: ties, also with the empty set's 0
             e = rng.normal(size=m) if rng.random() < 0.5 else rng.integers(-2, 3, m) * 1.0
-            band = _band_windows(q_lo, q_hi)
-            u = _band_min(e, *band)
+            u = _band_min(e, *_band_windows(q_lo, q_hi))
             reference = band_min_lp(e, q_lo, q_hi)
-            if u is None:
-                # a ray: a unit increment at a level with q_hi = +inf and e_k < 0
-                rays += 1
-                assert reference == -np.inf
-                assert band[1][-1] < m and e[band[1][-1]:].min() < 0.0
-            else:
-                assert np.all(np.diff(u) >= 0.0) and np.all(q_lo <= u) and np.all(u <= q_hi)
-                value = e @ np.diff(u, prepend=0.0)
-                assert value == pytest.approx(reference, rel=1e-9, abs=1e-9)
-        assert (rays > 0) == (kind in ("one-sided", "q_lo = 0"))
+            assert np.all(np.diff(u) >= 0.0) and np.all(q_lo <= u) and np.all(u <= q_hi)
+            value = e @ np.diff(u, prepend=0.0)
+            assert value == pytest.approx(reference, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_dinkelbach_matches_charnes_cooper_lp(self, kind):
@@ -412,13 +353,9 @@ class TestBandOracle:
             q_lo, q_hi = _random_band(rng, m, kind)
             d = prophet_weights(n, m + 1)
             c = reward_rmatvec(n, m + 1, rng.dirichlet(np.full(m, 0.5)))
-            band = _band_windows(q_lo, q_hi)
-            if np.isfinite(q_hi[-1]):
-                v_hi = np.diff(q_hi, prepend=0.0)
-                start = (c @ v_hi) / (d @ v_hi)
-            else:
-                start = (c[band[1][-1]:] / d[band[1][-1]:]).min()
-            lower, best, steps = _dinkelbach(c, d, band, start)
+            v_hi = np.diff(q_hi, prepend=0.0)
+            lower, best, steps = _dinkelbach(c, d, _band_windows(q_lo, q_hi),
+                                             (c @ v_hi) / (d @ v_hi))
             reference = band_ratio_lp(c, d, q_lo, q_hi)
             assert steps >= 1
             assert lower == pytest.approx(reference, rel=1e-9)
@@ -430,4 +367,4 @@ class TestBandOracle:
                 assert ratio == pytest.approx(c @ w, rel=1e-14)
                 assert d @ w == pytest.approx(1.0) and w.min() >= 0.0
                 assert np.all(s * q_lo <= y * (1 + 1e-12)) and np.all(y <= s * q_hi * (1 + 1e-12))
-                assert s > 0.0 or np.count_nonzero(w) == 1
+                assert s > 0.0

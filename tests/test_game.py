@@ -4,6 +4,7 @@ import pytest
 from helpers import game_lp, limit_regret_matrix, oracle_maxmin, oracle_minmax, random_grid_member
 from prophet_sharp import game
 from prophet_sharp import (
+    DiscreteDistribution,
     KernelKind,
     SolverError,
     ratio_floor,
@@ -284,6 +285,17 @@ class TestVerify:
             if cand.values[-1] <= 1.0:
                 alts.append(cand)
         assert verify_solution(rep, alts).ok
+
+    def test_regret_rejects_atoms_above_one(self):
+        # the sharp regret bounds [0, 1]-supported laws only; a scaled law's
+        # regret scales with it and is no counterexample
+        rep = sharp_regret(5, 60)
+        scaled = DiscreteDistribution(rep.lfd.values * 10.0, rep.lfd.probs)
+        with pytest.raises(ValueError, match="alternative 1 "):
+            verify_solution(rep, [rep.lfd, scaled])
+        ratio = sharp_ratio(5, 60)
+        assert verify_solution(ratio, [DiscreteDistribution(ratio.lfd.values * 10.0,
+                                                            ratio.lfd.probs)]).ok
 
     def test_samuel_cahn_sequence(self):
         # the classic hard sequence still beats the guaranteed floor
