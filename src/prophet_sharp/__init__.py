@@ -5,6 +5,8 @@ Carlo validator."""
 
 __version__ = "0.1.0"
 
+import types  # __all__ leaves out the submodules: a star import must not rebind a user name
+
 from .constrained import (
     KappaResult,
     ParetoResult,
@@ -62,6 +64,7 @@ from .reward import (
     samuel_cahn_closed_forms,
     samuel_cahn_distribution,
 )
-from .sim import SimConfig, SimResult, TrialStream, run_prophet, run_rule, sample
+from .sim import SimConfig, SimResult, run_prophet, run_rule
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

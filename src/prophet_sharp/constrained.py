@@ -11,7 +11,6 @@ ends of each bracket are replayed in O(N) or O(N log N) arithmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +39,6 @@ class KappaResult:
 
     def as_dict(self) -> dict:
         return {"kappa": self.value, "certificate": self.certificate}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
 
 
 def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
@@ -179,9 +175,6 @@ class ParetoResult:
 
     def as_dict(self) -> dict:
         return {"value": self.value, "certificate": self.certificate, "stats": self.stats}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
 
 
 def pareto_ratio(n: int, N: int, p0: float, p1: float, tol: float = 1e-6) -> ParetoResult:

@@ -15,7 +15,6 @@ strategies against the payoff matrix, never taken from solver internals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -49,6 +48,7 @@ _HIGHS_OPTIONS = {"output_flag": False, "primal_feasibility_tolerance": 1e-10,
 #: cap on double_oracle's rounds; the sharp games take at most 20 at
 #: N = 2e5 and pareto_ratio at most 19 at N = 20000
 MAX_ROUNDS = 1000
+VERIFY_SLACK = 1e-9  #: verify_solution's allowance for rounding past a bracket end
 
 
 class SolverError(RuntimeError):
@@ -162,9 +162,6 @@ class SharpConstantReport:
             "lfd": self.lfd.as_dict(),
             "stats": dict(self.stats),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
 
 
 def sharp_ratio(n: int, N: int, tol: float = 1e-7) -> SharpConstantReport:
@@ -284,24 +281,23 @@ class VerificationResult:
 def verify_solution(
     report: SharpConstantReport,
     alternatives: Iterable[DiscreteDistribution],
-    slack: float = 1e-9,
 ) -> VerificationResult:
     """Cross-validate a report against alternative distributions.
 
     Ratio kind: every alternative's optimal single-threshold ratio must be at
     least bracket lower.  Difference kind: optimal regret at most bracket
     upper, for the [0, 1]-supported alternatives that bound covers; an atom
-    above 1 raises ValueError.  Each alternative is measured by the exact
-    level search; counterexamples come back as (index, measured value).
+    above 1 raises ValueError; both ends allow VERIFY_SLACK.  Alternatives are
+    measured by the exact level search; a counterexample is (index, value).
     """
     bad = []
     for idx, alt in enumerate(alternatives):
         if report.kind is KernelKind.DIFFERENCE and alt.values[-1] > 1.0:
             raise ValueError(f"alternative {idx} has an atom above 1: the regret covers [0, 1] only")
         best = optimal_rule(alt, report.n).evaluation
-        if report.kind is KernelKind.RATIO and best.ratio < report.bracket[0] - slack:
+        if report.kind is KernelKind.RATIO and best.ratio < report.bracket[0] - VERIFY_SLACK:
             bad.append((idx, best.ratio))
-        elif report.kind is KernelKind.DIFFERENCE and best.regret > report.bracket[1] + slack:
+        elif report.kind is KernelKind.DIFFERENCE and best.regret > report.bracket[1] + VERIFY_SLACK:
             bad.append((idx, best.regret))
     return VerificationResult(ok=not bad, counterexamples=bad)
 

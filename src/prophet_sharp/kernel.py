@@ -67,8 +67,7 @@ def stop_weight(x, y, n: int) -> np.ndarray:
     This is the integrand of the quantile representation of the rule reward;
     R(x, y) = b(x, y) / (1 - y^n).  Broadcasts over x and y.
     """
-    check_horizon(n)
-    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    x, y = _check_point(x, y, n)
     return _weight(x, x ** (n - 1), _g(x, n), y)
 
 
@@ -156,10 +155,8 @@ def reward_weights(n: int, N: int) -> np.ndarray:
     B[i, j] = 1 - x_i^{n-1} y_j for j <= i (rank 2) and (1 - y_j) g(x_i)
     for j > i (rank 1), so B is semiseparable.
     """
-    check_horizon(n)
     y = _levels(N)
-    x = y[:, None]
-    return _weight(x, x ** (n - 1), _g(x, n), y)
+    return stop_weight(y[:, None], y, n)
 
 
 def prophet_weights(n: int, N: int) -> np.ndarray:

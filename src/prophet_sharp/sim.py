@@ -1,28 +1,28 @@
 """Monte Carlo simulation of threshold rules and the prophet benchmark.
 
 RNG: counter-based splitmix64 streams, one per trial, keyed by (seed, trial
-index): the state of trial t is mix(key ^ mix((t + 1) * golden)), and draw
-k of a stream, a 53-bit integer b (the uniform b * 2**-53), is a pure
-function of (seed, trial, k), so every run replays by seed.  The seed-free
-inner mix of the first chunk's trials is made once per process, on first
-use.  Observation t of a trial is its draw t (t < n) and the tie-break coin
-of step t its draw n + t, whether or not step t ties.  The loops stay on
-the integers (inversion by cut points, Devroye 1986, sec. III.2): the rule
-compares b with two cut points and the coin with ceil(p * 2**53), records
-each live trial's b (a trial that goes on overwrites it) and drops the
-stopped ones; the prophet keeps the largest 64-bit word, whose top 53 bits
-are the largest b.  One lookup per trial then gives the atom, from a guide
-table on the top bits of b (_atom_index) that leaves only the draws in
-buckets holding a cut point to a binary search.  Trials run in chunks of
-_CHUNK into one float64 reward array, about 16 bytes per trial at the peak
-including the summary; the result does not depend on the chunk size.
-TrialStream is the sequential view of one stream, by the same generator.
+index).  With mix splitmix64's finalizer and all arithmetic mod 2**64, the
+state of trial t is mix(mix(seed + golden) ^ mix((t + 1) * golden)) and its
+draw k is the 53-bit integer b = mix(state + (k + 1) * golden) >> 11, the
+uniform b * 2**-53: a pure function of (seed, trial, k), so every run
+replays by seed.  The seed-free inner mix of the first chunk's trials is
+made once per process, on first use.  Observation t of a trial is its draw
+t (t < n) and the tie-break coin of step t its draw n + t, whether or not
+step t ties.  The loops stay on the integers (inversion by cut points,
+Devroye 1986, sec. III.2): the rule compares b with two cut points and the
+coin with ceil(p * 2**53), records each live trial's b (a trial that goes
+on overwrites it) and drops the stopped ones; the prophet keeps the largest
+64-bit word, whose top 53 bits are the largest b.  One lookup per trial
+then gives the atom, from a guide table on the top bits of b (_atom_index)
+that leaves only the draws in buckets holding a cut point to a binary
+search.  Trials run in chunks of _CHUNK into one float64 reward array,
+about 16 bytes per trial at the peak including the summary; the result does
+not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,15 +62,11 @@ class SimResult:
         return {"mean": self.mean, "std_error": self.std_error,
                 "trials": self.trials, "seed": self.seed}
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
-
 
 # -- splitmix64 ---------------------------------------------------------------
 
 _U = np.uint64
 _CHUNK = 1 << 16
-_BLOCK = 256
 _HEAD = _CHUNK  # the trials of a first chunk, whose counter half is cached
 
 
@@ -109,31 +105,6 @@ def _words(states: np.ndarray, k) -> np.ndarray:
 def _bits(states: np.ndarray, k) -> np.ndarray:
     """Draw k of each stream as a 53-bit int64: the top 53 bits of its word."""
     return (_words(states, k) >> _U(11)).view(np.int64)
-
-
-class TrialStream:
-    """Sequential view of one trial's uniform stream; replayable by seed.
-    Draws are made _BLOCK positions at a time and handed out one by one."""
-
-    def __init__(self, seed: int, trial: int = 0):
-        check_integer(seed, "seed", 0, 2**64 - 1)
-        check_integer(trial, "trial", 0, 2**64 - 2)
-        self._state = _stream_states(int(seed), int(trial), int(trial) + 1)
-        self._count = 0
-        self._block: list[float] = []
-
-    def uniform(self) -> float:
-        k = self._count % _BLOCK
-        if k == 0:
-            positions = range(self._count, self._count + _BLOCK)
-            self._block = (_bits(self._state, positions) / _SCALE).tolist()
-        self._count += 1
-        return self._block[k]
-
-
-def sample(dist: DiscreteDistribution, stream: TrialStream) -> float:
-    """Inverse-CDF draw: always an atom of dist."""
-    return dist.quantile(stream.uniform())
 
 
 # -- trial loops ----------------------------------------------------------------

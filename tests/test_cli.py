@@ -4,11 +4,13 @@ import os
 import platform
 import re
 import threading
+import types
 
 import numpy as np
 import pytest
 import scipy
 
+import prophet_sharp
 from prophet_sharp import (
     DiscreteDistribution,
     SimConfig,
@@ -413,8 +415,14 @@ class TestPayloads:
         assert payload == result.as_dict()
 
     def test_to_json_is_as_dict(self):
-        results = [sharp_ratio(4, 30), kappa(5, 60, tol=1e-5), pareto_ratio(4, 50, 20.0, 5.0),
-                   run_rule(COIN, ThresholdRule(0.5, 0.0), SimConfig(trials=50, seed=1, n=3)),
-                   COIN]
-        for result in results:
-            assert result.to_json() == json.dumps(result.as_dict())
+        # the lfd file format that --dist reads
+        assert COIN.to_json() == json.dumps(COIN.as_dict())
+
+
+def test_star_import_binds_no_submodule():
+    assert not [name for name in prophet_sharp.__all__
+                if isinstance(getattr(prophet_sharp, name), types.ModuleType)]
+    namespace = {"dist": "my distribution"}
+    exec("from prophet_sharp import *", namespace)
+    assert namespace["dist"] == "my distribution"
+    assert namespace["sharp_ratio"] is sharp_ratio

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -319,7 +321,7 @@ class TestVerify:
 class TestSerialization:
     def test_report_json_shape(self):
         rep = sharp_regret(4, 30)
-        obj = __import__("json").loads(rep.to_json())
+        obj = json.loads(json.dumps(rep.as_dict()))
         assert set(obj) == {"n", "N", "kind", "value", "bracket", "gap",
                             "certified", "rule", "lfd", "stats"}
         assert obj["kind"] == "difference"

@@ -30,7 +30,7 @@ from prophet_sharp.reward import (
     ratio_floor,
     reward_v1,
 )
-from prophet_sharp.sim import SimConfig, TrialStream
+from prophet_sharp.sim import SimConfig
 
 
 def kernel_r_minform(x, y, n):
@@ -150,6 +150,8 @@ class TestArrays:
                 kernel_r(x, y, 3)
             with pytest.raises(ValueError):
                 kernel_a(x, y, 3)
+            with pytest.raises(ValueError):
+                stop_weight(x, y, 3)
 
 
 @pytest.mark.parametrize("call", [
@@ -196,12 +198,11 @@ COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
     lambda: optimal_rule(COIN, 2, mode="grid-exact", grid_size=True),
     lambda: SimConfig(trials=10.0, seed=1, n=4),
     lambda: SimConfig(trials=10, seed=1, n=np.int64(1)),
-    lambda: TrialStream(np.uint64(1), 0.5),
     lambda: pareto_band(40.0, 20.0, 5.0),
 ], ids=["err_bound_diff", "err_bound_ratio", "growth_bound_check_bool",
         "growth_bound_check_float", "check_grid_bool", "check_grid_float", "quantile_increments",
         "quantile_increments_numpy_bool", "optimal_rule", "sim_trials", "sim_horizon",
-        "trial_stream", "pareto_band"])
+        "pareto_band"])
 def test_rejects_non_integer_size(call):
     # one predicate (kernel.check_integer): int or np.integer, never bool, >= a minimum
     with pytest.raises(ValueError, match="integer"):
