@@ -31,6 +31,7 @@ from .game import (
     verify_solution,
 )
 from .kernel import (
+    Generator,
     KernelKind,
     PayoffMatrix,
     err_bound_diff,

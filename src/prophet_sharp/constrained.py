@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression, linprog, minimize, nnls  # noqa: F401
 
 from .game import SolverError, double_oracle
-from .kernel import check_grid, check_integer, prophet_weights, reward_matvec, reward_rmatvec
+from .kernel import Generator, check_grid, check_integer
 
 #: cap on the steps of one _dinkelbach call; pareto_ratio at N = 20000 and
 #: n in {10, 100} takes at most 7 per call
@@ -66,10 +66,11 @@ def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     m = N - 1
-    d = prophet_weights(n, N)
+    generator = Generator(n, N)
+    d = generator.d
 
     def dual_direction(mu):  # C^T mu = D^T (d sum(mu) - B^T mu)
-        return np.diff(d * mu.sum() - reward_rmatvec(n, N, mu), prepend=0.0, append=0.0)
+        return np.diff(d * mu.sum() - generator.rmatvec(mu), prepend=0.0, append=0.0)
 
     block, w = [0], np.ones(1)  # any start level works
     rows = dual_direction(np.eye(1, m, 0)[0])[None, :]
@@ -79,7 +80,7 @@ def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
         p = isotonic_regression(dual_direction(np.bincount(block, w, m)), increasing=False).x
         projections, line_searches = projections + projected + 1, line_searches + searched
         z = -np.diff(p)
-        a = d @ z - reward_matvec(n, N, z)
+        a = d @ z - generator.matvec(z)
         best = int(np.argmin(a))
         if best in block:
             break
@@ -102,7 +103,7 @@ def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
     certificate = {
         "kappa_lower": float(kappa_lower), "kappa_upper": float(kappa_upper), "gap": float(gap),
         "norm_sq": norm_sq, "dual_bound": dual_bound,
-        "feasibility_margin": float((d @ z_star - reward_matvec(n, N, z_star)).min() - kappa_lower),
+        "feasibility_margin": float((d @ z_star - generator.matvec(z_star)).min() - kappa_lower),
         # each round but the last adds a level; the last finds no new one
         "lbfgs_iterations": 0, "kkt_exact": True, "rounds": len(block), "block_rows": len(block),
         "projections": projections, "line_searches": line_searches,
@@ -185,16 +186,18 @@ def pareto_ratio(n: int, N: int, p0: float, p1: float, tol: float = 1e-6) -> Par
     by argmax B w, the adversary by _dinkelbach on c = B^T lam, new when
     1e-12 (relative) below the block's best.  value is the ratio of the
     witness u = y / s, (y, s) the mixture of the columns' (cumsum(w), s),
-    replayed through reward_matvec; the lower end is the last certified rho."""
+    replayed through B v; the lower end is the last certified rho.  One
+    kernel.Generator gives d and every product B w and B^T lam."""
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     n, N = check_grid(n, N)
     q_lo, q_hi = pareto_band(N, p0, p1)
     m = N - 1
-    d = prophet_weights(n, N)
+    generator = Generator(n, N)
+    d = generator.d
     band = _band_windows(q_lo, q_hi)
     points = [_scaled(np.diff(q_hi, prepend=0.0), d)]  # the first column: u = q_hi
-    payoffs, steps = reward_matvec(n, N, points[0][0])[:, None], []
+    payoffs, steps = generator.matvec(points[0][0])[:, None], []
 
     def respond(rows, cols, alpha, weights):
         nonlocal payoffs
@@ -202,13 +205,13 @@ def pareto_ratio(n: int, N: int, p0: float, p1: float, tol: float = 1e-6) -> Par
         lam[rows] = weights / weights.sum()
         best_row = int(np.argmax(payoffs[:, cols] @ alpha))
         restricted = float((lam @ payoffs[:, cols]).min())
-        lower, best, taken = _dinkelbach(reward_rmatvec(n, N, lam), d, band, restricted)
+        lower, best, taken = _dinkelbach(generator.rmatvec(lam), d, band, restricted)
         steps.append(taken)
         new_col = None
         if best is not None and best[0] < restricted - 1e-12 * abs(restricted):
             new_col = len(points)
             points.append(best[1])
-            payoffs = np.column_stack((payoffs, reward_matvec(n, N, best[1][0])))
+            payoffs = np.column_stack((payoffs, generator.matvec(best[1][0])))
         return None if best_row in rows else best_row, new_col, (cols, alpha / alpha.sum(), lower)
 
     # scaled exactly by 2^10, so that HiGHS's absolute 1e-10 tolerances admit 1e-12 better columns
@@ -219,7 +222,7 @@ def pareto_ratio(n: int, N: int, p0: float, p1: float, tol: float = 1e-6) -> Par
     # the bounds are nondecreasing, so the clipped u is too and v >= 0
     u = np.clip(u, q_lo, q_hi)
     v = np.diff(u, prepend=0.0)
-    achieved = float((reward_matvec(n, N, v) / (d @ v)).max())
+    achieved = float((generator.matvec(v) / (d @ v)).max())
     lower = min(lower, achieved)
     certificate = {
         "bracket": [lower, achieved],

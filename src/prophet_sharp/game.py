@@ -27,15 +27,12 @@ from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .dist import DiscreteDistribution, lfd_from_mu_diff, lfd_from_mu_ratio
 from .kernel import (
+    Generator,
     KernelKind,
     PayoffMatrix,
     check_grid,
     err_bound_diff,
     err_bound_ratio,
-    payoff_entries,
-    prophet_weights,
-    reward_matvec,
-    reward_rmatvec,
 )
 from .reward import ThresholdRule, ratio_floor, optimal_rule
 
@@ -192,25 +189,27 @@ def sharp_regret(n: int, N: int, tol: float = 1e-7) -> SharpConstantReport:
 
 def _sharp_report(kind: KernelKind, n: int, N: int, tol: float) -> SharpConstantReport:
     """Solve the grid game by _matrix_game with M = R_N, or M = -A_N for the
-    regret (value negated), entries from kernel.payoff_entries, from level
-    m // 2, replaying mu and lam through the O(N) products B v and B^T lam."""
+    regret (value negated), from level m // 2, on one kernel.Generator: its
+    blocks are the restricted game's entries, and mu and lam are replayed
+    through its O(N) products B v and B^T lam."""
     n, N = check_grid(n, N)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     ratio = kind is KernelKind.RATIO
     sgn = 1.0 if ratio else -1.0
     m = N - 1
-    d = prophet_weights(n, N)
-    entries = payoff_entries(kind, n, N)
+    generator = Generator(n, N)
+    d = generator.d
 
     def matvec(mu):  # R mu = B (mu/d), -A mu = B mu - d^T mu
-        return reward_matvec(n, N, mu / d) if ratio else reward_matvec(n, N, mu) - d @ mu
+        return generator.matvec(mu / d) if ratio else generator.matvec(mu) - d @ mu
 
     def rmatvec(lam):  # R^T lam = (B^T lam)/d, -A^T lam = B^T lam - d
-        return reward_rmatvec(n, N, lam) / d if ratio else reward_rmatvec(n, N, lam) - d
+        return generator.rmatvec(lam) / d if ratio else generator.rmatvec(lam) - d
 
     mu, lam, value, gap, stats = _matrix_game(
-        lambda rows, cols: sgn * entries(rows, cols), matvec, rmatvec, (m, m), m // 2, m // 2, tol)
+        lambda rows, cols: sgn * generator.block(kind, rows, cols), matvec, rmatvec, (m, m),
+        m // 2, m // 2, tol)
     value *= sgn
     mu = _cleanup(mu)
     if ratio:

@@ -7,17 +7,21 @@ one factor form (_weight), 1 - x^{n-1} y for y <= x and (1 - y) g(x)
 above, with g(x) = (1 - x^n) / (1 - x); kernel_r, kernel_a and stop_weight
 broadcast it over array arguments.  On the uniform level grid {i/N} it
 gives the generator, the reward weights B and the prophet weights d:
-R_N = B / d per column, A_N = d - B.  Any block of R_N or A_N comes from
-one entry formula (payoff_entries).  B is semiseparable, so B v and
-B^T lam take O(N) operations from running sums (weight_sums,
-reward_matvec, reward_rmatvec); every solver reaches B only through them
-and through payoff_entries' blocks.  Also: the horizon check, the
+R_N = B / d per column, A_N = d - B.  Generator(n, N) is the one home of
+the grid factors y^{n-1}, g(y), 1 - y and d, computed once per solve.
+Any block of R_N or A_N comes from one entry formula (Generator.block).
+B is semiseparable, so B v and B^T lam take O(N) operations from running
+sums (Generator.matvec and rmatvec); every solver builds one Generator
+and reaches B only through it.  reward_matvec, reward_rmatvec,
+prophet_weights and payoff_entries wrap a one-use Generator; the dense B
+(reward_weights) is the tests' oracle.  Also: the horizon check, the
 discretization error bounds, the support-exclusion constant, and the
 Lipschitz constants used by property tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -122,31 +126,18 @@ def check_grid(n: int, N: int) -> tuple[int, int]:
 
 def payoff_matrix(kind: KernelKind | str, n: int, N: int) -> PayoffMatrix:
     """Dense game matrix R_N = B / d (per column) or A_N = d - B on levels
-    {1/N, ..., (N-1)/N}: payoff_entries on every level pair, so its diagonal
+    {1/N, ..., (N-1)/N}: Generator.block on every level pair, so its diagonal
     is exactly 1 or 0.  The sharp solvers never form it: it is the dense
     view for tests, oracles and small games."""
     kind = KernelKind(kind)
     n, N = check_grid(n, N)
     levels = np.arange(N - 1)
-    return PayoffMatrix(kind, n, N, payoff_entries(kind, n, N)(levels, levels))
+    return PayoffMatrix(kind, n, N, Generator(n, N).block(kind, levels, levels))
 
 
 def payoff_entries(kind: KernelKind | str, n: int, N: int):
-    """Entry function of R_N or A_N: entries(rows, cols) is the block of the
-    game matrix at level indices rows x cols (0-based, level i is (i+1)/N),
-    with the exact diagonal 1 (ratio) or 0 (regret).  The factors x^{n-1}
-    and g of b are computed once here; each block costs
-    O(len(rows) * len(cols))."""
-    ratio = KernelKind(kind) is KernelKind.RATIO
-    y, d = _levels(N), prophet_weights(n, N)
-    xp, g = y ** (n - 1), _g(y, n)
-
-    def entries(rows, cols) -> np.ndarray:
-        i, j = np.asarray(rows, dtype=np.intp)[:, None], np.asarray(cols, dtype=np.intp)[None, :]
-        B = _weight(y[i], xp[i], g[i], y[j])
-        return np.where(i == j, float(ratio), B / d[j] if ratio else d[j] - B)
-
-    return entries
+    """Entry function of R_N or A_N: entries(rows, cols) is Generator.block."""
+    return functools.partial(Generator(n, N).block, KernelKind(kind))
 
 
 def reward_weights(n: int, N: int) -> np.ndarray:
@@ -161,12 +152,58 @@ def reward_weights(n: int, N: int) -> np.ndarray:
 
 def prophet_weights(n: int, N: int) -> np.ndarray:
     """Vector d with d[j-1] = 1 - (j/N)^n (prophet weight of increment j)."""
-    check_horizon(n)
-    return 1.0 - _levels(N) ** n
+    return Generator(n, N).d
 
 
 def _levels(N: int) -> np.ndarray:
+    check_integer(N, "grid size", 2)
     return np.arange(1, N, dtype=np.float64) / N
+
+
+class Generator:
+    """The generator of the N-grid games at horizon n: the reward weights B
+    and the prophet weights d on the levels y = {1/N, ..., (N-1)/N}.  The
+    grid factors y^{n-1}, g(y), 1 - y and d = 1 - y^n are computed once
+    here, so a solver builds one Generator per solve and runs every product
+    and payoff block through it."""
+
+    def __init__(self, n: int, N: int):
+        check_horizon(n)
+        self.y = y = _levels(N)
+        self.N, n = int(N), int(n)
+        self.xp, self.tail, self.d = y ** (n - 1), 1.0 - y, 1.0 - y**n
+        self.g = self.d / self.tail  # _g(y, n)'s own operations: no level is 1
+
+    def matvec(self, v) -> np.ndarray:
+        """B v in O(N): stop_weight_sums at the grid levels with weights v,
+        whose count of levels <= y_i is i."""
+        v = self._vector(v)
+        T = np.append(_suffix_sum(v * self.tail)[1:], 0.0)
+        return np.cumsum(v) - self.xp * np.cumsum(v * self.y) + self.g * T
+
+    def rmatvec(self, lam) -> np.ndarray:
+        """B^T lam in O(N): (B^T lam)_j = sum_{i>=j} lam_i - y_j sum_{i>=j} x_i^{n-1} lam_i
+        + (1 - y_j) sum_{i<j} g(x_i) lam_i."""
+        lam = self._vector(lam)
+        strict_prefix = np.concatenate(([0.0], np.cumsum(self.g * lam)[:-1]))
+        return _suffix_sum(lam) - self.y * _suffix_sum(self.xp * lam) + self.tail * strict_prefix
+
+    def block(self, kind: KernelKind | str, rows, cols) -> np.ndarray:
+        """The block of R_N (B / d per column) or A_N (d - B) at level indices
+        rows x cols (0-based, level i is (i+1)/N), with the exact diagonal 1
+        (ratio) or 0 (regret), in O(len(rows) * len(cols))."""
+        ratio = KernelKind(kind) is KernelKind.RATIO
+        i, j = np.asarray(rows, dtype=np.intp)[:, None], np.asarray(cols, dtype=np.intp)[None, :]
+        B = _weight(self.y[i], self.xp[i], self.g[i], self.y[j])
+        d = self.d[j]
+        return np.where(i == j, float(ratio), B / d if ratio else d - B)
+
+    def _vector(self, v) -> np.ndarray:
+        """v as a float vector on the grid's N-1 levels."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.N - 1,):
+            raise ValueError(f"vector must have length N-1 = {self.N - 1}, got {v.shape}")
+        return v
 
 
 def weight_sums(y, w, tail) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,27 +229,13 @@ def stop_weight_sums(x, y, w, tail, n: int) -> np.ndarray:
 
 
 def reward_matvec(n: int, N: int, v) -> np.ndarray:
-    """B v from O(N) running sums: stop_weight_sums at the grid levels, weights v."""
-    y = _levels(N)
-    return stop_weight_sums(y, y, _grid_vector(v, n, N), 1.0 - y, n)
+    """B v in O(N) (Generator.matvec)."""
+    return Generator(n, N).matvec(v)
 
 
 def reward_rmatvec(n: int, N: int, lam) -> np.ndarray:
-    """B^T lam in O(N): (B^T lam)_j = sum_{i>=j} lam_i - y_j sum_{i>=j} x_i^{n-1} lam_i
-    + (1 - y_j) sum_{i<j} g(x_i) lam_i."""
-    y, lam = _levels(N), _grid_vector(lam, n, N)
-    prefix = np.cumsum(_g(y, n) * lam)
-    strict_prefix = np.concatenate(([0.0], prefix[:-1]))
-    return _suffix_sum(lam) - y * _suffix_sum(y ** (n - 1) * lam) + (1.0 - y) * strict_prefix
-
-
-def _grid_vector(v, n: int, N: int) -> np.ndarray:
-    """v as a float vector on the N-grid's N-1 levels, for horizon n."""
-    check_horizon(n)
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (N - 1,):
-        raise ValueError(f"vector must have length N-1 = {N - 1}, got {v.shape}")
-    return v
+    """B^T lam in O(N) (Generator.rmatvec)."""
+    return Generator(n, N).rmatvec(lam)
 
 
 def _suffix_sum(a: np.ndarray) -> np.ndarray:

@@ -249,6 +249,22 @@ class TestStructuredLP:
         keys = ("rounds", "block_rows", "block_cols")
         assert tuple(rep.stats[k] for k in keys) == stats
 
+    #: (value.hex(), gap.hex()); a refactor of the products or the payoff
+    #: blocks that moves one bit of either shows up here
+    PINNED = {
+        ("ratio", 10, 700): ("0x1.65ff3c431b638p-1", "0x0.0p+0"),
+        ("regret", 10, 700): ("0x1.1db440d396a7ep-3", "0x1.0000000000000p-54"),
+        ("ratio", 25, 700): ("0x1.56c9971cfbb60p-1", "0x0.0p+0"),
+        ("regret", 25, 700): ("0x1.420536315df48p-3", "0x0.0p+0"),
+        ("ratio", 5, 125): ("0x1.7fa1c044d62e8p-1", "0x1.0000000000000p-54"),
+        ("regret", 5, 125): ("0x1.d9fe15681feb8p-4", "0x0.0p+0"),
+    }
+
+    @pytest.mark.parametrize("kind,n,N", list(PINNED))
+    def test_pinned_values(self, kind, n, N):
+        rep = (sharp_ratio if kind == "ratio" else sharp_regret)(n, N)
+        assert (rep.value.hex(), rep.gap.hex()) == self.PINNED[kind, n, N]
+
     @pytest.mark.parametrize("solve", [sharp_ratio, sharp_regret])
     def test_round_cap_raises(self, solve, monkeypatch):
         # (5, 60) takes 7-8 rounds (test_stats_pinned)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prophet_sharp import (
     DiscreteDistribution,
+    Generator,
     KernelKind,
     err_bound_diff,
     err_bound_ratio,
@@ -22,7 +23,7 @@ from prophet_sharp import (
     support_cutoff,
 )
 from prophet_sharp.dist import grid_distribution, lfd_from_mu_ratio
-from prophet_sharp.kernel import check_grid, payoff_entries
+from prophet_sharp.kernel import check_grid, payoff_entries, stop_weight_sums
 from prophet_sharp.reward import (
     ThresholdRule,
     growth_bound_check,
@@ -199,10 +200,15 @@ COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
     lambda: SimConfig(trials=10.0, seed=1, n=4),
     lambda: SimConfig(trials=10, seed=1, n=np.int64(1)),
     lambda: pareto_band(40.0, 20.0, 5.0),
+    lambda: reward_weights(3, 2.5),
+    lambda: reward_weights(3, True),
+    lambda: prophet_weights(3, -4),
+    lambda: reward_matvec(3, 2.5, np.ones(2)),
 ], ids=["err_bound_diff", "err_bound_ratio", "growth_bound_check_bool",
         "growth_bound_check_float", "check_grid_bool", "check_grid_float", "quantile_increments",
         "quantile_increments_numpy_bool", "optimal_rule", "sim_trials", "sim_horizon",
-        "pareto_band"])
+        "pareto_band", "reward_weights_float", "reward_weights_bool", "prophet_weights_negative",
+        "reward_matvec_float"])
 def test_rejects_non_integer_size(call):
     # one predicate (kernel.check_integer): int or np.integer, never bool, >= a minimum
     with pytest.raises(ValueError, match="integer"):
@@ -304,16 +310,55 @@ class TestMatrices:
             np.testing.assert_array_equal(A, np.where(diag, 0.0, d - B[rows]))
 
 
+@st.composite
+def grid_vectors(draw):
+    """(n, N, v): a horizon, a grid size and a vector on its N-1 levels."""
+    n, N = draw(st.integers(2, 30)), draw(st.integers(3, 400))
+    # zeros, or values far enough above underflow that y * v stays normal
+    entries = st.one_of(st.just(0.0), st.floats(1e-100, 1.0))
+    return n, N, np.array(draw(st.lists(entries, min_size=N - 1, max_size=N - 1)))
+
+
+@st.composite
+def grid_blocks(draw):
+    """(n, N, rows, cols): a horizon, a grid size and level indices of a block."""
+    n, N = draw(st.integers(2, 30)), draw(st.integers(3, 120))
+    levels = st.lists(st.integers(0, N - 2), min_size=1, max_size=8)
+    return n, N, draw(levels), draw(levels)
+
+
 class TestStructuredProducts:
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(2, 30), st.integers(3, 400), st.data())
-    def test_match_dense_products(self, n, N, data):
-        # zeros, or values far enough above underflow that y * v stays normal
-        entries = st.one_of(st.just(0.0), st.floats(1e-100, 1.0))
-        v = np.array(data.draw(st.lists(entries, min_size=N - 1, max_size=N - 1)))
+    @given(grid_vectors())
+    def test_match_dense_products(self, case):
+        n, N, v = case
         B = reward_weights(n, N)
         np.testing.assert_allclose(reward_matvec(n, N, v), B @ v, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(reward_rmatvec(n, N, v), B.T @ v, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(grid_vectors())
+    @example((2, 3, np.array([0.25, 1.0])))
+    def test_generator_products(self, case):
+        # against the dense B, and bit for bit against the running sums of
+        # stop_weight_sums at the grid levels, which the products unroll
+        n, N, v = case
+        generator, B, y = Generator(n, N), reward_weights(n, N), np.arange(1, N) / N
+        np.testing.assert_allclose(generator.matvec(v), B @ v, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(generator.rmatvec(v), B.T @ v, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(generator.matvec(v), stop_weight_sums(y, y, v, 1 - y, n))
+        np.testing.assert_array_equal(generator.d, 1 - y**n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_blocks())
+    @example((2, 3, [1, 0, 1], [0, 1]))
+    def test_generator_blocks(self, case):
+        # any rows and columns, repeated and unsorted, index the dense matrix
+        n, N, rows, cols = case
+        generator = Generator(n, N)
+        for kind in KernelKind:
+            np.testing.assert_array_equal(generator.block(kind, rows, cols),
+                                          payoff_matrix(kind, n, N).entries[np.ix_(rows, cols)])
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
