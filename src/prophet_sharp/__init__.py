@@ -33,7 +33,6 @@ from .game import (
 from .kernel import (
     Generator,
     KernelKind,
-    PayoffMatrix,
     err_bound_diff,
     err_bound_ratio,
     kernel_a,
@@ -42,8 +41,6 @@ from .kernel import (
     lipschitz_r,
     payoff_matrix,
     prophet_weights,
-    reward_matvec,
-    reward_rmatvec,
     reward_weights,
     stop_weight,
     support_cutoff,

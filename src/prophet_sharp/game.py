@@ -29,7 +29,6 @@ from .dist import DiscreteDistribution, lfd_from_mu_diff, lfd_from_mu_ratio
 from .kernel import (
     Generator,
     KernelKind,
-    PayoffMatrix,
     check_grid,
     err_bound_diff,
     err_bound_ratio,
@@ -73,7 +72,8 @@ class GameSolution:
 
 
 def solve_game(payoff, sense: str, tol: float = 1e-7) -> GameSolution:
-    """Solve min_mu max_i (M mu)_i ("minmax") or max_mu min_i (M mu)_i ("maxmin").
+    """Solve min_mu max_i (M mu)_i ("minmax") or max_mu min_i (M mu)_i ("maxmin")
+    on M = payoff, any nonempty 2-D array-like of finite entries.
 
     Runs _matrix_game on sgn M (sgn = -1 for "maxmin"), from row and column
     0, with the full-matrix products M mu and M^T lam as best-response
@@ -81,8 +81,7 @@ def solve_game(payoff, sense: str, tol: float = 1e-7) -> GameSolution:
     most rows + cols - 1 rounds; past MAX_ROUNDS it raises SolverError.
     value is the midpoint of the replayed bounds, gap their half-width.
     """
-    M = np.ascontiguousarray(payoff.entries if isinstance(payoff, PayoffMatrix) else payoff,
-                             dtype=np.float64)
+    M = np.ascontiguousarray(payoff, dtype=np.float64)
     if M.ndim != 2 or M.size == 0 or not np.isfinite(M).all():
         raise ValueError("payoff must be a nonempty 2-D matrix of finite entries")
     if sense not in ("minmax", "maxmin"):

@@ -12,18 +12,16 @@ the grid factors y^{n-1}, g(y), 1 - y and d, computed once per solve.
 Any block of R_N or A_N comes from one entry formula (Generator.block).
 B is semiseparable, so B v and B^T lam take O(N) operations from running
 sums (Generator.matvec and rmatvec); every solver builds one Generator
-and reaches B only through it.  reward_matvec, reward_rmatvec,
-prophet_weights and payoff_entries wrap a one-use Generator; the dense B
-(reward_weights) is the tests' oracle.  Also: the horizon check, the
-discretization error bounds, the support-exclusion constant, and the
+and reaches B only through it; only prophet_weights wraps a one-use
+Generator.  payoff_matrix is the dense R_N or A_N as an array and the
+dense B (reward_weights) is the tests' oracle.  Also: the horizon check,
+the discretization error bounds, the support-exclusion constant, and the
 Lipschitz constants used by property tests.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -100,23 +98,6 @@ def _scalar_or_array(v: np.ndarray):
     return float(v) if v.ndim == 0 else v
 
 
-@dataclass(frozen=True)
-class PayoffMatrix:
-    """Dense (N-1) x (N-1) payoff matrix; rows = stopper levels, cols = adversary."""
-
-    kind: KernelKind
-    n: int
-    N: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.float64)
-        if entries.shape != (self.N - 1, self.N - 1):
-            raise ValueError(f"entries must be {(self.N - 1, self.N - 1)}, got {entries.shape}")
-        object.__setattr__(self, "kind", KernelKind(self.kind))
-        object.__setattr__(self, "entries", entries)
-
-
 def check_grid(n: int, N: int) -> tuple[int, int]:
     """Validate a game size: horizon n >= 2 and grid size N >= 3."""
     check_horizon(n)
@@ -124,20 +105,15 @@ def check_grid(n: int, N: int) -> tuple[int, int]:
     return int(n), int(N)
 
 
-def payoff_matrix(kind: KernelKind | str, n: int, N: int) -> PayoffMatrix:
+def payoff_matrix(kind: KernelKind | str, n: int, N: int) -> np.ndarray:
     """Dense game matrix R_N = B / d (per column) or A_N = d - B on levels
-    {1/N, ..., (N-1)/N}: Generator.block on every level pair, so its diagonal
-    is exactly 1 or 0.  The sharp solvers never form it: it is the dense
-    view for tests, oracles and small games."""
-    kind = KernelKind(kind)
+    {1/N, ..., (N-1)/N}, as a float64 (N-1) x (N-1) array (rows = stopper
+    levels, columns = adversary): Generator.block on every level pair, so
+    its diagonal is exactly 1 or 0.  The sharp solvers never form it: it is
+    the dense view for tests, oracles and small games."""
     n, N = check_grid(n, N)
     levels = np.arange(N - 1)
-    return PayoffMatrix(kind, n, N, Generator(n, N).block(kind, levels, levels))
-
-
-def payoff_entries(kind: KernelKind | str, n: int, N: int):
-    """Entry function of R_N or A_N: entries(rows, cols) is Generator.block."""
-    return functools.partial(Generator(n, N).block, KernelKind(kind))
+    return Generator(n, N).block(kind, levels, levels)
 
 
 def reward_weights(n: int, N: int) -> np.ndarray:
@@ -226,16 +202,6 @@ def stop_weight_sums(x, y, w, tail, n: int) -> np.ndarray:
     k = np.searchsorted(y, x, side="right")
     P, Q, T = (s[k] for s in weight_sums(y, w, tail))
     return P - x ** (n - 1) * Q + _g(x, n) * T
-
-
-def reward_matvec(n: int, N: int, v) -> np.ndarray:
-    """B v in O(N) (Generator.matvec)."""
-    return Generator(n, N).matvec(v)
-
-
-def reward_rmatvec(n: int, N: int, lam) -> np.ndarray:
-    """B^T lam in O(N) (Generator.rmatvec)."""
-    return Generator(n, N).rmatvec(lam)
 
 
 def _suffix_sum(a: np.ndarray) -> np.ndarray:

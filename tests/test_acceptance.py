@@ -217,7 +217,7 @@ def test_criterion_09_solver_certificates(table_reports):
 
     replay_ok = True
     for (kind, n), rep in table_reports.items():
-        M = payoff_matrix("ratio" if kind == "ratio" else "difference", n, 2000).entries
+        M = payoff_matrix("ratio" if kind == "ratio" else "difference", n, 2000)
         row = M @ rep.mu
         col = M.T @ rep.lam
         if kind == "ratio":

@@ -22,7 +22,7 @@ from prophet_sharp import (
     sharp_regret,
 )
 from prophet_sharp.constrained import _band_min, _band_windows, _dinkelbach, variance_q_matrix
-from prophet_sharp.kernel import prophet_weights, reward_rmatvec
+from prophet_sharp.kernel import Generator, prophet_weights
 
 
 class TestVariance:
@@ -70,7 +70,7 @@ class TestKappa:
         Q = variance_q_matrix(80)
         from prophet_sharp import payoff_matrix
 
-        A = payoff_matrix("difference", 6, 80).entries
+        A = payoff_matrix("difference", 6, 80)
         assert (A @ res.z).min() >= res.value - 1e-9
         assert res.z @ Q @ res.z == pytest.approx(1.0, abs=1e-9)
         assert res.z.min() >= 0.0
@@ -179,7 +179,7 @@ class TestKappa:
         from prophet_sharp import payoff_matrix
 
         n, N = 4, 25
-        A = payoff_matrix("difference", n, N).entries
+        A = payoff_matrix("difference", n, N)
         Q = variance_q_matrix(N)
         res = minimize(
             lambda z: z @ Q @ z,
@@ -352,7 +352,7 @@ class TestBandOracle:
             n = int(rng.integers(2, 12))
             q_lo, q_hi = _random_band(rng, m, kind)
             d = prophet_weights(n, m + 1)
-            c = reward_rmatvec(n, m + 1, rng.dirichlet(np.full(m, 0.5)))
+            c = Generator(n, m + 1).rmatvec(rng.dirichlet(np.full(m, 0.5)))
             v_hi = np.diff(q_hi, prepend=0.0)
             lower, best, steps = _dinkelbach(c, d, _band_windows(q_lo, q_hi),
                                              (c @ v_hi) / (d @ v_hi))

@@ -46,7 +46,7 @@ class TestSolveGame:
                 assert sol.value == pytest.approx(oracle(M), abs=1e-9)
 
     def test_ratio_matrix_small_vs_oracle(self):
-        M = payoff_matrix(KernelKind.RATIO, 2, 4).entries
+        M = payoff_matrix(KernelKind.RATIO, 2, 4)
         sol = solve_game(M, "minmax")
         assert sol.value == pytest.approx(oracle_minmax(M), abs=1e-9)
 
@@ -68,7 +68,7 @@ class TestSolveGame:
                     assert colp.max() - sol.value <= sol.gap + 1e-15
 
     def test_deterministic(self):
-        M = payoff_matrix(KernelKind.RATIO, 5, 60).entries
+        M = payoff_matrix(KernelKind.RATIO, 5, 60)
         a = solve_game(M, "minmax")
         b = solve_game(M, "minmax")
         assert a.value == b.value
@@ -79,6 +79,14 @@ class TestSolveGame:
             solve_game(np.array([[1.0]]), "sideways")
         with pytest.raises(ValueError):
             solve_game(np.array([[1.0]]), "minmax", tol=0.0)
+        for M in (np.ones(3), np.ones((0, 3)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="nonempty 2-D"):
+                solve_game(M, "minmax")
+
+    def test_nested_list_payoff(self):
+        sol = solve_game([[0.0, 1.0], [1.0, 0.0]], "maxmin")
+        assert sol.value == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_allclose(sol.mu, [0.5, 0.5], atol=1e-10)
 
     def test_rejects_non_finite(self):
         for bad in (np.nan, np.inf):
@@ -104,7 +112,7 @@ class TestSolveGame:
         rng = np.random.default_rng(11)
         games = [rng.random((int(rng.integers(1, 41)), int(rng.integers(1, 41))))
                  for _ in range(40)]
-        games += [payoff_matrix(kind, n, N).entries for kind in ("ratio", "difference")
+        games += [payoff_matrix(kind, n, N) for kind in ("ratio", "difference")
                   for n, N in ((6, 100), (10, 200))]
         games.append(limit_regret_matrix(200))
         for M in games:
@@ -115,7 +123,7 @@ class TestSolveGame:
 
     def test_saddle_consistency(self):
         sol = solve_game(payoff_matrix(KernelKind.RATIO, 6, 100), "minmax")
-        M = payoff_matrix(KernelKind.RATIO, 6, 100).entries
+        M = payoff_matrix(KernelKind.RATIO, 6, 100)
         assert (M @ sol.mu).max() - (M.T @ sol.lam).min() <= 2 * sol.gap + 1e-12
 
 
@@ -210,10 +218,10 @@ class TestStructuredLP:
     def test_matches_dense_game(self, kind, n, N):
         if kind == "ratio":
             rep, sense = sharp_ratio(n, N), "minmax"
-            M = payoff_matrix(KernelKind.RATIO, n, N).entries
+            M = payoff_matrix(KernelKind.RATIO, n, N)
         else:
             rep, sense = sharp_regret(n, N), "maxmin"
-            M = payoff_matrix(KernelKind.DIFFERENCE, n, N).entries
+            M = payoff_matrix(KernelKind.DIFFERENCE, n, N)
         assert abs(rep.value - solve_game(M, sense).value) <= 1e-9
         rows, cols = M @ rep.mu, M.T @ rep.lam
         if sense == "minmax":

@@ -16,14 +16,12 @@ from prophet_sharp import (
     pareto_band,
     payoff_matrix,
     prophet_weights,
-    reward_matvec,
-    reward_rmatvec,
     reward_weights,
     stop_weight,
     support_cutoff,
 )
 from prophet_sharp.dist import grid_distribution, lfd_from_mu_ratio
-from prophet_sharp.kernel import check_grid, payoff_entries, stop_weight_sums
+from prophet_sharp.kernel import check_grid, stop_weight_sums
 from prophet_sharp.reward import (
     ThresholdRule,
     growth_bound_check,
@@ -173,12 +171,11 @@ class TestArrays:
     lambda: stop_weight(0.5, 0.2, 2.5),
     lambda: prophet_weights(2.5, 5),
     lambda: reward_weights(2.5, 4),
-    lambda: reward_matvec(2.5, 5, np.ones(4)),
-    lambda: reward_rmatvec(2.5, 5, np.ones(4)),
+    lambda: Generator(2.5, 5),
 ], ids=["err_bound_ratio", "err_bound_diff", "support_cutoff", "lipschitz_a", "lipschitz_r",
         "kernel_r", "kernel_a", "check_grid", "ratio_floor", "reward_v1", "growth_bound_check",
         "expected_max", "lfd_from_mu_ratio", "bool", "stop_weight", "prophet_weights",
-        "reward_weights", "reward_matvec", "reward_rmatvec"])
+        "reward_weights", "Generator"])
 def test_rejects_non_integer_horizon(call):
     with pytest.raises(ValueError, match="horizon must be an integer"):
         call()
@@ -203,12 +200,12 @@ COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
     lambda: reward_weights(3, 2.5),
     lambda: reward_weights(3, True),
     lambda: prophet_weights(3, -4),
-    lambda: reward_matvec(3, 2.5, np.ones(2)),
+    lambda: Generator(3, 2.5),
 ], ids=["err_bound_diff", "err_bound_ratio", "growth_bound_check_bool",
         "growth_bound_check_float", "check_grid_bool", "check_grid_float", "quantile_increments",
         "quantile_increments_numpy_bool", "optimal_rule", "sim_trials", "sim_horizon",
         "pareto_band", "reward_weights_float", "reward_weights_bool", "prophet_weights_negative",
-        "reward_matvec_float"])
+        "Generator_float"])
 def test_rejects_non_integer_size(call):
     # one predicate (kernel.check_integer): int or np.integer, never bool, >= a minimum
     with pytest.raises(ValueError, match="integer"):
@@ -254,34 +251,36 @@ class TestMatrices:
     @pytest.mark.parametrize("kind", [KernelKind.RATIO, KernelKind.DIFFERENCE])
     def test_entries_match_scalar_kernels(self, kind):
         n, N = 5, 40
-        M = payoff_matrix(kind, n, N).entries
+        M = payoff_matrix(kind, n, N)
+        assert type(M) is np.ndarray and M.dtype == np.float64 and M.flags.c_contiguous
+        assert M.shape == (N - 1, N - 1)
         fn = kernel_r if kind is KernelKind.RATIO else kernel_a
         levels = np.arange(1, N) / N
         np.testing.assert_allclose(M, fn(levels[:, None], levels[None, :], n), rtol=0.0, atol=1e-14)
 
     def test_exact_diagonals(self):
-        R = payoff_matrix("ratio", 7, 30).entries
-        A = payoff_matrix("difference", 7, 30).entries
+        R = payoff_matrix("ratio", 7, 30)
+        A = payoff_matrix("difference", 7, 30)
         assert np.all(np.diag(R) == 1.0)
         assert np.all(np.diag(A) == 0.0)
 
     def test_hand_entries(self):
-        R = payoff_matrix("ratio", 2, 4).entries
-        A = payoff_matrix("difference", 2, 4).entries
+        R = payoff_matrix("ratio", 2, 4)
+        A = payoff_matrix("difference", 2, 4)
         assert R[1, 0] == pytest.approx(14 / 15, abs=1e-15)  # (i, j) = (2, 1)
         assert A[1, 0] == pytest.approx(0.0625, abs=1e-16)
 
     def test_difference_is_prophet_minus_reward(self):
         # A_N = 1 d^T - B columnwise
         n, N = 6, 25
-        A = payoff_matrix("difference", n, N).entries
+        A = payoff_matrix("difference", n, N)
         B = reward_weights(n, N)
         d = prophet_weights(n, N)
         np.testing.assert_allclose(A, d[None, :] - B, rtol=1e-13, atol=1e-15)
 
     def test_ratio_is_reward_over_prophet(self):
         n, N = 6, 25
-        R = payoff_matrix("ratio", n, N).entries
+        R = payoff_matrix("ratio", n, N)
         B = reward_weights(n, N)
         d = prophet_weights(n, N)
         np.testing.assert_allclose(R, B / d[None, :], rtol=1e-13, atol=1e-15)
@@ -304,8 +303,9 @@ class TestMatrices:
                 np.testing.assert_array_equal(stop_weight(i / N, levels, n), B[i - 1])
             rows, cols = np.array([0, N // 3, N - 2]), np.arange(N - 1)
             diag = rows[:, None] == cols
-            R = payoff_entries("ratio", n, N)(rows, cols)
-            A = payoff_entries("difference", n, N)(rows, cols)
+            generator = Generator(n, N)
+            R = generator.block("ratio", rows, cols)
+            A = generator.block("difference", rows, cols)
             np.testing.assert_array_equal(R, np.where(diag, 1.0, B[rows] / d))
             np.testing.assert_array_equal(A, np.where(diag, 0.0, d - B[rows]))
 
@@ -330,14 +330,6 @@ def grid_blocks(draw):
 class TestStructuredProducts:
     @settings(max_examples=80, deadline=None)
     @given(grid_vectors())
-    def test_match_dense_products(self, case):
-        n, N, v = case
-        B = reward_weights(n, N)
-        np.testing.assert_allclose(reward_matvec(n, N, v), B @ v, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(reward_rmatvec(n, N, v), B.T @ v, rtol=1e-12, atol=0.0)
-
-    @settings(max_examples=80, deadline=None)
-    @given(grid_vectors())
     @example((2, 3, np.array([0.25, 1.0])))
     def test_generator_products(self, case):
         # against the dense B, and bit for bit against the running sums of
@@ -358,13 +350,13 @@ class TestStructuredProducts:
         generator = Generator(n, N)
         for kind in KernelKind:
             np.testing.assert_array_equal(generator.block(kind, rows, cols),
-                                          payoff_matrix(kind, n, N).entries[np.ix_(rows, cols)])
+                                          payoff_matrix(kind, n, N)[np.ix_(rows, cols)])
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            reward_matvec(4, 10, np.ones(10))
+            Generator(4, 10).matvec(np.ones(10))
         with pytest.raises(ValueError):
-            reward_rmatvec(4, 10, np.ones(8))
+            Generator(4, 10).rmatvec(np.ones(8))
 
 
 class TestBounds:
