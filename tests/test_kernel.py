@@ -171,11 +171,12 @@ class TestArrays:
     lambda: stop_weight(0.5, 0.2, 2.5),
     lambda: prophet_weights(2.5, 5),
     lambda: reward_weights(2.5, 4),
-    lambda: Generator(2.5, 5),
+    lambda: Generator(2.5, 5).matvec(np.ones(4)),
+    lambda: Generator(2.5, 5).rmatvec(np.ones(4)),
 ], ids=["err_bound_ratio", "err_bound_diff", "support_cutoff", "lipschitz_a", "lipschitz_r",
         "kernel_r", "kernel_a", "check_grid", "ratio_floor", "reward_v1", "growth_bound_check",
         "expected_max", "lfd_from_mu_ratio", "bool", "stop_weight", "prophet_weights",
-        "reward_weights", "Generator"])
+        "reward_weights", "reward_matvec", "reward_rmatvec"])
 def test_rejects_non_integer_horizon(call):
     with pytest.raises(ValueError, match="horizon must be an integer"):
         call()
