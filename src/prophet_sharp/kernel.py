@@ -79,10 +79,8 @@ def _weight(x, xp, g, y):
 
 
 def _g(x, n: int):
-    """g(x) = (1 - x^n) / (1 - x) = sum_{k<n} x^k, with g(1) = n."""
+    """g(x) = (1 - x^n) / (1 - x) = sum_{k<n} x^k, with g(1) = n, for level scans and kernels."""
     top = x >= 1.0
-    if not top.any():  # grid levels and most level scans: no 0/0 to guard
-        return (1.0 - x**n) / (1.0 - x)
     return np.where(top, n, (1.0 - x**n) / np.where(top, 1.0, 1.0 - x))
 
 

@@ -18,7 +18,8 @@ from numpy.polynomial.polynomial import polyval
 from scipy.optimize import brentq
 
 from .dist import DiscreteDistribution
-from .kernel import check_horizon, check_integer, stop_weight_sums, weight_sums
+from .kernel import (_levels, _scalar_or_array, check_horizon, check_integer, stop_weight_sums,
+                     weight_sums)
 
 # below this no-stop probability complement the rule degenerates to "take the
 # last observation" and the reward is the mean
@@ -127,8 +128,7 @@ def reward_by_level(dist: DiscreteDistribution, n: int, x):
     rule_at_level(dist, x).  A float for scalar x, else an array like x.
     """
     check_horizon(n)
-    out = stop_weight_sums(_clamped_level(x), *dist.quantile_jumps(), n)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(stop_weight_sums(_clamped_level(x), *dist.quantile_jumps(), n))
 
 
 def evaluate_rule(dist: DiscreteDistribution, n: int, rule: ThresholdRule) -> RuleEvaluation:
@@ -153,8 +153,7 @@ def optimal_rule(
     """
     check_horizon(n)
     if mode == "grid-exact":
-        check_integer(grid_size, "grid size", 2)
-        xs = np.arange(1, grid_size) / grid_size
+        xs = _levels(grid_size)
         vals = reward_by_level(dist, n, xs)
         rule = rule_at_level(dist, xs[int(np.flatnonzero(vals >= vals.max() - 1e-9)[0])])
     elif mode == "level-search":

@@ -67,7 +67,6 @@ class SimResult:
 
 _U = np.uint64
 _CHUNK = 1 << 16
-_HEAD = _CHUNK  # the trials of a first chunk, whose counter half is cached
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -78,9 +77,9 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _counter_head() -> np.ndarray:
-    """mix((t + 1) * golden) of trials t < _HEAD, made on first use; read-only,
+    """mix((t + 1) * golden) of trials t < _CHUNK, made on first use; read-only,
     as every caller shares it."""
-    head = _mix(np.arange(1, _HEAD + 1, dtype=np.uint64) * _U(_GOLDEN))
+    head = _mix(np.arange(1, _CHUNK + 1, dtype=np.uint64) * _U(_GOLDEN))
     head.flags.writeable = False
     return head
 
@@ -90,7 +89,7 @@ def _stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
     lo, ..., hi - 1; the seed-free inner mix of a chunk that starts at 0
     is a slice of _counter_head."""
     key = _mix(np.full(1, (seed + _GOLDEN) & _MASK, dtype=np.uint64))
-    if lo == 0 and hi <= _HEAD:
+    if lo == 0 and hi <= _counter_head().size:
         return _mix(key ^ _counter_head()[:hi])
     return _mix(key ^ _mix(np.arange(lo + 1, hi + 1, dtype=np.uint64) * _U(_GOLDEN)))
 

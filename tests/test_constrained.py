@@ -94,6 +94,12 @@ class TestKappa:
         with pytest.raises(ValueError):
             kappa(5, 50, **kwargs)
 
+    def test_gap_above_tol_raises(self):
+        # the replayed gap (1.8e-15 here) cannot meet a 1e-300 tolerance
+        with pytest.raises(SolverError, match="exceeds tol") as info:
+            kappa(10, 200, tol=1e-300)
+        assert info.value.gap > 0.0
+
     def test_certificate_is_one_qp(self):
         cert = kappa(5, 40).certificate
         assert cert["kkt_exact"] is True and cert["lbfgs_iterations"] == 0
@@ -281,8 +287,10 @@ class TestPareto:
         with pytest.raises(SolverError, match="Dinkelbach"):
             pareto_ratio(5, 120, 20.0, 5.0)
 
-    def test_large_grid(self):
-        N = 20000
+    # at N = 1e5 the raw restricted block clusters its entries and HiGHS
+    # ended Unknown on it; the shifted block certifies
+    @pytest.mark.parametrize("N", [20000, 100000])
+    def test_large_grid(self, N):
         res = pareto_ratio(10, N, 20.0, 5.0)
         q_lo, q_hi = pareto_band(N, 20.0, 5.0)
         lower, upper = res.certificate["bracket"]
@@ -290,6 +298,12 @@ class TestPareto:
         u = np.cumsum(res.v)
         assert res.v.min() >= 0.0
         assert np.all(u >= q_lo * (1 - 1e-12)) and np.all(u <= q_hi * (1 + 1e-12))
+
+    def test_gap_above_tol_raises(self):
+        # the replayed gap (5.6e-16 here) cannot meet a 1e-300 tolerance
+        with pytest.raises(SolverError, match="exceeds the lower end") as info:
+            pareto_ratio(10, 200, 20.0, 5.0, tol=1e-300)
+        assert info.value.gap > 0.0
 
     def test_stats(self):
         res = pareto_ratio(4, 40, 20.0, 5.0)

@@ -41,6 +41,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             DiscreteDistribution(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("values,probs,match", [
+        ([[0.0, 1.0]], [[0.5, 0.5]], "1-D"),
+        ([], [], "at least one atom"),
+        ([0.0, np.nan], [0.5, 0.5], "finite"),
+        ([0.0, 1.0], [0.5, np.nan], "finite"),
+    ], ids=["2-D", "empty", "nan-value", "nan-prob"])
+    def test_rejects_malformed_arrays(self, values, probs, match):
+        with pytest.raises(ValueError, match=match):
+            DiscreteDistribution(np.array(values), np.array(probs))
+
+    def test_from_atoms_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            DiscreteDistribution.from_atoms([])
+
     @pytest.mark.parametrize("atoms", [5, [[0.5, None]], [None], [[0.5]], [[0.0, 0.5, 1.0]],
                                        [["a", 1.0]], [[0.0, [1.0]]]])
     def test_from_atoms_rejects_malformed(self, atoms):
@@ -156,6 +170,19 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             lfd_from_mu_ratio(np.full(3, 1 / 3), 1, 4)
 
+    @pytest.mark.parametrize("mu,N,match", [
+        ([1 / 3] * 3, 5, "length N-1"),
+        ([0.5, 0.6, -0.1], 4, "nonnegative"),
+        ([0.5, 0.6, 0.1], 4, "sum to 1"),
+    ], ids=["length", "negative", "sum"])
+    def test_ratio_rejects_bad_mu(self, mu, N, match):
+        with pytest.raises(ValueError, match=match):
+            lfd_from_mu_ratio(mu, 3, N)
+
+    def test_diff_rejects_mass_above_one(self):
+        with pytest.raises(ValueError, match="at most 1"):
+            lfd_from_mu_diff([0.5, 0.6, 0.1], 4)
+
     def test_ratio_top_mass(self):
         # all mass on the last increment: two atoms, (N-1)/N of it at zero
         N = 5
@@ -246,3 +273,7 @@ class TestSerialization:
     def test_csv_rejects_bad_header(self):
         with pytest.raises(ValueError):
             DiscreteDistribution.from_csv("nope\n0,1\n")
+
+    def test_json_rejects_non_object(self):
+        with pytest.raises(ValueError, match="'atoms' key"):
+            DiscreteDistribution.from_json("[1, 2]")

@@ -281,6 +281,11 @@ class TestStructuredLP:
             solve(5, 60)
 
     @pytest.mark.parametrize("solve", [sharp_ratio, sharp_regret])
+    def test_rejects_bad_tol(self, solve):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve(5, 50, tol=0.0)
+
+    @pytest.mark.parametrize("solve", [sharp_ratio, sharp_regret])
     def test_large_grid(self, solve):
         # a table1 row at N=20000: the dense matrix would hold 4e8 entries
         rep = solve(10, 20000)
@@ -340,6 +345,19 @@ class TestVerify:
         res = verify_solution(fake, [rep.lfd])
         assert not res.ok
         assert res.counterexamples and res.counterexamples[0][0] == 0
+
+    def test_counterexample_detection_regret(self):
+        rep = sharp_regret(5, 50)
+        # a fabricated too-low bracket must flag the lfd itself
+        fake = type(rep)(
+            n=rep.n, N=rep.N, kind=rep.kind, value=rep.value,
+            bracket=(rep.value - 0.06, rep.value - 0.05), gap=rep.gap,
+            rule=rep.rule, lfd=rep.lfd, lam=rep.lam, mu=rep.mu, certified=True,
+        )
+        res = verify_solution(fake, [rep.lfd])
+        assert not res.ok
+        assert res.counterexamples[0][0] == 0
+        assert res.counterexamples[0][1] > fake.bracket[1]
 
 
 class TestSerialization:

@@ -370,6 +370,15 @@ class TestFixtures:
         assert F.values[0] == pytest.approx((math.e - 2) / (math.e - 1), abs=1e-15)
 
 
+class TestThresholdRule:
+    @pytest.mark.parametrize("theta,p,match", [
+        (-0.5, 0.0, "theta"), (np.inf, 0.0, "theta"), (0.5, 1.5, "p must")],
+        ids=["negative-theta", "inf-theta", "p-above-1"])
+    def test_rejects_bad_parameters(self, theta, p, match):
+        with pytest.raises(ValueError, match=match):
+            ThresholdRule(theta, p)
+
+
 class TestEvaluation:
     def test_fields_consistent(self):
         rng = np.random.default_rng(157)

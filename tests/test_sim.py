@@ -100,7 +100,7 @@ class TestConfig:
     @pytest.mark.parametrize("seed", [0, 8, 2**64 - 1])
     def test_stream_states_formula(self, seed, lo, hi):
         # the first chunk's seed-free half comes from a cache, the others'
-        # (a chunk that starts past trial 0, or runs past _HEAD) are computed
+        # (a chunk that starts past trial 0, or runs past _CHUNK) are computed
         key = mix((seed + GOLDEN) % 2**64)
         want = [mix(key ^ mix((t + 1) * GOLDEN % 2**64)) for t in range(lo, hi)]
         assert sim._stream_states(seed, lo, hi).tolist() == want
@@ -169,6 +169,20 @@ class TestRunRule:
         monkeypatch.setattr(sim, "_CHUNK", 7)
         assert run_rule(THREE, rule, cfg) == a
         assert run_prophet(THREE, cfg) == b
+
+    def test_chunk_size_invariant_cold_cache(self, monkeypatch):
+        # a head cached while the chunk is small serves only the trials it holds
+        cfg = SimConfig(trials=1000, seed=5, n=5)
+        rule = ThresholdRule(0.3, 0.25)
+        a = run_rule(THREE, rule, cfg)
+        monkeypatch.setattr(sim, "_CHUNK", 7)
+        sim._counter_head.cache_clear()
+        try:
+            assert run_rule(THREE, rule, cfg) == a
+            monkeypatch.undo()
+            assert run_rule(THREE, rule, cfg) == a
+        finally:
+            sim._counter_head.cache_clear()
 
     def test_chunk_size_invariant_all_stop_at_once(self, monkeypatch):
         # theta below every atom: each trial stops at step 0 and the step
