@@ -207,29 +207,28 @@ def pareto_ratio(n: int, N: int, p0: float, p1: float, tol: float = 1e-6) -> Par
         restricted = float((lam @ payoffs[:, cols]).min())
         lower, best, taken = _dinkelbach(generator.rmatvec(lam), d, band, restricted)
         steps.append(taken)
-        new_col = None
+        new_cols = []
         if best is not None and best[0] < restricted - 1e-12 * abs(restricted):
-            new_col = len(points)
+            new_cols = [len(points)]
             points.append(best[1])
             payoffs = np.column_stack((payoffs, generator.matvec(best[1][0])))
-        return None if best_row in rows else best_row, new_col, (cols, alpha / alpha.sum(), lower)
+        return [] if best_row in rows else [best_row], new_cols, (cols, alpha / alpha.sum(), lower)
 
     shift = float(payoffs[m // 2, 0])  # keeps the strategies; unshifted, HiGHS failed at N >= 1e5
     # scaled exactly by 2^10, so that HiGHS's absolute 1e-10 tolerances admit 1e-12 better columns
     (cols, alpha, lower), stats = double_oracle(
-        lambda rows, cols: 1024.0 * (payoffs[np.ix_(rows, cols)] - shift), respond, m // 2, 0)
+        lambda rows, cols: 1024.0 * (payoffs[np.ix_(rows, cols)] - shift), respond, [m // 2], [0])
     y = np.cumsum(sum(a * points[k][0] for k, a in zip(cols, alpha)))
     u = y / sum(a * points[k][1] for k, a in zip(cols, alpha))
+    violation = float(max(np.max(q_lo - u, initial=0.0), np.max(u - q_hi, initial=0.0)))
     # the bounds are nondecreasing, so the clipped u is too and v >= 0
-    u = np.clip(u, q_lo, q_hi)
-    v = np.diff(u, prepend=0.0)
+    v = np.diff(np.clip(u, q_lo, q_hi), prepend=0.0)
     achieved = float((generator.matvec(v) / (d @ v)).max())
     lower = min(lower, achieved)
     certificate = {
         "bracket": [lower, achieved],
         "achieved_ratio": achieved,
-        "band_violation": float(max(np.max(q_lo - u, initial=0.0),
-                                    np.max(u - q_hi, initial=0.0))),
+        "band_violation": violation,  # of the mixture witness, before the clip
         "normalization": float(d @ v),
     }
     gap = achieved - lower

@@ -2,19 +2,24 @@
 sharp-constant pipelines for the ratio and difference games.
 
 Every game is solved by double oracle (double_oracle) on one small HiGHS
-LP over a restricted block of rows and columns that grows by both players'
-best responses until neither is new (_matrix_game).  solve_game takes any
-dense payoff matrix and finds the best responses by full matrix-vector
-products.  The sharp games never form their (N-1) x (N-1) matrix: the
-reward-weight matrix B of the generator is semiseparable, so their best
-responses come from the O(N) products B v and B^T lam;
-constrained.pareto_ratio runs on the same driver.  Every returned solution
+LP over a restricted block of rows and columns that grows from a start
+block by both players' best responses until neither is new (_matrix_game).
+solve_game takes any dense payoff matrix, starts from its first row and
+column, and finds the best responses by full matrix-vector products.  The
+sharp games never form their (N-1) x (N-1) matrix: the reward-weight
+matrix B of the generator is semiseparable, so their best responses come
+from the O(N) products B v and B^T lam, and their start block holds the
+grid levels around the continuum game's pure-level saddle
+(kernel._saddle_levels), where the grid solution sits, so that one or two
+rounds usually close the gap; constrained.pareto_ratio runs on the same
+driver.  Every returned solution
 is re-verified by arithmetic: value and gap are computed by replaying the
 strategies against the payoff matrix, never taken from solver internals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -29,6 +34,7 @@ from .dist import DiscreteDistribution, lfd_from_mu_diff, lfd_from_mu_ratio
 from .kernel import (
     Generator,
     KernelKind,
+    _saddle_levels,
     check_grid,
     err_bound_diff,
     err_bound_ratio,
@@ -41,8 +47,8 @@ MU_CLEANUP = 1e-12
 #: (1e-7) let the replayed gap stall near 1e-8 for N >= 2000
 _HIGHS_OPTIONS = {"output_flag": False, "primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10}
-#: cap on double_oracle's rounds; the sharp games take at most 20 at
-#: N = 2e5 and pareto_ratio at most 19 at N = 20000
+#: cap on double_oracle's rounds; the seeded sharp games take at most 3
+#: (n = 2 to 1e4, N = 125 to 2e5) and pareto_ratio at most 19 at N = 20000
 MAX_ROUNDS = 1000
 VERIFY_SLACK = 1e-9  #: verify_solution's allowance for rounding past a bracket end
 
@@ -91,18 +97,18 @@ def solve_game(payoff, sense: str, tol: float = 1e-7) -> GameSolution:
     sgn = 1.0 if sense == "minmax" else -1.0
     mu, lam, value, gap, stats = _matrix_game(
         lambda rows, cols: sgn * M[np.ix_(rows, cols)], lambda mu: sgn * (M @ mu),
-        lambda lam: sgn * (M.T @ lam), M.shape, 0, 0, tol)
+        lambda lam: sgn * (M.T @ lam), M.shape, [0], [0], tol)
     return GameSolution(value=sgn * value, lam=lam, mu=mu, gap=gap,
                         iterations=stats["iterations"])
 
 
-def _matrix_game(entries, matvec, rmatvec, shape, row, col, tol):
+def _matrix_game(entries, matvec, rmatvec, shape, rows, cols, tol):
     """min_mu max_i (M mu)_i for the (rows, cols) = shape matrix M by
-    double_oracle from row and col, entries(rows, cols) being M's block.
-    Each round replays mu and lam over all rows and columns, matvec(mu) =
-    M mu and rmatvec(lam) = M^T lam: lower <= value* <= upper; the argmax
-    row and argmin column are new when not in the block.  Returns (mu, lam,
-    value, gap, stats), value the midpoint and gap the half-width;
+    double_oracle from the block rows x cols, entries(rows, cols) being M's
+    block.  Each round replays mu and lam over all rows and columns,
+    matvec(mu) = M mu and rmatvec(lam) = M^T lam: lower <= value* <= upper;
+    the argmax row and argmin column are new when not in the block.  Returns
+    (mu, lam, value, gap, stats), value the midpoint and gap the half-width;
     SolverError when gap is not <= tol."""
 
     def respond(rows, cols, alpha, weights):
@@ -113,10 +119,10 @@ def _matrix_game(entries, matvec, rmatvec, shape, row, col, tol):
         row_payoffs, col_payoffs = matvec(mu), rmatvec(lam)
         best_row, best_col = int(np.argmax(row_payoffs)), int(np.argmin(col_payoffs))
         upper, lower = float(row_payoffs[best_row]), float(col_payoffs[best_col])
-        return (None if best_row in rows else best_row, None if best_col in cols else best_col,
+        return ([] if best_row in rows else [best_row], [] if best_col in cols else [best_col],
                 (mu, lam, upper, lower))
 
-    (mu, lam, upper, lower), stats = double_oracle(entries, respond, row, col)
+    (mu, lam, upper, lower), stats = double_oracle(entries, respond, rows, cols)
     gap = max(0.5 * (upper - lower), 0.0)
     if not gap <= tol:
         raise SolverError(f"duality gap {gap:.3e} exceeds tol {tol:.3e}", gap=gap)
@@ -188,9 +194,11 @@ def sharp_regret(n: int, N: int, tol: float = 1e-7) -> SharpConstantReport:
 
 def _sharp_report(kind: KernelKind, n: int, N: int, tol: float) -> SharpConstantReport:
     """Solve the grid game by _matrix_game with M = R_N, or M = -A_N for the
-    regret (value negated), from level m // 2, on one kernel.Generator: its
-    blocks are the restricted game's entries, and mu and lam are replayed
-    through its O(N) products B v and B^T lam."""
+    regret (value negated), from the block _saddle_block seeds, on one
+    kernel.Generator: its blocks are the restricted game's entries, and mu
+    and lam are replayed through its O(N) products B v and B^T lam.  The
+    seed only saves rounds: value and gap come from the replay whatever the
+    start."""
     n, N = check_grid(n, N)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -208,7 +216,7 @@ def _sharp_report(kind: KernelKind, n: int, N: int, tol: float) -> SharpConstant
 
     mu, lam, value, gap, stats = _matrix_game(
         lambda rows, cols: sgn * generator.block(kind, rows, cols), matvec, rmatvec, (m, m),
-        m // 2, m // 2, tol)
+        *_saddle_block(kind, n, N), tol)
     value *= sgn
     mu = _cleanup(mu)
     if ratio:
@@ -225,14 +233,27 @@ def _sharp_report(kind: KernelKind, n: int, N: int, tol: float) -> SharpConstant
     )
 
 
-def double_oracle(entries, respond, row, col) -> tuple[object, dict]:
+def _saddle_block(kind: KernelKind, n: int, N: int) -> tuple[list, list]:
+    """The grid game's starting block from the continuum saddle
+    (kernel._saddle_levels): the adversary levels floor(yN)/N and ceil(yN)/N
+    around each atom y, and the stopper levels from floor(xN)/N - 2/N to
+    ceil(xN)/N, since the grid solution's levels can sit a level below the
+    two around x.  0-based indices (level i is (i+1)/N), clipped to the grid."""
+    x, atoms = _saddle_levels(kind, n, N)
+    rows = range(math.floor(x * N) - 3, math.ceil(x * N))
+    cols = [k - 1 for y in atoms for k in (math.floor(y * N), math.ceil(y * N))]
+    return tuple(sorted({min(max(i, 0), N - 2) for i in indices}) for indices in (rows, cols))
+
+
+def double_oracle(entries, respond, rows, cols) -> tuple[object, dict]:
     """min over alpha of max_i (M alpha)_i by double oracle on one warm-started
     HiGHS LP (min t s.t. M alpha <= t, sum alpha = 1, alpha >= 0) over a block
-    of row and column keys grown from row and col; entries(rows, cols) is
-    M's block.  After each run respond(rows, cols, alpha, lam) gets alpha
-    and the payoff rows' duals lam (clipped at 0, unnormalized) and returns
-    the next row, column (None: not new) and an outcome.  Returns the last
-    outcome and stats; SolverError after MAX_ROUNDS rounds."""
+    of row and column keys grown from the start lists rows and cols;
+    entries(rows, cols) is M's block.  After each run respond(rows, cols,
+    alpha, lam) gets alpha and the payoff rows' duals lam (clipped at 0,
+    unnormalized) and returns the lists of new rows and columns and an
+    outcome.  Returns the last outcome and stats; SolverError after
+    MAX_ROUNDS rounds."""
     highs = _Highs()
     for option, setting in _HIGHS_OPTIONS.items():
         highs.setOptionValue(option, setting)
@@ -240,15 +261,15 @@ def double_oracle(entries, respond, row, col) -> tuple[object, dict]:
     # per block column and row, in the order they entered
     highs.addCol(1.0, -np.inf, np.inf, 0, np.empty(0, np.int32), np.empty(0))
     highs.addRow(1.0, 1.0, 0, np.empty(0, np.int32), np.empty(0))
-    rows, cols, iterations, rounds = [], [], 0, 0
-    while row is not None or col is not None:
+    new_rows, new_cols, rows, cols, iterations, rounds = list(rows), list(cols), [], [], 0, 0
+    while new_rows or new_cols:
         if rounds == MAX_ROUNDS:
             raise SolverError(f"double oracle still growing after {MAX_ROUNDS} rounds")
-        if row is not None:
+        for row in new_rows:
             rows.append(row)
             highs.addRow(-np.inf, 0.0, len(cols) + 1, np.arange(len(cols) + 1, dtype=np.int32),
                          np.append(-1.0, entries([row], cols)[0]))
-        if col is not None:
+        for col in new_cols:
             cols.append(col)
             highs.addCol(0.0, 0.0, np.inf, len(rows) + 1, np.arange(len(rows) + 1, dtype=np.int32),
                          np.append(1.0, entries(rows, [col])[:, 0]))
@@ -262,7 +283,7 @@ def double_oracle(entries, respond, row, col) -> tuple[object, dict]:
         lam = np.maximum(-np.asarray(solution.row_dual)[1:], 0.0)
         if lam.sum() <= 0.0:
             raise SolverError("LP returned a degenerate dual; no row strategy available")
-        row, col, outcome = respond(rows, cols, alpha, lam)
+        new_rows, new_cols, outcome = respond(rows, cols, alpha, lam)
     return outcome, {"iterations": iterations, "rounds": rounds,
                      "block_rows": len(rows), "block_cols": len(cols)}
 

@@ -15,8 +15,9 @@ sums (Generator.matvec and rmatvec); every solver builds one Generator
 and reaches B only through it; only prophet_weights wraps a one-use
 Generator.  payoff_matrix is the dense R_N or A_N as an array and the
 dense B (reward_weights) is the tests' oracle.  Also: the horizon check,
-the discretization error bounds, the support-exclusion constant, and the
-Lipschitz constants used by property tests.
+the continuum game's pure-level saddle that seeds the grid games
+(_saddle_levels), the discretization error bounds, the support-exclusion
+constant, and the Lipschitz constants used by property tests.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 from enum import Enum
 
 import numpy as np
+from scipy.optimize import brentq
 
 
 class KernelKind(str, Enum):
@@ -204,6 +206,67 @@ def stop_weight_sums(x, y, w, tail, n: int) -> np.ndarray:
 
 def _suffix_sum(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a[::-1])[::-1]
+
+
+def _saddle_levels(kind: KernelKind | str, n: int, N: int) -> tuple[float, tuple[float, float]]:
+    """The pure stopper level x and the adversary's two atoms of the
+    continuum game's conjectured saddle point, for x on the grid's range
+    [1/N, (N-1)/N]: a starting block for the grid game, certified by
+    nothing.  Ratio: y0 minimizes R(x, y) = (1 - a y)/(1 - y^n), a = x^{n-1},
+    over y <= x, which gives a = n y0^{n-1} / (1 + (n-1) y0^n); y0 solves
+    R(x, y0) = g(x)/n, and the atoms are {y0, 1}.  Regret: A(x, y) peaks at
+    y1 = x n^{-1/(n-1)} below x and at y2 = (g(x)/n)^{1/(n-1)} above it, and
+    x equalizes the two peaks.  The equations are solved by brentq in
+    s = n (1 - x) and t = n (1 - y), by expm1 and log1p, so nothing cancels
+    near 1 at any n; where the grid's range has no sign change, its end with
+    the smaller excess is taken."""
+    kind = KernelKind(kind)
+    n, N = check_grid(n, N)
+
+    def log_power(t, k):  # log (1 - t/n)^k
+        return k * math.log1p(-t / n) if t < n else -math.inf
+
+    def one_minus_power(t, k):
+        return -math.expm1(log_power(t, k))
+
+    def solve(excess, lo, hi):
+        f_lo, f_hi = excess(lo), excess(hi)
+        if f_lo * f_hi > 0.0:
+            return lo if abs(f_lo) < abs(f_hi) else hi
+        return brentq(excess, lo, hi)
+
+    ends = (n / N, n * (N - 1) / N)  # s at x = (N-1)/N and at x = 1/N
+    if kind is KernelKind.RATIO:
+        def level(t):  # s and log a of the x whose minimizing y0 is 1 - t/n
+            log_a = (math.log(n) + log_power(t, n - 1)
+                     - math.log1p((n - 1) * math.exp(log_power(t, n))))
+            return -n * math.expm1(log_a / (n - 1)), log_a
+
+        def excess(t):  # R(x, y0) - g(x)/n
+            s, log_a = level(t)
+            return ((-math.expm1(log_a) + math.exp(log_a) * t / n) / one_minus_power(t, n)
+                    - one_minus_power(s, n) / s)
+
+        def atom(s):  # t0 at x: level(t) < t rises from level(s) < s to level(n) = n
+            return brentq(lambda t: level(t)[0] - s, s, n)
+
+        t = solve(excess, atom(ends[0]), atom(ends[1]))
+        return 1.0 - level(t)[0] / n, (1.0 - t / n, 1.0)
+
+    shrink = math.exp(-math.log(n) / (n - 1))  # n^{-1/(n-1)}
+
+    def upper_atom(s):  # t2 = n (1 - y2), and g(x)/n
+        G = one_minus_power(s, n) / s
+        return -n * math.expm1(math.log(G) / (n - 1)), G
+
+    def excess(s):  # A(x, y1) = (1 - 1/n) n^{-1/(n-1)} x^n minus A(x, y2)
+        t2, G = upper_atom(s)  # A(x, y2) = 1 - G (1 + (n-1)(1 - y2))
+        return ((1.0 - 1.0 / n) * shrink * math.exp(log_power(s, n))
+                - (1.0 - G * (1.0 + t2 * (n - 1) / n)))
+
+    s = solve(excess, *ends)
+    x = 1.0 - s / n
+    return x, (x * shrink, 1.0 - upper_atom(s)[0] / n)
 
 
 def err_bound_diff(n: int, N: int) -> float:

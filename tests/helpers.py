@@ -16,6 +16,8 @@ import scipy.sparse as sp
 from scipy.optimize import isotonic_regression, linprog, lsq_linear, nnls
 
 from prophet_sharp import DiscreteDistribution, grid_distribution, prophet_weights, reward_weights
+from prophet_sharp import game
+from prophet_sharp.kernel import Generator, KernelKind
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -148,6 +150,27 @@ def game_lp(M: np.ndarray, sense: str) -> tuple[float, float]:
         lower, upper = float(row_payoffs.min()), float(col_payoffs.max())
     value = min(max(float(res.x[-1]), lower), upper)
     return value, max(upper - value, value - lower, 0.0)
+
+
+def cold_sharp(kind: str, n: int, N: int, tol: float = 1e-7) -> tuple[float, float, int]:
+    """(value, gap, rounds) of the grid game of sharp_ratio ("ratio") or
+    sharp_regret ("regret") by game._matrix_game from the single level
+    m // 2 a side, with no seeded block: R_N mu = B (mu/d) and
+    R_N^T lam = (B^T lam)/d, or -A_N mu = B mu - d^T mu and
+    -A_N^T lam = B^T lam - d, replayed through kernel.Generator."""
+    ratio = kind == "ratio"
+    sgn, m = (1.0 if ratio else -1.0), N - 1
+    gen = Generator(n, N)
+    d = gen.d
+    if ratio:
+        matvec, rmatvec = (lambda mu: gen.matvec(mu / d)), (lambda lam: gen.rmatvec(lam) / d)
+    else:
+        matvec, rmatvec = (lambda mu: gen.matvec(mu) - d @ mu), (lambda lam: gen.rmatvec(lam) - d)
+    kernel = KernelKind.RATIO if ratio else KernelKind.DIFFERENCE
+    _, _, value, gap, stats = game._matrix_game(
+        lambda rows, cols: sgn * gen.block(kernel, rows, cols), matvec, rmatvec, (m, m),
+        [m // 2], [m // 2], tol)
+    return sgn * value, gap, stats["rounds"]
 
 
 def limit_regret_matrix(K: int) -> np.ndarray:

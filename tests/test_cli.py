@@ -176,9 +176,10 @@ class TestTable2And3:
     def test_round_cap_exit_3(self, tmp_path, monkeypatch, capsys):
         from prophet_sharp import game
 
-        monkeypatch.setattr(game, "MAX_ROUNDS", 3)
-        assert main(["table1", "--n", "5", "--N", "60", "--out", str(tmp_path)]) == 3
-        assert "3 rounds" in capsys.readouterr().err
+        # (2, 60) takes 2 rounds from its seeded block
+        monkeypatch.setattr(game, "MAX_ROUNDS", 1)
+        assert main(["table1", "--n", "2", "--N", "60", "--out", str(tmp_path)]) == 3
+        assert "1 rounds" in capsys.readouterr().err
 
 
 class TestEval:

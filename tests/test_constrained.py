@@ -233,6 +233,15 @@ class TestPareto:
         assert cert["achieved_ratio"] <= res.value + 1e-9
         assert cert["normalization"] >= 1.0 - 1e-9
 
+    def test_band_violation_is_measured_before_the_clip(self, monkeypatch):
+        # halving every column's s doubles the mixture witness u, which then
+        # leaves the band; the clipped witness would report exactly 0
+        scaled = constrained._scaled
+        monkeypatch.setattr(constrained, "_scaled",
+                            lambda v, d: (scaled(v, d)[0], 0.5 * scaled(v, d)[1]))
+        res = pareto_ratio(5, 120, 20.0, 5.0, tol=1.0)
+        assert res.certificate["band_violation"] >= 0.5
+
     def test_value_dominates_unconstrained(self):
         n, N = 5, 120
         constrained = pareto_ratio(n, N, 20.0, 5.0, tol=1e-6)

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from helpers import game_lp, limit_regret_matrix, oracle_maxmin, oracle_minmax, random_grid_member
+from helpers import (
+    cold_sharp,
+    game_lp,
+    limit_regret_matrix,
+    oracle_maxmin,
+    oracle_minmax,
+    random_grid_member,
+)
 from prophet_sharp import game
 from prophet_sharp import (
     DiscreteDistribution,
@@ -100,7 +107,7 @@ class TestSolveGame:
         with pytest.raises(SolverError):
             game._matrix_game(lambda rows, cols: np.zeros((len(rows), len(cols))),
                               lambda mu: np.full(2, np.nan), lambda lam: np.zeros(2),
-                              (2, 2), 0, 0, 1e-7)
+                              (2, 2), [0], [0], 1e-7)
 
     def test_round_cap_raises(self, monkeypatch):
         # a random 20 x 20 game with full support needs more than 3 rounds
@@ -234,25 +241,27 @@ class TestStructuredLP:
         for rep in (sharp_ratio(10, 200), sharp_regret(10, 200)):
             assert set(rep.stats) == {"iterations", "rounds", "block_rows", "block_cols"}
             assert rep.stats["iterations"] > 0
-            # the first round starts from one level a side, and every later
+            # the first round runs on the seeded block, and every later
             # round follows one that found a new level
             assert 1 <= rep.stats["rounds"] <= rep.stats["block_rows"] + rep.stats["block_cols"] - 1
             assert 0 < rep.stats["block_rows"] <= 40 and 0 < rep.stats["block_cols"] <= 40
             assert rep.as_dict()["stats"] == rep.stats
 
     @pytest.mark.parametrize("kind,n,N,stats", [
-        ("ratio", 2, 3, (3, 2, 2)),
-        ("ratio", 3, 10, (5, 4, 3)),
-        ("ratio", 5, 60, (8, 7, 6)),
-        ("ratio", 10, 200, (9, 8, 6)),
-        ("regret", 2, 3, (3, 2, 2)),
-        ("regret", 3, 10, (5, 4, 4)),
-        ("regret", 5, 60, (7, 6, 5)),
-        ("regret", 10, 200, (9, 8, 7)),
+        ("ratio", 2, 3, (1, 2, 2)),
+        ("ratio", 3, 10, (1, 4, 3)),
+        ("ratio", 5, 60, (1, 4, 3)),
+        ("ratio", 10, 200, (1, 4, 3)),
+        ("regret", 2, 3, (1, 2, 2)),
+        ("regret", 3, 10, (1, 4, 4)),
+        ("regret", 5, 60, (1, 4, 4)),
+        ("regret", 10, 200, (1, 4, 4)),
+        ("ratio", 2, 60, (2, 5, 3)),
+        ("regret", 2, 60, (2, 5, 4)),
     ])
     def test_stats_pinned(self, kind, n, N, stats):
         # double-oracle rounds and the restricted game's final size; a change
-        # in the start level, the best responses or their tie-breaks shows up here
+        # in the seeded block, the best responses or their tie-breaks shows up here
         rep = (sharp_ratio if kind == "ratio" else sharp_regret)(n, N)
         keys = ("rounds", "block_rows", "block_cols")
         assert tuple(rep.stats[k] for k in keys) == stats
@@ -275,10 +284,29 @@ class TestStructuredLP:
 
     @pytest.mark.parametrize("solve", [sharp_ratio, sharp_regret])
     def test_round_cap_raises(self, solve, monkeypatch):
-        # (5, 60) takes 7-8 rounds (test_stats_pinned)
-        monkeypatch.setattr(game, "MAX_ROUNDS", 3)
-        with pytest.raises(SolverError, match="3 rounds"):
-            solve(5, 60)
+        # (2, 60) takes 2 rounds from its seeded block (test_stats_pinned)
+        monkeypatch.setattr(game, "MAX_ROUNDS", 1)
+        with pytest.raises(SolverError, match="after 1 rounds"):
+            solve(2, 60)
+
+    @pytest.mark.parametrize("N", [125, 700, 20000])
+    @pytest.mark.parametrize("kind", ["ratio", "regret"])
+    def test_seeded_block_matches_cold_start(self, kind, N):
+        # the block seeded at the continuum saddle changes the rounds, not the
+        # game: the cold start from level m // 2 reaches the same value
+        for n in (3, 5, 10, 25, 100, 1000):
+            rep = (sharp_ratio if kind == "ratio" else sharp_regret)(n, N)
+            value, gap, rounds = cold_sharp(kind, n, N)
+            assert abs(rep.value - value) <= rep.gap + gap + 4 * np.spacing(value)
+            assert rep.stats["rounds"] <= 3 and rep.stats["rounds"] <= rounds
+
+    @pytest.mark.parametrize("N", [3, 700])
+    @pytest.mark.parametrize("solve", [sharp_ratio, sharp_regret])
+    def test_huge_horizon(self, solve, N):
+        # the saddle level of n = 1e12 lies above the grid's top level: the
+        # block is seeded at the top and the game still certifies
+        rep = solve(10**12, N)
+        assert rep.gap <= 1e-7 and rep.stats["rounds"] <= 3
 
     @pytest.mark.parametrize("solve", [sharp_ratio, sharp_regret])
     def test_rejects_bad_tol(self, solve):

@@ -21,7 +21,8 @@ from prophet_sharp import (
     support_cutoff,
 )
 from prophet_sharp.dist import grid_distribution, lfd_from_mu_ratio
-from prophet_sharp.kernel import check_grid, stop_weight_sums
+from prophet_sharp.game import _saddle_block
+from prophet_sharp.kernel import _saddle_levels, check_grid, stop_weight_sums
 from prophet_sharp.reward import (
     ThresholdRule,
     growth_bound_check,
@@ -382,3 +383,49 @@ class TestBounds:
         assert 0.0 < support_cutoff(4) < 1.0
         with pytest.raises(ValueError):
             support_cutoff(3)
+
+
+class TestSaddleLevels:
+    #: continuum saddle levels x*_n (ratio, regret), solved at 40 digits with
+    #: mpmath (the ratio's at n = 1e4 by bisection on both equations)
+    X_STAR = {
+        2: (0.70710678118655, 0.5),
+        3: (0.77944897202744, 0.61544632820242),
+        4: (0.82231651992015, 0.68726329553044),
+        10: (0.91647612719801, 0.85142703674708),
+        25: (0.96347387810403, 0.93519300181686),
+        100: (0.99029826982879, 0.98290535778894),
+        1000: (0.99900433182184, 0.99825470477844),
+        10**4: (0.99990005674594, 0.99982498955581),
+    }
+    FINE = 10**7  # a grid whose range [1/N, (N-1)/N] holds every x*_n above
+
+    @pytest.mark.parametrize("n", list(X_STAR))
+    def test_matches_table(self, n):
+        for kind, x_star in zip(("ratio", "difference"), self.X_STAR[n]):
+            assert abs(_saddle_levels(kind, n, self.FINE)[0] - x_star) <= 1e-12
+
+    def test_closed_forms_at_n2(self):
+        x, (y0, top) = _saddle_levels("ratio", 2, self.FINE)
+        assert x == pytest.approx(2**-0.5, abs=1e-12)
+        assert y0 == pytest.approx(2**0.5 - 1.0, abs=1e-12) and top == 1.0
+        x, atoms = _saddle_levels("difference", 2, self.FINE)
+        assert x == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_allclose(atoms, (0.25, 0.75), atol=1e-12)
+
+    @pytest.mark.parametrize("N", [3, 4, 700, 200000])
+    def test_total(self, N):
+        # where x*_n lies outside the grid's range, the nearer end is taken
+        for n in (2, 3, 5, 10, 100, 10**3, 10**4, 10**6, 10**9, 10**12):
+            for kind in KernelKind:
+                x, atoms = _saddle_levels(kind, n, N)
+                assert 1.0 / N - 1e-12 <= x <= (N - 1) / N + 1e-12
+                assert all(0.0 <= y <= 1.0 for y in atoms)
+                for indices in _saddle_block(kind, n, N):
+                    assert indices and 0 <= min(indices) and max(indices) <= N - 2
+
+    def test_rejects_bad_sizes(self):
+        with pytest.raises(ValueError, match="horizon"):
+            _saddle_levels("ratio", 1, 100)
+        with pytest.raises(ValueError, match="grid size"):
+            _saddle_levels("difference", 10, 2)
