@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression, linprog, minimize, nnls  # noqa: F401
 
 from .game import SolverError, double_oracle
-from .kernel import Generator, check_grid, check_integer
+from .kernel import Generator, _suffix_sum, check_grid, check_integer
 
 #: cap on the steps of one _dinkelbach call; pareto_ratio at N = 20000 and
 #: n in {10, 100} takes at most 7 per call
@@ -93,7 +93,7 @@ def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
                           f"min A_N z = {a.min():.3e}, dual end {sigma * np.sqrt(N * (p @ p)):.3e}")
     # primal: scale z to min A_N z = 1; its norm is the variance of S
     z /= a.min()
-    norm_sq = float(np.var(np.append(np.cumsum(z[::-1])[::-1], 0.0)))
+    norm_sq = float(np.var(np.append(_suffix_sum(z), 0.0)))
     dual_bound = min(1.0 / (N * float(p @ p)), norm_sq)
     kappa_lower, kappa_upper = sigma / np.sqrt(norm_sq), sigma / np.sqrt(dual_bound)
     gap = kappa_upper - kappa_lower

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernel import check_horizon, check_integer, prophet_weights
+from .kernel import _suffix_sum, check_horizon, check_integer, prophet_weights
 
 #: absolute tolerance for probability normalization; inputs outside it are
 #: rejected, never renormalized (silent renormalization hides caller bugs).
@@ -134,7 +134,7 @@ class DiscreteDistribution:
         """
         levels = np.concatenate(([0.0], self._cum[:-1]))
         weights = np.concatenate(([self.values[0]], np.diff(self.values)))
-        tails = np.cumsum(self.probs[::-1])[::-1]
+        tails = _suffix_sum(self.probs)
         return levels, weights, tails
 
     # -- serialization -----------------------------------------------------

@@ -8,11 +8,11 @@ solve_game takes any dense payoff matrix, starts from its first row and
 column, and finds the best responses by full matrix-vector products.  The
 sharp games never form their (N-1) x (N-1) matrix: the reward-weight
 matrix B of the generator is semiseparable, so their best responses come
-from the O(N) products B v and B^T lam, and their start block holds the
-grid levels around the continuum game's pure-level saddle
-(kernel._saddle_levels), where the grid solution sits, so that one or two
-rounds usually close the gap; constrained.pareto_ratio runs on the same
-driver.  Every returned solution
+from the O(N) products B v and B^T lam, and their start block
+(_saddle_block) holds the grid levels around the continuum game's
+pure-level saddle, which depends on n alone (kernel._saddle_levels): the
+grid solution sits there, so one or two rounds close the gap.
+constrained.pareto_ratio runs on the same driver.  Every returned solution
 is re-verified by arithmetic: value and gap are computed by replaying the
 strategies against the payoff matrix, never taken from solver internals.
 """
@@ -47,8 +47,8 @@ MU_CLEANUP = 1e-12
 #: (1e-7) let the replayed gap stall near 1e-8 for N >= 2000
 _HIGHS_OPTIONS = {"output_flag": False, "primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10}
-#: cap on double_oracle's rounds; the seeded sharp games take at most 3
-#: (n = 2 to 1e4, N = 125 to 2e5) and pareto_ratio at most 19 at N = 20000
+#: cap on double_oracle's rounds; the seeded sharp games take at most 2
+#: (n = 2 to 1e12, N = 3 to 2e5) and pareto_ratio at most 19 at N = 20000
 MAX_ROUNDS = 1000
 VERIFY_SLACK = 1e-9  #: verify_solution's allowance for rounding past a bracket end
 
@@ -235,13 +235,15 @@ def _sharp_report(kind: KernelKind, n: int, N: int, tol: float) -> SharpConstant
 
 def _saddle_block(kind: KernelKind, n: int, N: int) -> tuple[list, list]:
     """The grid game's starting block from the continuum saddle
-    (kernel._saddle_levels): the adversary levels floor(yN)/N and ceil(yN)/N
-    around each atom y, and the stopper levels from floor(xN)/N - 2/N to
-    ceil(xN)/N, since the grid solution's levels can sit a level below the
-    two around x.  0-based indices (level i is (i+1)/N), clipped to the grid."""
-    x, atoms = _saddle_levels(kind, n, N)
-    rows = range(math.floor(x * N) - 3, math.ceil(x * N))
-    cols = [k - 1 for y in atoms for k in (math.floor(y * N), math.ceil(y * N))]
+    (kernel._saddle_levels), the one place where the saddle meets the grid:
+    the levels floor(zN)/N and floor(zN)/N + 1/N around x* and each atom z,
+    and the two stopper levels below x*'s pair, since the grid solution's
+    levels can sit a level below it.  0-based indices (level i is
+    (i+1)/N), clipped to [0, N-2]."""
+    x, atoms = _saddle_levels(kind, n)
+    top = math.floor(x * N)
+    rows = range(top - 3, top + 1)
+    cols = [k for y in atoms for k in (math.floor(y * N) - 1, math.floor(y * N))]
     return tuple(sorted({min(max(i, 0), N - 2) for i in indices}) for indices in (rows, cols))
 
 

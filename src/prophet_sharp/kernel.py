@@ -11,13 +11,14 @@ R_N = B / d per column, A_N = d - B.  Generator(n, N) is the one home of
 the grid factors y^{n-1}, g(y), 1 - y and d, computed once per solve.
 Any block of R_N or A_N comes from one entry formula (Generator.block).
 B is semiseparable, so B v and B^T lam take O(N) operations from running
-sums (Generator.matvec and rmatvec); every solver builds one Generator
-and reaches B only through it; only prophet_weights wraps a one-use
-Generator.  payoff_matrix is the dense R_N or A_N as an array and the
-dense B (reward_weights) is the tests' oracle.  Also: the horizon check,
-the continuum game's pure-level saddle that seeds the grid games
-(_saddle_levels), the discretization error bounds, the support-exclusion
-constant, and the Lipschitz constants used by property tests.
+sums (Generator.matvec, from weight_sums, and rmatvec); every solver
+builds one Generator and reaches B only through it; only prophet_weights
+wraps a one-use Generator.  payoff_matrix is the dense R_N or A_N as an
+array and the dense B (reward_weights) is the tests' oracle.  Also: the
+horizon check, the continuum game's pure-level saddle at horizon n, which
+knows no grid and seeds the grid games (_saddle_levels), the
+discretization error bounds, the support-exclusion constant, and the
+Lipschitz constants used by property tests.
 """
 
 from __future__ import annotations
@@ -152,10 +153,9 @@ class Generator:
 
     def matvec(self, v) -> np.ndarray:
         """B v in O(N): stop_weight_sums at the grid levels with weights v,
-        whose count of levels <= y_i is i."""
-        v = self._vector(v)
-        T = np.append(_suffix_sum(v * self.tail)[1:], 0.0)
-        return np.cumsum(v) - self.xp * np.cumsum(v * self.y) + self.g * T
+        from the weight_sums at each level's count i of levels <= y_i."""
+        P, Q, T = weight_sums(self.y, self._vector(v), self.tail)[:, 1:]
+        return P - self.xp * Q + self.g * T
 
     def rmatvec(self, lam) -> np.ndarray:
         """B^T lam in O(N): (B^T lam)_j = sum_{i>=j} lam_i - y_j sum_{i>=j} x_i^{n-1} lam_i
@@ -182,14 +182,16 @@ class Generator:
         return v
 
 
-def weight_sums(y, w, tail) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def weight_sums(y, w, tail) -> np.ndarray:
     """Running sums of the measure with masses w at sorted levels y, tail
-    masses tail = 1 - y: P[k] and Q[k] sum w and w y over the first k
-    levels, T[k] sums w tail over the others (k = 0, ..., len(y))."""
-    P = np.concatenate(([0.0], np.cumsum(w)))
-    Q = np.concatenate(([0.0], np.cumsum(w * y)))
-    T = np.append(_suffix_sum(w * tail), 0.0)
-    return P, Q, T
+    masses tail = 1 - y, as the rows P, Q, T of one array: P[k] and Q[k]
+    sum w and w y over the first k levels, T[k] sums w tail over the others
+    (k = 0, ..., len(y))."""
+    sums = np.zeros((3, len(w) + 1))
+    np.cumsum(w, out=sums[0, 1:])
+    np.cumsum(w * y, out=sums[1, 1:])
+    sums[2, :-1] = _suffix_sum(w * tail)
+    return sums
 
 
 def stop_weight_sums(x, y, w, tail, n: int) -> np.ndarray:
@@ -200,7 +202,7 @@ def stop_weight_sums(x, y, w, tail, n: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     k = np.searchsorted(y, x, side="right")
-    P, Q, T = (s[k] for s in weight_sums(y, w, tail))
+    P, Q, T = weight_sums(y, w, tail)[:, k]
     return P - x ** (n - 1) * Q + _g(x, n) * T
 
 
@@ -208,34 +210,29 @@ def _suffix_sum(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a[::-1])[::-1]
 
 
-def _saddle_levels(kind: KernelKind | str, n: int, N: int) -> tuple[float, tuple[float, float]]:
-    """The pure stopper level x and the adversary's two atoms of the
-    continuum game's conjectured saddle point, for x on the grid's range
-    [1/N, (N-1)/N]: a starting block for the grid game, certified by
-    nothing.  Ratio: y0 minimizes R(x, y) = (1 - a y)/(1 - y^n), a = x^{n-1},
-    over y <= x, which gives a = n y0^{n-1} / (1 + (n-1) y0^n); y0 solves
-    R(x, y0) = g(x)/n, and the atoms are {y0, 1}.  Regret: A(x, y) peaks at
-    y1 = x n^{-1/(n-1)} below x and at y2 = (g(x)/n)^{1/(n-1)} above it, and
-    x equalizes the two peaks.  The equations are solved by brentq in
-    s = n (1 - x) and t = n (1 - y), by expm1 and log1p, so nothing cancels
-    near 1 at any n; where the grid's range has no sign change, its end with
-    the smaller excess is taken."""
+def _saddle_levels(kind: KernelKind | str, n: int) -> tuple[float, tuple[float, float]]:
+    """The pure stopper level x* and the adversary's two atoms of the
+    continuum game's conjectured saddle point at horizon n: a starting
+    block for the grid games, certified by nothing.  Ratio: y0 minimizes
+    R(x, y) = (1 - a y)/(1 - y^n), a = x^{n-1}, over y <= x, which gives
+    a = n y0^{n-1} / (1 + (n-1) y0^n); y0 solves R(x, y0) = g(x)/n, and the
+    atoms are {y0, 1}.  Regret: A(x, y) peaks at y1 = x n^{-1/(n-1)} below x
+    and at y2 = (g(x)/n)^{1/(n-1)} above it, and x equalizes the two peaks.
+    One brentq per kind, by expm1 and log1p so that nothing cancels near 1
+    at any n: the ratio in t = n (1 - y0) on [1/2, min(ln n + 2, 0.999 n)]
+    (t0 is 1.17 at n = 2 and ln n + 0.31 to 0.54 for n >= 10), the regret
+    in s = n (1 - x) on [1/2, min(2, 0.999 n)] (s* rises from 1 at n = 2
+    to 1.7508 as n grows)."""
     kind = KernelKind(kind)
-    n, N = check_grid(n, N)
+    check_horizon(n)
+    n = int(n)
 
     def log_power(t, k):  # log (1 - t/n)^k
-        return k * math.log1p(-t / n) if t < n else -math.inf
+        return k * math.log1p(-t / n)
 
     def one_minus_power(t, k):
         return -math.expm1(log_power(t, k))
 
-    def solve(excess, lo, hi):
-        f_lo, f_hi = excess(lo), excess(hi)
-        if f_lo * f_hi > 0.0:
-            return lo if abs(f_lo) < abs(f_hi) else hi
-        return brentq(excess, lo, hi)
-
-    ends = (n / N, n * (N - 1) / N)  # s at x = (N-1)/N and at x = 1/N
     if kind is KernelKind.RATIO:
         def level(t):  # s and log a of the x whose minimizing y0 is 1 - t/n
             log_a = (math.log(n) + log_power(t, n - 1)
@@ -247,10 +244,7 @@ def _saddle_levels(kind: KernelKind | str, n: int, N: int) -> tuple[float, tuple
             return ((-math.expm1(log_a) + math.exp(log_a) * t / n) / one_minus_power(t, n)
                     - one_minus_power(s, n) / s)
 
-        def atom(s):  # t0 at x: level(t) < t rises from level(s) < s to level(n) = n
-            return brentq(lambda t: level(t)[0] - s, s, n)
-
-        t = solve(excess, atom(ends[0]), atom(ends[1]))
+        t = brentq(excess, 0.5, min(math.log(n) + 2.0, 0.999 * n))
         return 1.0 - level(t)[0] / n, (1.0 - t / n, 1.0)
 
     shrink = math.exp(-math.log(n) / (n - 1))  # n^{-1/(n-1)}
@@ -264,7 +258,7 @@ def _saddle_levels(kind: KernelKind | str, n: int, N: int) -> tuple[float, tuple
         return ((1.0 - 1.0 / n) * shrink * math.exp(log_power(s, n))
                 - (1.0 - G * (1.0 + t2 * (n - 1) / n)))
 
-    s = solve(excess, *ends)
+    s = brentq(excess, 0.5, min(2.0, 0.999 * n))
     x = 1.0 - s / n
     return x, (x * shrink, 1.0 - upper_atom(s)[0] / n)
 

@@ -179,7 +179,7 @@ def best_level(levels, weights, tails, n: int) -> float:
     root; the candidates are scored in one stop_weight_sums call.
     """
     a, b = levels, np.append(levels[1:], 1.0)
-    _, Q, T = (s[1:] for s in weight_sums(levels, weights, tails))
+    _, Q, T = weight_sums(levels, weights, tails)[:, 1:]
     ramp = np.arange(1.0, n)
 
     def slope(x, j):

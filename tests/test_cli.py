@@ -181,6 +181,17 @@ class TestTable2And3:
         assert main(["table1", "--n", "2", "--N", "60", "--out", str(tmp_path)]) == 3
         assert "1 rounds" in capsys.readouterr().err
 
+    def test_unknown_lp_status_exit_3(self, tmp_path, monkeypatch, capsys):
+        from prophet_sharp import game
+
+        class Unknown(game._Highs):
+            def getModelStatus(self):
+                return game.HighsModelStatus.kUnknown
+
+        monkeypatch.setattr(game, "_Highs", Unknown)
+        assert main(["table1", "--n", "4", "--N", "40", "--out", str(tmp_path)]) == 3
+        assert "restricted game LP ended" in capsys.readouterr().err
+
 
 class TestEval:
     def test_point_mass_ratio_one(self, tmp_path, capsys):
@@ -267,6 +278,14 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             main(["table1", "--n", "five", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n_list", ["1", "4,1"])
+    def test_n_below_2_exit_2(self, tmp_path, capsys, n_list):
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--n", n_list, "--N", "40", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "every n must be >= 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

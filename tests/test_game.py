@@ -115,6 +115,26 @@ class TestSolveGame:
         with pytest.raises(SolverError, match="3 rounds"):
             solve_game(np.random.default_rng(5).random((20, 20)), "minmax")
 
+    def test_unknown_status_raises(self, monkeypatch):
+        class Unknown(game._Highs):
+            def getModelStatus(self):
+                return game.HighsModelStatus.kUnknown
+
+        monkeypatch.setattr(game, "_Highs", Unknown)
+        with pytest.raises(SolverError, match="restricted game LP ended"):
+            solve_game(np.random.default_rng(5).random((4, 3)), "minmax")
+
+    def test_zero_duals_raise(self, monkeypatch):
+        class ZeroDuals(game._Highs):
+            def getSolution(self):
+                solution = super().getSolution()
+                solution.row_dual = [0.0] * len(solution.row_dual)
+                return solution
+
+        monkeypatch.setattr(game, "_Highs", ZeroDuals)
+        with pytest.raises(SolverError, match="degenerate dual"):
+            solve_game(np.random.default_rng(5).random((4, 3)), "minmax")
+
     def test_matches_lp_oracle(self):
         rng = np.random.default_rng(11)
         games = [rng.random((int(rng.integers(1, 41)), int(rng.integers(1, 41))))

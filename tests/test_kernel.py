@@ -17,6 +17,7 @@ from prophet_sharp import (
     payoff_matrix,
     prophet_weights,
     reward_weights,
+    sharp_regret,
     stop_weight,
     support_cutoff,
 )
@@ -398,34 +399,48 @@ class TestSaddleLevels:
         1000: (0.99900433182184, 0.99825470477844),
         10**4: (0.99990005674594, 0.99982498955581),
     }
-    FINE = 10**7  # a grid whose range [1/N, (N-1)/N] holds every x*_n above
 
     @pytest.mark.parametrize("n", list(X_STAR))
     def test_matches_table(self, n):
         for kind, x_star in zip(("ratio", "difference"), self.X_STAR[n]):
-            assert abs(_saddle_levels(kind, n, self.FINE)[0] - x_star) <= 1e-12
+            assert abs(_saddle_levels(kind, n)[0] - x_star) <= 1e-12
 
     def test_closed_forms_at_n2(self):
-        x, (y0, top) = _saddle_levels("ratio", 2, self.FINE)
+        x, (y0, top) = _saddle_levels("ratio", 2)
         assert x == pytest.approx(2**-0.5, abs=1e-12)
         assert y0 == pytest.approx(2**0.5 - 1.0, abs=1e-12) and top == 1.0
-        x, atoms = _saddle_levels("difference", 2, self.FINE)
+        x, atoms = _saddle_levels("difference", 2)
         assert x == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(atoms, (0.25, 0.75), atol=1e-12)
 
+    def test_brackets_hold_every_root(self):
+        # brentq raises where its fixed bracket has no sign change
+        ns = list(range(2, 3001)) + [int(v) for v in np.logspace(np.log10(3001), 12, 400)]
+        for n in ns:
+            x, (y0, top) = _saddle_levels("ratio", n)
+            assert 0.0 < y0 < x < 1.0 and top == 1.0
+            x, (y1, y2) = _saddle_levels("difference", n)
+            assert 0.0 < y1 < x < y2 < 1.0
+
     @pytest.mark.parametrize("N", [3, 4, 700, 200000])
     def test_total(self, N):
-        # where x*_n lies outside the grid's range, the nearer end is taken
+        # _saddle_block takes the two levels around each of x*_n and the atoms
+        # that lie inside the grid's range, also where one lies on a level
+        # (the n = 2 regret's x* = 1/2 and atom 1/4 at N = 4), and clips the
+        # rest to the grid
         for n in (2, 3, 5, 10, 100, 10**3, 10**4, 10**6, 10**9, 10**12):
             for kind in KernelKind:
-                x, atoms = _saddle_levels(kind, n, N)
-                assert 1.0 / N - 1e-12 <= x <= (N - 1) / N + 1e-12
-                assert all(0.0 <= y <= 1.0 for y in atoms)
-                for indices in _saddle_block(kind, n, N):
+                x, atoms = _saddle_levels(kind, n)
+                blocks = _saddle_block(kind, n, N)
+                for indices, levels in zip(blocks, ((x,), atoms)):
                     assert indices and 0 <= min(indices) and max(indices) <= N - 2
+                    grid = (np.asarray(indices) + 1.0) / N
+                    for z in levels:
+                        if 1.0 <= z * N < N - 1:
+                            assert grid.min() <= z < grid.max()
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError, match="horizon"):
-            _saddle_levels("ratio", 1, 100)
+            _saddle_levels("ratio", 1)
         with pytest.raises(ValueError, match="grid size"):
-            _saddle_levels("difference", 10, 2)
+            sharp_regret(10, 2)
