@@ -2,7 +2,8 @@
 
 Bounded variance: the worst-case regret over the variance-<=sigma^2 grid
 family is kappa_n * sigma, kappa_n = 1 / sqrt(min{ z^T Q z : A_N z >= 1,
-z >= 0 }), solved by an isotonic-regression split (see kappa).  Pareto-like
+z >= 0 }), solved by an isotonic-regression split from the levels around
+the continuum single-level optimum x*_n (see kappa).  Pareto-like
 tails: the worst-case ratio over the band pareto_band(N, p0, p1) on the
 cumulative quantiles is a game against the band's points, solved by double
 oracle with Dinkelbach steps for the adversary (see pareto_ratio).  Both
@@ -11,6 +12,7 @@ ends of each bracket are replayed in O(N) or O(N log N) arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression, linprog, minimize, nnls  # noqa: F401
 
 from .game import SolverError, double_oracle
-from .kernel import Generator, _suffix_sum, check_grid, check_integer
+from .kernel import Generator, _kappa_level, _suffix_sum, check_grid, check_integer
 
 #: cap on the steps of one _dinkelbach call; pareto_ratio at N = 20000 and
 #: n in {10, 100} takes at most 7 per call
@@ -49,9 +51,14 @@ def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
     C = A_N D, (D r)_k = r_k - r_{k+1}, dualizing C r >= 1 gives the split
         kappa_n = sqrt(N) min { ||Pi_K(C^T mu)|| : mu >= 0, sum mu = 1 },
     Pi_K an isotonic regression (PAVA).  The gradient in mu of ||p||^2 / 2,
-    p = Pi_K(C^T mu), is A_N z, z = -diff(p) >= 0.  mu lives on a block of
-    levels grown from level 0 by argmin A_N z, the stopper's best response,
-    until it is already in the block; _min_norm_mixture solves each block.
+    p = Pi_K(C^T mu), is A_N z, z = -diff(p) >= 0.  mu starts equally
+    weighted on the four levels around x*_n, the level whose single-level
+    bound is least in the continuum (kernel._kappa_level), and each round
+    solves the block by _min_norm_mixture and adds argmin A_N z, the
+    stopper's best response, until no level beats the block by more than
+    rounding; the seed closes it in one round at every size measured, and
+    a poorer seed would cost rounds only.  certificate["rounds"] counts the
+    rounds and block_rows the levels.
     Nothing is read from a solver: any mu gives kappa_upper = sigma sqrt(N)
     ||p||, as 1 <= mu^T C r <= <p, r> <= ||p|| ||r|| for feasible r (capped
     at kappa_lower if rounding puts it below), and z scaled to min A_N z = 1
@@ -72,17 +79,23 @@ def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
     def dual_direction(mu):  # C^T mu = D^T (d sum(mu) - B^T mu)
         return np.diff(d * mu.sum() - generator.rmatvec(mu), prepend=0.0, append=0.0)
 
-    block, w = [0], np.ones(1)  # any start level works
-    rows = dual_direction(np.eye(1, m, 0)[0])[None, :]
-    projections = line_searches = 0
+    start = math.floor(_kappa_level(n)[0] * N)
+    block = sorted({min(max(i, 0), m - 1) for i in range(start - 2, start + 2)})
+    rows = np.array([dual_direction(np.eye(1, m, i)[0]) for i in block])
+    w = np.full(len(block), 1.0 / len(block))
+    rounds = projections = line_searches = 0
     while True:
+        rounds += 1
         w, projected, searched = _min_norm_mixture(rows, w)
         p = isotonic_regression(dual_direction(np.bincount(block, w, m)), increasing=False).x
         projections, line_searches = projections + projected + 1, line_searches + searched
         z = -np.diff(p)
-        a = d @ z - generator.matvec(z)
+        dz = d @ z
+        a = dz - generator.matvec(z)
         best = int(np.argmin(a))
-        if best in block:
+        # no level beats the block by more than m eps d^T z, the scale of the
+        # rounding in a: d^T z and B z are length-m sums in [0, d^T z]
+        if a[block].min() - a[best] <= m * np.finfo(np.float64).eps * dz:
             break
         block.append(best)
         rows = np.vstack((rows, dual_direction(np.eye(1, m, best)[0])))
@@ -104,8 +117,8 @@ def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
         "kappa_lower": float(kappa_lower), "kappa_upper": float(kappa_upper), "gap": float(gap),
         "norm_sq": norm_sq, "dual_bound": dual_bound,
         "feasibility_margin": float((d @ z_star - generator.matvec(z_star)).min() - kappa_lower),
-        # each round but the last adds a level; the last finds no new one
-        "lbfgs_iterations": 0, "kkt_exact": True, "rounds": len(block), "block_rows": len(block),
+        # each round but the last adds a level to the seeded block
+        "lbfgs_iterations": 0, "kkt_exact": True, "rounds": rounds, "block_rows": len(block),
         "projections": projections, "line_searches": line_searches,
     }
     return KappaResult(value=float(kappa_lower), z=z_star, certificate=certificate)

@@ -16,9 +16,11 @@ builds one Generator and reaches B only through it; only prophet_weights
 wraps a one-use Generator.  payoff_matrix is the dense R_N or A_N as an
 array and the dense B (reward_weights) is the tests' oracle.  Also: the
 horizon check, the continuum game's pure-level saddle at horizon n, which
-knows no grid and seeds the grid games (_saddle_levels), the
-discretization error bounds, the support-exclusion constant, and the
-Lipschitz constants used by property tests.
+knows no grid and seeds the grid games (_saddle_levels), the level x*_n
+whose continuum single-level bound on kappa_n is least, which seeds kappa
+the same way (_kappa_level), the discretization error bounds, the
+support-exclusion constant, and the Lipschitz constants used by property
+tests.
 """
 
 from __future__ import annotations
@@ -210,6 +212,11 @@ def _suffix_sum(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a[::-1])[::-1]
 
 
+def _log_power(t: float, k: int, n: int) -> float:
+    """log (1 - t/n)^k, for the continuum levels in the scale t = n (1 - x)."""
+    return k * math.log1p(-t / n)
+
+
 def _saddle_levels(kind: KernelKind | str, n: int) -> tuple[float, tuple[float, float]]:
     """The pure stopper level x* and the adversary's two atoms of the
     continuum game's conjectured saddle point at horizon n: a starting
@@ -227,16 +234,13 @@ def _saddle_levels(kind: KernelKind | str, n: int) -> tuple[float, tuple[float, 
     check_horizon(n)
     n = int(n)
 
-    def log_power(t, k):  # log (1 - t/n)^k
-        return k * math.log1p(-t / n)
-
     def one_minus_power(t, k):
-        return -math.expm1(log_power(t, k))
+        return -math.expm1(_log_power(t, k, n))
 
     if kind is KernelKind.RATIO:
         def level(t):  # s and log a of the x whose minimizing y0 is 1 - t/n
-            log_a = (math.log(n) + log_power(t, n - 1)
-                     - math.log1p((n - 1) * math.exp(log_power(t, n))))
+            log_a = (math.log(n) + _log_power(t, n - 1, n)
+                     - math.log1p((n - 1) * math.exp(_log_power(t, n, n))))
             return -n * math.expm1(log_a / (n - 1)), log_a
 
         def excess(t):  # R(x, y0) - g(x)/n
@@ -255,12 +259,63 @@ def _saddle_levels(kind: KernelKind | str, n: int) -> tuple[float, tuple[float, 
 
     def excess(s):  # A(x, y1) = (1 - 1/n) n^{-1/(n-1)} x^n minus A(x, y2)
         t2, G = upper_atom(s)  # A(x, y2) = 1 - G (1 + (n-1)(1 - y2))
-        return ((1.0 - 1.0 / n) * shrink * math.exp(log_power(s, n))
+        return ((1.0 - 1.0 / n) * shrink * math.exp(_log_power(s, n, n))
                 - (1.0 - G * (1.0 + t2 * (n - 1) / n)))
 
     s = brentq(excess, 0.5, min(2.0, 0.999 * n))
     x = 1.0 - s / n
     return x, (x * shrink, 1.0 - upper_atom(s)[0] / n)
+
+
+def _kappa_level(n: int) -> tuple[float, tuple[float, float]]:
+    """The level x* minimizing the continuum single-level guarantee
+    h(x)^2 = int_0^1 (C_x')^2 at horizon n, and the ends y1 < x* < y2 of
+    its bridge: a starting block for kappa, certified by nothing.  h is the
+    N -> infinity limit of kappa's bound sqrt(N) ||Pi_K(C^T mu)|| at
+    mu = delta_x, and C_x, the least concave majorant of y -> A(x, y), has
+    the antitonic projection of A(x, .)' as its slope (Barlow, Bartholomew,
+    Bremner & Brunk 1972).  A(x, .) is concave on each side of x with a
+    convex kink at x, so C_x is A but on one tangent bridge [y1, y2] of slope
+    s = x^{n-1} - n y1^{n-1}, where n (y2^{n-1} - y1^{n-1}) = g(x) - x^{n-1}
+    and (n-1)(y2^n - y1^n) = g(x) - 1.  The gradient of ||Pi_K v||^2 / 2 is
+    Pi_K v (Moreau 1962), so h^2 is stationary where
+    [(n-1) x^{n-2} - g'(x)] C_x(x) = (g(x) - x^{n-1}) s, with
+    g'(x) = (g(x) - n x^{n-1}) / (1 - x).  One brentq in t = n (1 - x) on
+    [0.9, 1.3], of the stationarity equation divided by n^2, around one for
+    the bridge in u1 = n (1 - y1) on [t, min(4, 0.999 n)], by expm1 and
+    log1p: t* rises from 1 at n = 2 to 1.2073, and u1 stays in [1.4, 3.2]."""
+    check_horizon(n)
+    n = int(n)
+
+    def power(t, k):  # (1 - t/n)^k
+        return math.exp(_log_power(t, k, n))
+
+    def bridge(t):  # x^{n-1}, g(x)/n, the bridge's u1 and u2, and y1^{n-1}
+        xp, G = power(t, n - 1), -math.expm1(_log_power(t, n, n)) / t
+        # n (y2^{n-1} - y1^{n-1}) - n (y2^n - y1^n) = u2 y2^{n-1} - u1 y1^{n-1}
+        rise, moment = G - xp / n, (n * (1.0 - G) - (n - 1) * xp) / (n - 1)
+
+        def upper(u1):
+            p1 = power(u1, n - 1)
+            p2 = p1 + rise
+            return -n * math.expm1(math.log(p2) / (n - 1)), p1, p2
+
+        def excess(u1):
+            u2, p1, p2 = upper(u1)
+            return u2 * p2 - u1 * p1 - moment
+
+        u1 = brentq(excess, t, min(4.0, 0.999 * n))
+        return xp, G, u1, *upper(u1)[:2]
+
+    def stationarity(t):
+        xp, G, u1, _, p1 = bridge(t)
+        majorant = p1 * (t - u1 - 1.0 + u1 / n) + xp * (1.0 - t / n)  # C_x(x)
+        return (((n - 1) * power(t, n - 2) / n**2 - (G - xp) / t) * majorant
+                - (G - xp / n) * (xp / n - p1))
+
+    t = brentq(stationarity, 0.9, 1.3)
+    _, _, u1, u2, _ = bridge(t)
+    return 1.0 - t / n, (1.0 - u1 / n, 1.0 - u2 / n)
 
 
 def err_bound_diff(n: int, N: int) -> float:

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.optimize import isotonic_regression, linprog, lsq_linear, nnls
 
 from prophet_sharp import DiscreteDistribution, grid_distribution, prophet_weights, reward_weights
-from prophet_sharp import game
+from prophet_sharp import constrained, game
 from prophet_sharp.kernel import Generator, KernelKind
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -272,6 +272,38 @@ def kappa_ldp(n: int, N: int) -> float:
     rho = E @ u - f
     r = -rho[:-1] / rho[-1]
     return float(np.sqrt(N) / np.linalg.norm(r))
+
+
+def cold_kappa(n: int, N: int) -> tuple[float, float]:
+    """(value, gap) of kappa(n, N) with its stopper block grown from
+    level 0 alone, as kappa ran before its seed: each round solves the block
+    by constrained._min_norm_mixture and adds argmin A_N z until it is in the
+    block; both ends are replayed as kappa replays them (the upper end capped
+    at the lower).  SolverError where kappa's primal z gives no lower end."""
+    m, gen = N - 1, Generator(n, N)
+
+    def direction(mu):  # C^T mu = D^T (d sum(mu) - B^T mu)
+        return np.diff(gen.d * mu.sum() - gen.rmatvec(mu), prepend=0.0, append=0.0)
+
+    block, w = [0], np.ones(1)
+    rows = direction(np.eye(1, m, 0)[0])[None, :]
+    while True:
+        w = constrained._min_norm_mixture(rows, w)[0]
+        p = isotonic_regression(direction(np.bincount(block, w, m)), increasing=False).x
+        z = -np.diff(p)
+        a = gen.d @ z - gen.matvec(z)
+        best = int(np.argmin(a))
+        if best in block:
+            break
+        block.append(best)
+        rows = np.vstack((rows, direction(np.eye(1, m, best)[0])))
+        w = np.append(w, 0.0)
+    if not a.min() > 0.0:
+        raise game.SolverError(f"cold kappa primal is 0 or on A_N's zero diagonal: {a.min():.3e}")
+    z /= a.min()
+    norm_sq = float(np.var(np.append(np.cumsum(z[::-1])[::-1], 0.0)))
+    lower, upper = 1.0 / np.sqrt(norm_sq), 1.0 / np.sqrt(min(1.0 / (N * float(p @ p)), norm_sq))
+    return float(lower), float(upper - lower)
 
 
 def min_norm_mixture_bisecting(rows: np.ndarray, w: np.ndarray):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression
 
 from prophet_sharp import (
     DiscreteDistribution,
@@ -23,7 +26,7 @@ from prophet_sharp import (
 )
 from prophet_sharp.dist import grid_distribution, lfd_from_mu_ratio
 from prophet_sharp.game import _saddle_block
-from prophet_sharp.kernel import _saddle_levels, check_grid, stop_weight_sums
+from prophet_sharp.kernel import _kappa_level, _saddle_levels, check_grid, stop_weight_sums
 from prophet_sharp.reward import (
     ThresholdRule,
     growth_bound_check,
@@ -444,3 +447,55 @@ class TestSaddleLevels:
             _saddle_levels("ratio", 1)
         with pytest.raises(ValueError, match="grid size"):
             sharp_regret(10, 2)
+
+
+class TestKappaLevel:
+    #: the level x*_n minimizing h(x)^2 = int_0^1 (C_x')^2, C_x the least
+    #: concave majorant of A(x, .): solved at 90 digits with mpmath, by a
+    #: root of a central difference of h^2 in its closed form (polynomials
+    #: on [0, y1] and [y2, 1], the bridge between), not of the stationarity
+    #: equation _kappa_level solves
+    X_STAR = {
+        2: 0.5,
+        3: 0.64365722455391956,
+        4: 0.72405818270644343,
+        5: 0.77507875690065765,
+        10: 0.88338653950782173,
+        25: 0.95236500984175964,
+        100: 0.98796825478577290,
+        1000: 0.99879314606255428,
+        10**4: 0.99987927784017661,
+    }
+
+    @pytest.mark.parametrize("n", list(X_STAR))
+    def test_matches_table(self, n):
+        assert abs(_kappa_level(n)[0] - self.X_STAR[n]) <= 1e-12
+
+    def test_symmetric_at_n2(self):
+        # A(1/2, y) = A(1/2, 1 - y) at n = 2, so the bridge is symmetric about 1/2
+        x, (y1, y2) = _kappa_level(2)
+        assert x == 0.5
+        assert y1 == pytest.approx(0.25, abs=1e-12) and y2 == pytest.approx(0.75, abs=1e-12)
+
+    def test_brackets_hold_every_root(self):
+        # brentq raises where a fixed bracket has no sign change
+        ns = list(range(2, 3001)) + [int(v) for v in np.logspace(np.log10(3001), 12, 400)]
+        for n in ns:
+            x, (y1, y2) = _kappa_level(n)
+            assert 0.0 < y1 < x < y2 < 1.0, n
+
+    @pytest.mark.parametrize("n", [3, 10, 25])
+    def test_grid_scan_minimum_near_x_star(self, n):
+        # one PAVA per level of the N-grid: the level whose kappa bound
+        # sqrt(N) ||Pi_K(C^T e_i)|| is least, with C^T e_i the increments of
+        # kernel_a(x_i, .) on the grid and its ends y = 0 and y = 1
+        N = 2000
+        y = np.arange(1, N) / N
+        norms = [np.linalg.norm(isotonic_regression(
+            np.diff(kernel_a(x, y, n), prepend=0.0, append=0.0), increasing=False).x) for x in y]
+        best_level = int(np.argmin(norms)) + 1
+        assert abs(best_level - math.floor(_kappa_level(n)[0] * N)) <= 2
+
+    def test_rejects_bad_horizon(self):
+        with pytest.raises(ValueError, match="horizon"):
+            _kappa_level(1)
