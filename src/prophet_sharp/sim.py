@@ -15,9 +15,12 @@ on overwrites it) and drops the stopped ones; the prophet keeps the largest
 64-bit word, whose top 53 bits are the largest b.  One lookup per trial
 then gives the atom, from a guide table on the top bits of b (_atom_index)
 that leaves only the draws in buckets holding a cut point to a binary
-search.  Trials run in chunks of _CHUNK into one float64 reward array,
-about 16 bytes per trial at the peak including the summary; the result does
-not depend on the chunk size.
+search.  Trials run in chunks of _CHUNK: each chunk mixes its words in place
+in a few buffers of its own size and adds np.bincount of its trials' atom
+indices to one int64 count per atom.  The mean and standard error come from
+the counts alone (_summary), so memory is bounded by one chunk whatever the
+trial count, and the result depends neither on the chunk size nor on the
+order of the trials; a point mass returns its atom with standard error 0.
 """
 
 from __future__ import annotations
@@ -67,43 +70,80 @@ class SimResult:
 
 _U = np.uint64
 _CHUNK = 1 << 16
+_M1, _M2 = _U(_MIX1), _U(_MIX2)
+_S11, _S27, _S30, _S31 = _U(11), _U(27), _U(30), _U(31)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U(30))) * _U(_MIX1)
-    z = (z ^ (z >> _U(27))) * _U(_MIX2)
-    return z ^ (z >> _U(31))
+def _mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64's finalizer, in place on z; tmp, if given, is uint64 scratch
+    of z's shape."""
+    if tmp is None:
+        tmp = np.empty_like(z)
+    np.right_shift(z, _S30, out=tmp)
+    z ^= tmp
+    z *= _M1
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
+    z *= _M2
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
+    return z
+
+
+def _mix_int(z: int) -> int:
+    """splitmix64's finalizer on one Python integer below 2**64."""
+    z = (z ^ (z >> 30)) * _MIX1 & _MASK
+    z = (z ^ (z >> 27)) * _MIX2 & _MASK
+    return z ^ (z >> 31)
 
 
 @functools.cache
 def _counter_head() -> np.ndarray:
     """mix((t + 1) * golden) of trials t < _CHUNK, made on first use; read-only,
     as every caller shares it."""
-    head = _mix(np.arange(1, _CHUNK + 1, dtype=np.uint64) * _U(_GOLDEN))
+    head = np.arange(1, _CHUNK + 1, dtype=np.uint64)
+    head *= _U(_GOLDEN)
+    _mix(head)
     head.flags.writeable = False
     return head
 
 
-def _stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
+def _stream_states(seed: int, lo: int, hi: int, tmp: np.ndarray | None = None) -> np.ndarray:
     """States mix(key ^ mix((t + 1) * golden)) of the streams of trials
     lo, ..., hi - 1; the seed-free inner mix of a chunk that starts at 0
-    is a slice of _counter_head."""
-    key = _mix(np.full(1, (seed + _GOLDEN) & _MASK, dtype=np.uint64))
+    is a slice of _counter_head.  tmp, if given, is uint64 scratch of
+    hi - lo entries."""
+    key = _U(_mix_int((seed + _GOLDEN) & _MASK))
     if lo == 0 and hi <= _counter_head().size:
-        return _mix(key ^ _counter_head()[:hi])
-    return _mix(key ^ _mix(np.arange(lo + 1, hi + 1, dtype=np.uint64) * _U(_GOLDEN)))
+        z = np.bitwise_xor(_counter_head()[:hi], key)
+    else:
+        z = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+        z *= _U(_GOLDEN)
+        _mix(z, tmp)
+        z ^= key
+    return _mix(z, tmp)
 
 
-def _words(states: np.ndarray, k) -> np.ndarray:
-    """Draw k (a position or a range of them) of each stream as its 64-bit
-    mixed word; the offsets (k + 1) * golden wrap mod 2**64 as Python ints."""
-    offsets = np.array([(int(j) + 1) * _GOLDEN & _MASK for j in np.atleast_1d(k)], dtype=np.uint64)
-    return _mix(states + offsets)
+def _words(states: np.ndarray, k, tmp: np.ndarray | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Draw k (a position, or a range of them) of each stream as its 64-bit
+    mixed word; the offsets (k + 1) * golden wrap mod 2**64 as Python ints.
+    tmp and out, if given, are uint64 buffers of the result's shape: the
+    scratch of the mix and the array it returns."""
+    if isinstance(k, (int, np.integer)):
+        offsets = _U((int(k) + 1) * _GOLDEN & _MASK)
+    else:
+        offsets = np.array([(int(j) + 1) * _GOLDEN & _MASK for j in k], dtype=np.uint64)
+    z = np.add(states, offsets, out=out)
+    return _mix(z, tmp)
 
 
-def _bits(states: np.ndarray, k) -> np.ndarray:
+def _bits(states: np.ndarray, k, tmp: np.ndarray | None = None,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Draw k of each stream as a 53-bit int64: the top 53 bits of its word."""
-    return (_words(states, k) >> _U(11)).view(np.int64)
+    z = _words(states, k, tmp, out)
+    z >>= _S11
+    return z.view(np.int64)
 
 
 # -- trial loops ----------------------------------------------------------------
@@ -126,8 +166,11 @@ def _atom_index(cuts: np.ndarray):
     bounds = np.searchsorted(cuts, np.arange(2**m + 1, dtype=np.int64) << shift)
     guide = np.where(bounds[1:] == bounds[:-1], bounds[:-1], -1)
 
-    def index(b: np.ndarray) -> np.ndarray:
-        idx = guide[b >> shift]
+    def index(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # out, if given, is an int64 buffer of b's shape for the result;
+        # every bucket is in the table, so take need not check (or copy)
+        idx = np.right_shift(b, shift, out=out)
+        guide.take(idx, out=idx, mode="clip")
         search = np.flatnonzero(idx < 0)
         idx[search] = np.searchsorted(cuts, b[search])
         return idx
@@ -135,16 +178,30 @@ def _atom_index(cuts: np.ndarray):
     return index
 
 
-def _simulate(cfg: SimConfig, rewards_of) -> SimResult:
-    """Fill one reward array chunk by chunk from rewards_of(stream states)."""
+def _summary(values: np.ndarray, counts: np.ndarray, cfg: SimConfig) -> SimResult:
+    """Mean and standard error of cfg.trials rewards, counts[i] of them equal
+    to values[i]: each a single pairwise np.sum over the atoms hit, of the
+    frequencies times the atoms and times their squared deviations."""
     trials = int(cfg.trials)
-    rewards = np.empty(trials)
+    hit = np.flatnonzero(counts)
+    freq, x = counts[hit] / trials, values[hit]
+    mean = float(np.sum(freq * x))
+    # sample variance sum(counts (x - mean)**2) / (trials - 1), over trials
+    se = float(np.sqrt(np.sum(freq * (x - mean) ** 2) / (trials - 1))) if trials > 1 else 0.0
+    return SimResult(mean=mean, std_error=se, trials=cfg.trials, seed=cfg.seed)
+
+
+def _simulate(cfg: SimConfig, values: np.ndarray, atoms_of) -> SimResult:
+    """Count the trials at each atom, chunk by chunk, from atoms_of(stream
+    states, uint64 scratch of their shape), which gives each trial's atom index."""
+    trials, seed = int(cfg.trials), int(cfg.seed)
+    counts = np.zeros(values.size, dtype=np.int64)
     for lo in range(0, trials, _CHUNK):
         hi = min(lo + _CHUNK, trials)
-        rewards[lo:hi] = rewards_of(_stream_states(int(cfg.seed), lo, hi))
-    mean = float(np.mean(rewards))  # numpy pairwise summation: reproducible
-    se = float(np.std(rewards, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return SimResult(mean=mean, std_error=se, trials=cfg.trials, seed=cfg.seed)
+        tmp = np.empty(hi - lo, dtype=np.uint64)
+        counts += np.bincount(atoms_of(_stream_states(seed, lo, hi, tmp), tmp),
+                              minlength=values.size)
+    return _summary(values, counts, cfg)
 
 
 def run_rule(dist: DiscreteDistribution, rule: ThresholdRule, cfg: SimConfig) -> SimResult:
@@ -158,36 +215,41 @@ def run_rule(dist: DiscreteDistribution, rule: ThresholdRule, cfg: SimConfig) ->
         lo = hi = lo if p else hi
     coin = int(np.ceil(p * _SCALE))  # coin b wins when b / 2**53 < p
 
-    def rewards_of(states):
+    def atoms_of(states, tmp):
         # stops holds each trial's latest draw: a trial that goes on
-        # overwrites it with its next one
-        stops = b = _bits(states, 0)
+        # overwrites it with its next one, drawn into the buffer w
+        stops = b = _bits(states, 0, tmp)
+        w = np.empty_like(states)
         live = np.arange(states.size)
         for t in range(n - 1):
             go = b <= hi
             if lo < hi:
                 tie = np.flatnonzero(go & (b > lo))
-                go[tie] = _bits(states[tie], n + t) >= coin
+                j = tie.size  # the coins may overwrite b (in w): go now has it
+                go[tie] = _bits(states[tie], n + t, tmp[:j], w[:j]) >= coin
             keep = np.flatnonzero(go)
-            if keep.size == 0:
+            m = keep.size
+            if m == 0:
                 break
             live, states = live[keep], states[keep]
-            b = _bits(states, t + 1)
+            b = _bits(states, t + 1, tmp[:m], w[:m])
             stops[live] = b
-        return values[atom(stops)]
+        return atom(stops, tmp.view(np.int64))
 
-    return _simulate(cfg, rewards_of)
+    return _simulate(cfg, values, atoms_of)
 
 
 def run_prophet(dist: DiscreteDistribution, cfg: SimConfig) -> SimResult:
     """Estimate the prophet value E max of cfg.n iid draws."""
     values, atom, n = dist.values, _atom_index(_cuts(dist)), int(cfg.n)
 
-    def rewards_of(states):
+    def atoms_of(states, tmp):
         # the largest word has the largest top 53 bits
-        best = _words(states, 0)
+        best = _words(states, 0, tmp)
+        w = np.empty_like(states)
         for k in range(1, n):
-            np.maximum(best, _words(states, k), out=best)
-        return values[atom((best >> _U(11)).view(np.int64))]
+            np.maximum(best, _words(states, k, tmp, w), out=best)
+        best >>= _S11
+        return atom(best.view(np.int64), tmp.view(np.int64))
 
-    return _simulate(cfg, rewards_of)
+    return _simulate(cfg, values, atoms_of)

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,7 +42,8 @@ def draw(seed, trial, k):
 
 def walk_rule(dist, rule, cfg):
     """Reference: walk each trial in turn; observation t is the inverse-CDF
-    atom of draw t of the trial's stream and the coin of step t its draw n + t."""
+    atom of draw t of the trial's stream and the coin of step t its draw n + t.
+    Returns each trial's reward."""
     rewards = []
     for trial in range(cfg.trials):
         for t in range(cfg.n):
@@ -49,14 +51,19 @@ def walk_rule(dist, rule, cfg):
             if x > rule.theta or (x == rule.theta and coin < rule.p):
                 break
         rewards.append(x)
-    return np.mean(rewards)
+    return rewards
 
 
 def walk_prophet(dist, cfg):
-    rewards = []
-    for trial in range(cfg.trials):
-        rewards.append(max(dist.quantile(draw(cfg.seed, trial, k)) for k in range(cfg.n)))
-    return np.mean(rewards)
+    return [max(dist.quantile(draw(cfg.seed, trial, k)) for k in range(cfg.n))
+            for trial in range(cfg.trials)]
+
+
+def summarize(dist, rewards, cfg):
+    """The SimResult of per-trial rewards, each an atom of dist, through the
+    simulator's own counts-to-summary step."""
+    counts = np.bincount(np.searchsorted(dist.values, rewards), minlength=dist.values.size)
+    return sim._summary(dist.values, counts, cfg)
 
 
 def sim_draws(seed, trial, k):
@@ -160,7 +167,7 @@ class TestRunRule:
     def test_matches_sequential_walk(self, theta, p):
         cfg = SimConfig(trials=300, seed=31, n=6)
         rule = ThresholdRule(theta, p)
-        assert run_rule(THREE, rule, cfg).mean == walk_rule(THREE, rule, cfg)
+        assert run_rule(THREE, rule, cfg) == summarize(THREE, walk_rule(THREE, rule, cfg), cfg)
 
     def test_chunk_size_invariant(self, monkeypatch):
         cfg = SimConfig(trials=1000, seed=5, n=5)
@@ -192,7 +199,7 @@ class TestRunRule:
         a = run_rule(FIVE, rule, cfg)
         monkeypatch.setattr(sim, "_CHUNK", 7)
         assert run_rule(FIVE, rule, cfg) == a
-        assert a.mean == walk_rule(FIVE, rule, cfg)
+        assert a == summarize(FIVE, walk_rule(FIVE, rule, cfg), cfg)
 
     def test_rule_never_beats_prophet(self):
         # each trial's rule reward is one of its prophet's draws
@@ -214,6 +221,32 @@ class TestRunRule:
             tracemalloc.stop()
         assert peak <= 24e6
 
+    @pytest.mark.parametrize("run", [
+        lambda cfg: run_rule(THREE, ThresholdRule(0.3, 0.25), cfg),
+        lambda cfg: run_prophet(THREE, cfg),
+    ], ids=["rule", "prophet"])
+    def test_memory_flat_in_trials(self, run):
+        # each chunk's atoms are counted and dropped: no per-trial array
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run(SimConfig(trials=trials, seed=1, n=10))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run(SimConfig(trials=1, seed=1, n=10))  # the cached _counter_head
+        assert peak(16 * sim._CHUNK) <= 1.5 * peak(2 * sim._CHUNK)
+
+    @pytest.mark.parametrize("trials", [2, 2 * 10**4, 70000])
+    @pytest.mark.parametrize("atom", [1.4623115577889447, 0.1, 1e-300, 3.0])
+    def test_point_mass_returns_its_atom(self, atom, trials):
+        F = DiscreteDistribution.point_mass(atom)
+        cfg = SimConfig(trials=trials, seed=7, n=4)
+        for res in (run_rule(F, ThresholdRule(atom, 0.5), cfg), run_prophet(F, cfg)):
+            assert res.mean == atom
+            assert res.std_error == 0.0
+
     def test_seed_changes_stream(self):
         rule = ThresholdRule(0.0, 0.0)
         a = run_rule(COIN, rule, SimConfig(trials=1000, seed=1, n=3))
@@ -228,7 +261,7 @@ class TestRunProphet:
 
     def test_matches_sequential_walk(self):
         cfg = SimConfig(trials=300, seed=31, n=6)
-        assert run_prophet(THREE, cfg).mean == walk_prophet(THREE, cfg)
+        assert run_prophet(THREE, cfg) == summarize(THREE, walk_prophet(THREE, cfg), cfg)
 
     def test_coin(self):
         res = run_prophet(COIN, SimConfig(trials=10**6, seed=11, n=2))
@@ -305,6 +338,27 @@ class TestIntegerDraws:
         bs = bs[(bs >= 0) & (bs < 2**53)]
         assert np.array_equal(sim._atom_index(cuts)(bs), np.searchsorted(cuts, bs))
 
+    @pytest.mark.parametrize("k", [1, 4, 40])
+    def test_atom_index_cuts_at_top(self, k):
+        # probabilities may sum to 1 + 1e-12: cumulative[:-1] then reaches 1,
+        # and cut points reach 2**53 or above it
+        rng = np.random.default_rng(k)
+        top = 2**53 + rng.integers(0, 2**14, k)
+        cuts = np.sort(np.concatenate((rng.integers(0, 2**53, k), [2**53], top))).astype(np.int64)
+        bs = np.concatenate(([0, 2**53 - 1], cuts[cuts < 2**53] - 1, rng.integers(0, 2**53, 1000)))
+        bs = bs[bs >= 0]
+        assert np.array_equal(sim._atom_index(cuts)(bs), np.searchsorted(cuts, bs))
+
+    def test_cumulative_reaches_one_before_last_atom(self):
+        F = DiscreteDistribution(np.array([1.0, 2.0]), np.array([1.0, 1e-13]))
+        assert sim._cuts(F)[0] >= 2**53
+        cfg = SimConfig(trials=200, seed=3, n=4)
+        assert run_prophet(F, cfg) == summarize(F, walk_prophet(F, cfg), cfg)
+        for rule in (ThresholdRule(1.0, 0.5), ThresholdRule(0.5, 0.0)):
+            res = run_rule(F, rule, cfg)
+            assert res == summarize(F, walk_rule(F, rule, cfg), cfg)
+            assert (res.mean, res.std_error) == (1.0, 0.0)
+
     @pytest.mark.parametrize("p", [1e-17, 0.1, 0.25, 1 / 3, 0.5, 1 - 2.0**-53])
     def test_coin_edge(self, p):
         coin = int(np.ceil(p * 2**53))
@@ -320,27 +374,49 @@ class TestIntegerDraws:
             v = F.values
             between = 0.5 * (v[0] + v[1]) if v.size > 1 else 0.25
             cfg = SimConfig(trials=60, seed=5000 + rep, n=int(rng.integers(2, 7)))
-            assert run_prophet(F, cfg).mean == walk_prophet(F, cfg)
+            assert run_prophet(F, cfg) == summarize(F, walk_prophet(F, cfg), cfg)
             for theta in (0.25, between, float(rng.choice(v)), v[-1] + 1.0):
                 for p in (0.0, 1e-17, 0.5, 1 - 2.0**-53, 1.0):
                     rule = ThresholdRule(float(theta), p)
-                    assert run_rule(F, rule, cfg).mean == walk_rule(F, rule, cfg), (rep, theta, p)
+                    want = summarize(F, walk_rule(F, rule, cfg), cfg)
+                    assert run_rule(F, rule, cfg) == want, (rep, theta, p)
 
     @pytest.mark.parametrize("dist,theta,p,seed,n,rule_hex,prophet_hex", [
         (THREE, 0.3, 0.25, 11, 2, ("0x1.104ed498171ffp+0", "0x1.c14c83cb94d0ep-9"),
-         ("0x1.244494287dec4p+0", "0x1.b49d96708e402p-9")),
-        (FIVE, 0.9, 0.25, 12, 30, ("0x1.f225a8e8473f2p+0", "0x1.61f35a9318e77p-9"),
-         ("0x1.916298b8e7b75p+1", "0x1.2cc5f53d188abp-10")),
-        (FIVE, 1.0, 0.0, 13, 30, ("0x1.09a63d34b8abbp+1", "0x1.41e34ea568892p-9"),
-         ("0x1.91a54d880bb3dp+1", "0x1.282ca3e803064p-10")),
-        (THREE, 0.3, 1.0, 14, 2, ("0x1.e1d6bc588539ap-1", "0x1.a7db71b1276c5p-9"),
-         ("0x1.24c5376fba284p+0", "0x1.b44c601efbcddp-9")),
+         ("0x1.244494287dec4p+0", "0x1.b49d96708e404p-9")),
+        (FIVE, 0.9, 0.25, 12, 30, ("0x1.f225a8e8473f4p+0", "0x1.61f35a9318e78p-9"),
+         ("0x1.916298b8e7b77p+1", "0x1.2cc5f53d188acp-10")),
+        (FIVE, 1.0, 0.0, 13, 30, ("0x1.09a63d34b8abdp+1", "0x1.41e34ea568893p-9"),
+         ("0x1.91a54d880bb3fp+1", "0x1.282ca3e803063p-10")),
+        (THREE, 0.3, 1.0, 14, 2, ("0x1.e1d6bc588539ap-1", "0x1.a7db71b1276c6p-9"),
+         ("0x1.24c5376fba284p+0", "0x1.b44c601efbcdep-9")),
     ])
     def test_pinned_results(self, dist, theta, p, seed, n, rule_hex, prophet_hex):
-        # (mean, std_error) of the float-uniform simulator these loops replaced;
-        # 70000 trials span two chunks
+        # (mean, std_error) of the draws of the float-uniform simulator these
+        # loops replaced, summarized from their atom counts; 70000 trials
+        # span two chunks
         cfg = SimConfig(trials=70000, seed=seed, n=n)
         rule = run_rule(dist, ThresholdRule(theta, p), cfg)
         prophet = run_prophet(dist, cfg)
         assert (rule.mean.hex(), rule.std_error.hex()) == rule_hex
         assert (prophet.mean.hex(), prophet.std_error.hex()) == prophet_hex
+
+
+class TestSummary:
+    def test_matches_exact_fractions(self):
+        # mean and standard error of the counts against exact rational sums;
+        # pairwise summation of k positive terms, each rounded twice, keeps
+        # the relative error within (bit_length(k) + 2) * 2**-53
+        rng = np.random.default_rng(17)
+        for rep in range(60):
+            F = random_dist(rng, max_atoms=40)
+            trials = int(rng.choice([2, 3, 60, 70000, 10**7]))
+            counts = rng.multinomial(trials, F.probs / F.probs.sum())
+            res = sim._summary(F.values, counts, SimConfig(trials=trials, seed=1, n=2))
+            xs = [Fraction(float(x)) for x in F.values]
+            mean = sum(int(c) * x for c, x in zip(counts, xs)) / trials
+            var = sum(int(c) * (x - mean) ** 2 for c, x in zip(counts, xs)) / (trials - 1) / trials
+            bound = Fraction(int(np.count_nonzero(counts)).bit_length() + 2, 2**53)
+            assert abs(Fraction(res.mean) - mean) <= bound * abs(mean), rep
+            assert abs(Fraction(res.std_error) ** 2 - var) <= ((1 + bound) ** 2 - 1) * var, rep
+            assert (res.std_error == 0.0) == (var == 0)
