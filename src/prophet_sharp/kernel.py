@@ -63,9 +63,12 @@ def kernel_r(x, y, n: int):
 
 def kernel_a(x, y, n: int):
     """Difference kernel A(x, y) = (1 - y^n) - b(x, y) >= 0; vanishes on the
-    diagonal.  A float for scalar x and y, else their broadcast array."""
+    diagonal.  For y <= x it is y (x^{n-1} - y^{n-1}), factored so that no
+    two terms near 1 cancel.  A float for scalar x and y, else their
+    broadcast array."""
     x, y = _check_point(x, y, n)
-    return _scalar_or_array(np.where(x == y, 0.0, (1.0 - y**n) - stop_weight(x, y, n)))
+    below = y * (x ** (n - 1) - y ** (n - 1))
+    return _scalar_or_array(np.where(y <= x, below, (1.0 - y**n) - stop_weight(x, y, n)))
 
 
 def stop_weight(x, y, n: int) -> np.ndarray:

@@ -12,15 +12,15 @@ step t ties.  The loops stay on the integers (inversion by cut points,
 Devroye 1986, sec. III.2): the rule compares b with two cut points and the
 coin with ceil(p * 2**53), records each live trial's b (a trial that goes
 on overwrites it) and drops the stopped ones; the prophet keeps the largest
-64-bit word, whose top 53 bits are the largest b.  One lookup per trial
-then gives the atom, from a guide table on the top bits of b (_atom_index)
-that leaves only the draws in buckets holding a cut point to a binary
-search.  Trials run in chunks of _CHUNK: each chunk mixes its words in place
-in a few buffers of its own size and adds np.bincount of its trials' atom
-indices to one int64 count per atom.  The mean and standard error come from
-the counts alone (_summary), so memory is bounded by one chunk whatever the
-trial count, and the result depends neither on the chunk size nor on the
-order of the trials; a point mass returns its atom with standard error 0.
+64-bit word, whose top 53 bits are the largest b.  Trials run in chunks
+of _CHUNK: each chunk mixes its words in place in a few buffers of its own
+size, sorts its trials' final b in place and adds the number between each
+pair of neighbouring cut points, one binary search per cut point
+(_atom_counts), to one int64 count per atom.  The mean and standard error
+come from the counts alone (_summary), so memory is bounded by one chunk
+whatever the trial count, and the result depends neither on the chunk
+size nor on the order of the trials; a point mass returns its atom with
+standard error 0.
 """
 
 from __future__ import annotations
@@ -124,21 +124,17 @@ def _stream_states(seed: int, lo: int, hi: int, tmp: np.ndarray | None = None) -
     return _mix(z, tmp)
 
 
-def _words(states: np.ndarray, k, tmp: np.ndarray | None = None,
+def _words(states: np.ndarray, k: int, tmp: np.ndarray | None = None,
            out: np.ndarray | None = None) -> np.ndarray:
-    """Draw k (a position, or a range of them) of each stream as its 64-bit
-    mixed word; the offsets (k + 1) * golden wrap mod 2**64 as Python ints.
-    tmp and out, if given, are uint64 buffers of the result's shape: the
-    scratch of the mix and the array it returns."""
-    if isinstance(k, (int, np.integer)):
-        offsets = _U((int(k) + 1) * _GOLDEN & _MASK)
-    else:
-        offsets = np.array([(int(j) + 1) * _GOLDEN & _MASK for j in k], dtype=np.uint64)
-    z = np.add(states, offsets, out=out)
+    """Draw k of each stream as its 64-bit mixed word; the offset
+    (k + 1) * golden wraps mod 2**64 as a Python int.  tmp and out, if
+    given, are uint64 buffers of the states' shape: the scratch of the mix
+    and the array it returns."""
+    z = np.add(states, _U((int(k) + 1) * _GOLDEN & _MASK), out=out)
     return _mix(z, tmp)
 
 
-def _bits(states: np.ndarray, k, tmp: np.ndarray | None = None,
+def _bits(states: np.ndarray, k: int, tmp: np.ndarray | None = None,
           out: np.ndarray | None = None) -> np.ndarray:
     """Draw k of each stream as a 53-bit int64: the top 53 bits of its word."""
     z = _words(states, k, tmp, out)
@@ -155,27 +151,11 @@ def _cuts(dist: DiscreteDistribution) -> np.ndarray:
     return np.floor(dist.cumulative[:-1] * _SCALE).astype(np.int64)
 
 
-def _atom_index(cuts: np.ndarray):
-    """b -> searchsorted(cuts, b) for 53-bit draws b, by a guide table (Chen &
-    Asau 1974; Devroye 1986, sec. III.2.4): [0, 2**53) is split on the top
-    m bits into 2**m buckets, fewer than 8 (k + 1) for k cuts.  A bucket
-    that holds no cut gives its draws one index, searchsorted(cuts, its
-    start); the draws in the others (-1 in the table) are searched."""
-    m = (cuts.size + 1).bit_length() + 2
-    shift = 53 - m
-    bounds = np.searchsorted(cuts, np.arange(2**m + 1, dtype=np.int64) << shift)
-    guide = np.where(bounds[1:] == bounds[:-1], bounds[:-1], -1)
-
-    def index(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # out, if given, is an int64 buffer of b's shape for the result;
-        # every bucket is in the table, so take need not check (or copy)
-        idx = np.right_shift(b, shift, out=out)
-        guide.take(idx, out=idx, mode="clip")
-        search = np.flatnonzero(idx < 0)
-        idx[search] = np.searchsorted(cuts, b[search])
-        return idx
-
-    return index
+def _atom_counts(b: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """bincount(searchsorted(cuts, b), minlength=cuts.size + 1) of 53-bit
+    draws b, which it sorts in place: atoms 0, ..., k take the b <= cuts[k]."""
+    b.sort()
+    return np.diff(np.searchsorted(b, cuts, side="right"), prepend=0, append=b.size)
 
 
 def _summary(values: np.ndarray, counts: np.ndarray, cfg: SimConfig) -> SimResult:
@@ -191,23 +171,22 @@ def _summary(values: np.ndarray, counts: np.ndarray, cfg: SimConfig) -> SimResul
     return SimResult(mean=mean, std_error=se, trials=cfg.trials, seed=cfg.seed)
 
 
-def _simulate(cfg: SimConfig, values: np.ndarray, atoms_of) -> SimResult:
-    """Count the trials at each atom, chunk by chunk, from atoms_of(stream
-    states, uint64 scratch of their shape), which gives each trial's atom index."""
+def _simulate(cfg: SimConfig, values: np.ndarray, cuts: np.ndarray, draws_of) -> SimResult:
+    """Count the trials at each atom, chunk by chunk, from draws_of(stream
+    states, uint64 scratch of their shape), which gives each trial's 53-bit
+    draw in an int64 array the chunk owns (_atom_counts sorts it)."""
     trials, seed = int(cfg.trials), int(cfg.seed)
     counts = np.zeros(values.size, dtype=np.int64)
     for lo in range(0, trials, _CHUNK):
         hi = min(lo + _CHUNK, trials)
         tmp = np.empty(hi - lo, dtype=np.uint64)
-        counts += np.bincount(atoms_of(_stream_states(seed, lo, hi, tmp), tmp),
-                              minlength=values.size)
+        counts += _atom_counts(draws_of(_stream_states(seed, lo, hi, tmp), tmp), cuts)
     return _summary(values, counts, cfg)
 
 
 def run_rule(dist: DiscreteDistribution, rule: ThresholdRule, cfg: SimConfig) -> SimResult:
     """Estimate the reward of tau_p(theta) over cfg.trials independent runs."""
     values, cuts, n, p = dist.values, _cuts(dist), int(cfg.n), float(rule.p)
-    atom = _atom_index(cuts)
     # b's atom is above theta when b > hi, at theta when lo < b <= hi
     edges = np.concatenate(([-1], cuts, [_SCALE]))
     lo, hi = (int(edges[np.searchsorted(values, rule.theta, side)]) for side in ("left", "right"))
@@ -215,7 +194,7 @@ def run_rule(dist: DiscreteDistribution, rule: ThresholdRule, cfg: SimConfig) ->
         lo = hi = lo if p else hi
     coin = int(np.ceil(p * _SCALE))  # coin b wins when b / 2**53 < p
 
-    def atoms_of(states, tmp):
+    def draws_of(states, tmp):
         # stops holds each trial's latest draw: a trial that goes on
         # overwrites it with its next one, drawn into the buffer w
         stops = b = _bits(states, 0, tmp)
@@ -234,22 +213,22 @@ def run_rule(dist: DiscreteDistribution, rule: ThresholdRule, cfg: SimConfig) ->
             live, states = live[keep], states[keep]
             b = _bits(states, t + 1, tmp[:m], w[:m])
             stops[live] = b
-        return atom(stops, tmp.view(np.int64))
+        return stops
 
-    return _simulate(cfg, values, atoms_of)
+    return _simulate(cfg, values, cuts, draws_of)
 
 
 def run_prophet(dist: DiscreteDistribution, cfg: SimConfig) -> SimResult:
     """Estimate the prophet value E max of cfg.n iid draws."""
-    values, atom, n = dist.values, _atom_index(_cuts(dist)), int(cfg.n)
+    values, cuts, n = dist.values, _cuts(dist), int(cfg.n)
 
-    def atoms_of(states, tmp):
+    def draws_of(states, tmp):
         # the largest word has the largest top 53 bits
         best = _words(states, 0, tmp)
         w = np.empty_like(states)
         for k in range(1, n):
             np.maximum(best, _words(states, k, tmp, w), out=best)
         best >>= _S11
-        return atom(best.view(np.int64), tmp.view(np.int64))
+        return best.view(np.int64)
 
-    return _simulate(cfg, values, atoms_of)
+    return _simulate(cfg, values, cuts, draws_of)

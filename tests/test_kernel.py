@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,6 +119,20 @@ class TestKernelA:
             x, y = rng.random((2000, 2)).T
             expected = [kernel_a_minform(a, b, n) for a, b in zip(x, y)]
             np.testing.assert_allclose(kernel_a(x, y, n), expected, rtol=0.0, atol=1e-14)
+
+    def test_below_diagonal_matches_exact_fractions(self):
+        # A = y x^{n-1} - y^n for y <= x, against exact rationals: half the
+        # points lie within a relative 1e-12 to 1e-1 of the diagonal, where
+        # (1 - y^n) - b cancels (0.0 at (0.010001, 0.01, 10) for 9.0036e-24)
+        assert kernel_a(0.010001, 0.01, 10) > 0.0
+        rng = np.random.default_rng(29)
+        eps = Fraction(np.finfo(float).eps)
+        for i in range(3000):
+            n, x = int(rng.integers(2, 31)), float(rng.random())
+            y = float(x * (rng.random() if i % 2 else 1 - 10.0 ** -rng.uniform(1, 12)))
+            fx, fy = Fraction(x), Fraction(y)
+            top = fy * fx ** (n - 1)
+            assert abs(Fraction(kernel_a(x, y, n)) - (top - fy**n)) <= 4 * eps * top, (x, y, n)
 
     def test_branch_limits_meet_diagonal(self):
         rng = np.random.default_rng(8)

@@ -68,7 +68,8 @@ def summarize(dist, rewards, cfg):
 
 def sim_draws(seed, trial, k):
     """Draws 0, ..., k - 1 of one trial's stream as sim makes them."""
-    return sim._bits(sim._stream_states(seed, trial, trial + 1), range(k)) / 2**53
+    states = sim._stream_states(seed, trial, trial + 1)
+    return np.concatenate([sim._bits(states, j) for j in range(k)]) / 2**53
 
 
 class TestConfig:
@@ -315,10 +316,10 @@ class TestIntegerDraws:
     def test_cut_points_match_quantile(self, dist):
         assert dist.cumulative[-1] < 1.0  # the last atom also takes the missing mass
         cuts = sim._cuts(dist)
-        bs = np.array(sorted({0, 2**53 - 1} | {int(c) + d for c in cuts for d in (0, 1)}))
-        atoms = dist.values[sim._atom_index(cuts)(bs)]
-        for b, atom in zip(bs.tolist(), atoms):
-            assert atom == dist.quantile(b * 2.0**-53), b
+        for b in sorted({0, 2**53 - 1} | {int(c) + d for c in cuts for d in (0, 1)}):
+            counts = sim._atom_counts(np.array([b]), cuts)
+            assert counts.sum() == 1
+            assert dist.values[np.argmax(counts)] == dist.quantile(b * 2.0**-53), b
 
     @pytest.mark.parametrize("k", [0, 1, 4, 40, 10**4])
     @pytest.mark.parametrize("layout", ["uniform", "near top", "duplicates"])
@@ -331,12 +332,11 @@ class TestIntegerDraws:
         else:  # atoms lighter than 2**-53 share their cut point
             cuts = rng.choice(rng.integers(0, 2**53, max(k // 3, 1)), k)
         cuts = np.sort(cuts).astype(np.int64)
-        m = (k + 1).bit_length() + 2  # the guide table's buckets: 2**m on the top bits
-        starts = np.arange(2**m, dtype=np.int64) << (53 - m)
-        bs = np.concatenate(([0, 2**53 - 1], cuts - 1, cuts, cuts + 1, starts, starts - 1,
+        bs = np.concatenate(([0, 2**53 - 1], cuts - 1, cuts, cuts + 1,
                              rng.integers(0, 2**53, 1000)))
         bs = bs[(bs >= 0) & (bs < 2**53)]
-        assert np.array_equal(sim._atom_index(cuts)(bs), np.searchsorted(cuts, bs))
+        want = np.bincount(np.searchsorted(cuts, bs), minlength=cuts.size + 1)
+        assert np.array_equal(sim._atom_counts(rng.permutation(bs), cuts), want)
 
     @pytest.mark.parametrize("k", [1, 4, 40])
     def test_atom_index_cuts_at_top(self, k):
@@ -347,7 +347,8 @@ class TestIntegerDraws:
         cuts = np.sort(np.concatenate((rng.integers(0, 2**53, k), [2**53], top))).astype(np.int64)
         bs = np.concatenate(([0, 2**53 - 1], cuts[cuts < 2**53] - 1, rng.integers(0, 2**53, 1000)))
         bs = bs[bs >= 0]
-        assert np.array_equal(sim._atom_index(cuts)(bs), np.searchsorted(cuts, bs))
+        want = np.bincount(np.searchsorted(cuts, bs), minlength=cuts.size + 1)
+        assert np.array_equal(sim._atom_counts(rng.permutation(bs), cuts), want)
 
     def test_cumulative_reaches_one_before_last_atom(self):
         F = DiscreteDistribution(np.array([1.0, 2.0]), np.array([1.0, 1e-13]))
@@ -380,6 +381,21 @@ class TestIntegerDraws:
                     rule = ThresholdRule(float(theta), p)
                     want = summarize(F, walk_rule(F, rule, cfg), cfg)
                     assert run_rule(F, rule, cfg) == want, (rep, theta, p)
+
+    def test_matches_sequential_walk_many_atoms(self):
+        # 3000 atoms, about a third of them with mass near 2**-53 (so that
+        # neighbours share a cut point), and a heavy atom at theta to tie on
+        rng = np.random.default_rng(43)
+        probs = rng.dirichlet(np.ones(3000))
+        probs[rng.random(3000) < 0.3] *= 1e-12
+        probs[1500] = 0.2
+        F = DiscreteDistribution(np.sort(rng.random(3000)) + 0.5, probs / probs.sum())
+        assert np.any(np.diff(sim._cuts(F)) == 0)
+        cfg = SimConfig(trials=200, seed=6000, n=5)
+        assert run_prophet(F, cfg) == summarize(F, walk_prophet(F, cfg), cfg)
+        for p in (0.0, 0.5, 1.0):
+            rule = ThresholdRule(float(F.values[1500]), p)
+            assert run_rule(F, rule, cfg) == summarize(F, walk_rule(F, rule, cfg), cfg), p
 
     @pytest.mark.parametrize("dist,theta,p,seed,n,rule_hex,prophet_hex", [
         (THREE, 0.3, 0.25, 11, 2, ("0x1.104ed498171ffp+0", "0x1.c14c83cb94d0ep-9"),
