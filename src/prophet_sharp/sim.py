@@ -12,15 +12,19 @@ step t ties.  The loops stay on the integers (inversion by cut points,
 Devroye 1986, sec. III.2): the rule compares b with two cut points and the
 coin with ceil(p * 2**53), records each live trial's b (a trial that goes
 on overwrites it) and drops the stopped ones; the prophet keeps the largest
-64-bit word, whose top 53 bits are the largest b.  Trials run in chunks
-of _CHUNK: each chunk mixes its words in place in a few buffers of its own
-size, sorts its trials' final b in place and adds the number between each
-pair of neighbouring cut points, one binary search per cut point
-(_atom_counts), to one int64 count per atom.  The mean and standard error
-come from the counts alone (_summary), so memory is bounded by one chunk
-whatever the trial count, and the result depends neither on the chunk
-size nor on the order of the trials; a point mass returns its atom with
-standard error 0.
+64-bit word, whose top 53 bits are the largest b.  No draw that cannot
+change a trial's atom is made: none after a trial stops, none for a
+one-atom law, none before step n - 1 for a rule that no draw stops sooner
+(theta at or above the top atom, ties going on).  As draw k of trial t
+depends on (seed, t, k) alone, a skipped draw moves no other.  Trials run
+in chunks of _CHUNK: each chunk mixes its words in place in a few buffers
+of its own size, sorts its trials' final b in place and adds the number
+between each pair of neighbouring cut points, one binary search per cut
+point (_atom_counts), to one int64 count per atom.  The mean and standard
+error come from the counts alone (_summary), so memory is bounded by one
+chunk whatever the trial count, and the result depends neither on the
+chunk size nor on the order of the trials; a point mass returns its atom
+with standard error 0.
 """
 
 from __future__ import annotations
@@ -177,6 +181,9 @@ def _simulate(cfg: SimConfig, values: np.ndarray, cuts: np.ndarray, draws_of) ->
     draw in an int64 array the chunk owns (_atom_counts sorts it)."""
     trials, seed = int(cfg.trials), int(cfg.seed)
     counts = np.zeros(values.size, dtype=np.int64)
+    if cuts.size == 0:  # one atom: every trial takes it, so nothing is drawn
+        counts[0] = trials
+        return _summary(values, counts, cfg)
     for lo in range(0, trials, _CHUNK):
         hi = min(lo + _CHUNK, trials)
         tmp = np.empty(hi - lo, dtype=np.uint64)
@@ -193,14 +200,16 @@ def run_rule(dist: DiscreteDistribution, rule: ThresholdRule, cfg: SimConfig) ->
     if p in (0.0, 1.0):  # every tie stops (p = 1) or none does (p = 0)
         lo = hi = lo if p else hi
     coin = int(np.ceil(p * _SCALE))  # coin b wins when b / 2**53 < p
+    # if no draw b < 2**53 stops the rule before step n - 1, draw only that one
+    first, steps = (0, n - 1) if hi < _SCALE - 1 or lo < hi else (n - 1, 0)
 
     def draws_of(states, tmp):
         # stops holds each trial's latest draw: a trial that goes on
         # overwrites it with its next one, drawn into the buffer w
-        stops = b = _bits(states, 0, tmp)
+        stops = b = _bits(states, first, tmp)
         w = np.empty_like(states)
         live = np.arange(states.size)
-        for t in range(n - 1):
+        for t in range(steps):
             go = b <= hi
             if lo < hi:
                 tie = np.flatnonzero(go & (b > lo))

@@ -134,6 +134,39 @@ class TestKernelA:
             top = fy * fx ** (n - 1)
             assert abs(Fraction(kernel_a(x, y, n)) - (top - fy**n)) <= 4 * eps * top, (x, y, n)
 
+    def test_above_diagonal_matches_exact_fractions(self):
+        # A = (1 - y^n) - (1 - y) g(x) for y > x, against exact rationals, to
+        # a relative 16 eps: half the points lie within a relative 1e-12 to
+        # 1e-1 above the diagonal, where that difference cancels (2.5e-3 off
+        # there when computed as written), and a third within 1/n of 1
+        rng = np.random.default_rng(31)
+        eps = Fraction(np.finfo(float).eps)
+        for i in range(2000):
+            n = int(rng.integers(2, 31)) if i % 10 else int(rng.choice([200, 1000]))
+            x = (float(rng.random()), 1 - 10.0 ** -rng.uniform(0, 15),
+                 1 - float(rng.random()) / n)[i % 3]
+            y = x * (1 + 10.0 ** -rng.uniform(1, 12)) if i % 2 else x + (1 - x) * float(rng.random())
+            y = min(y, 1.0)
+            if y <= x:
+                continue
+            fx, fy = Fraction(x), Fraction(y)
+            exact = (1 - fy**n) - (1 - fy) * (1 - fx**n) / (1 - fx)
+            assert abs(Fraction(kernel_a(x, y, n)) - exact) <= 16 * eps * exact, (x, y, n)
+
+    @pytest.mark.parametrize("x,y,n,want", [
+        # 200-digit mpmath values of (1 - y^n) - (1 - y)(1 - x^n)/(1 - x);
+        # the first, second and fourth lie within 1/(2n) of 1
+        (1 - 2**-30, 1 - 2**-31, 10**6, 1.0836963559314227329e-7),
+        (0.9999997, 0.9999999, 10**6, 0.0087686489324482967754),
+        (0.999999999999, 0.9999999999995, 10**12, 0.077404999781905614139),
+        (1 - 2**-45, 1 - 2**-46, 10**12, 0.00009955108923471303808),
+        (1 - 2**-52, 1 - 2**-53, 2**62, 0.5),
+        (0.25, 0.5, 2**62, 1 / 3),
+    ])
+    def test_above_diagonal_large_horizons(self, x, y, n, want):
+        assert kernel_a(x, y, n) == pytest.approx(want, rel=16 * np.finfo(float).eps, abs=0.0)
+        assert kernel_a(x, y, np.int64(n)) == kernel_a(x, y, n)
+
     def test_branch_limits_meet_diagonal(self):
         rng = np.random.default_rng(8)
         for n in (2, 5, 10):

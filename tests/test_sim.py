@@ -418,6 +418,94 @@ class TestIntegerDraws:
         assert (prophet.mean.hex(), prophet.std_error.hex()) == prophet_hex
 
 
+def spy_positions(monkeypatch):
+    """Record the position k of every draw sim makes: each goes through
+    _words, _bits too."""
+    seen, words = [], sim._words
+
+    def spy(states, k, *args):
+        seen.append(k)
+        return words(states, k, *args)
+
+    monkeypatch.setattr(sim, "_words", spy)
+    return seen
+
+
+#: rules that no observation before the last can stop: theta at or above
+#: the top atom, ties going on
+UNDECIDED = [
+    (THREE, ThresholdRule(2.0, 0.0)),
+    (THREE, ThresholdRule(2.5, 0.5)),
+    (FIVE, ThresholdRule(3.2, 0.0)),
+    (FIVE, ThresholdRule(4.0, 1.0)),
+    # the cumulative reaches 1 before the top atom: the first cut is >= 2**53
+    (DiscreteDistribution(np.array([1.0, 2.0]), np.array([1.0, 1e-13])), ThresholdRule(1.0, 0.0)),
+]
+
+
+class TestDecidedTrials:
+    """Draws that cannot change a trial's atom are not made: none for a
+    one-atom law, none before the last for a rule that cannot stop early.
+    Draw k of trial t depends on (seed, t, k) alone, so the results equal
+    the walks that make every draw."""
+
+    @pytest.mark.parametrize("trials", [1, 200])
+    @pytest.mark.parametrize("n", [2, 7])
+    @pytest.mark.parametrize("atom", [1e-300, 0.1, 3.0])
+    def test_one_atom_law_matches_walk(self, atom, n, trials):
+        F = DiscreteDistribution.point_mass(atom)
+        cfg = SimConfig(trials=trials, seed=17, n=n)
+        assert run_prophet(F, cfg) == summarize(F, walk_prophet(F, cfg), cfg)
+        for theta in (0.0, atom, 2 * atom):
+            for p in (0.0, 0.5, 1.0):
+                rule = ThresholdRule(theta, p)
+                assert run_rule(F, rule, cfg) == summarize(F, walk_rule(F, rule, cfg), cfg)
+
+    @pytest.mark.parametrize("trials", [1, 200])
+    @pytest.mark.parametrize("n", [2, 7])
+    @pytest.mark.parametrize("dist,rule", UNDECIDED)
+    def test_undecided_rule_matches_walk(self, dist, rule, n, trials):
+        cfg = SimConfig(trials=trials, seed=19, n=n)
+        assert run_rule(dist, rule, cfg) == summarize(dist, walk_rule(dist, rule, cfg), cfg)
+
+    def test_one_atom_law_draws_nothing(self, monkeypatch):
+        seen = spy_positions(monkeypatch)
+        F, cfg = DiscreteDistribution.point_mass(0.1), SimConfig(trials=200, seed=3, n=5)
+        run_prophet(F, cfg)
+        for p in (0.0, 0.5, 1.0):
+            run_rule(F, ThresholdRule(0.1, p), cfg)
+        assert seen == []
+
+    @pytest.mark.parametrize("dist,rule", UNDECIDED)
+    def test_undecided_rule_draws_only_the_last(self, monkeypatch, dist, rule):
+        seen = spy_positions(monkeypatch)
+        run_rule(dist, rule, SimConfig(trials=200, seed=3, n=5))
+        assert seen == [4]
+
+    @pytest.mark.parametrize("rule", [
+        ThresholdRule(0.3, 0.0), ThresholdRule(2.0, 0.5), ThresholdRule(2.0, 1.0)])
+    def test_rule_that_can_stop_draws_from_the_first(self, monkeypatch, rule):
+        # theta at the top atom still stops on a tie when p > 0
+        seen = spy_positions(monkeypatch)
+        run_rule(THREE, rule, SimConfig(trials=200, seed=3, n=5))
+        assert seen[0] == 0 and len(seen) > 1
+
+    def test_undecided_rule_long_horizon(self, monkeypatch):
+        # one draw per trial at position n - 1, not a loop over n - 1 steps
+        cfg = SimConfig(trials=200, seed=23, n=2**40)
+        rule = ThresholdRule(2.0, 0.0)
+        want = summarize(THREE, [THREE.quantile(draw(23, t, 2**40 - 1)) for t in range(200)], cfg)
+        seen = spy_positions(monkeypatch)
+        assert run_rule(THREE, rule, cfg) == want
+        assert seen == [2**40 - 1]
+
+    def test_one_atom_law_many_trials(self):
+        # no chunk is simulated: the count is the trial count
+        F, cfg = DiscreteDistribution.point_mass(1.25), SimConfig(trials=10**12, seed=1, n=9)
+        for res in (run_rule(F, ThresholdRule(1.25, 0.5), cfg), run_prophet(F, cfg)):
+            assert (res.mean, res.std_error, res.trials) == (1.25, 0.0, 10**12)
+
+
 class TestSummary:
     def test_matches_exact_fractions(self):
         # mean and standard error of the counts against exact rational sums;
