@@ -12,7 +12,6 @@ ends of each bracket are replayed in O(N) or O(N log N) arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression, linprog, minimize, nnls  # noqa: F401
 
 from .game import SolverError, double_oracle
-from .kernel import Generator, _kappa_level, _suffix_sum, check_grid, check_integer
+from .kernel import Generator, _grid_block, _kappa_level, _suffix_sum, check_grid, check_integer
 
 #: cap on the steps of one _dinkelbach call; pareto_ratio at N = 20000 and
 #: n in {10, 100} takes at most 7 per call
@@ -63,9 +62,11 @@ def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
     ||p||, as 1 <= mu^T C r <= <p, r> <= ||p|| ||r|| for feasible r (capped
     at kappa_lower if rounding puts it below), and z scaled to min A_N z = 1
     and then to z^T Q z = sigma^2 gives kappa_lower.  SolverError when the
-    gap exceeds tol, or when min A_N z <= 0: at some sizes with n >= 50 and
-    N <= 25, where kappa < 1e-8, Pi_K(C^T mu) is constant or has one step,
-    so z is 0 or sits on levels where A_N's diagonal is 0.
+    gap exceeds tol, or when min A_N z <= 0 (Pi_K(C^T mu) is constant or has
+    one step, so z is 0 or on A_N's zero diagonal); measured, with the dual
+    end below 4e-8: n = 50 at N = 3, n = 100 at N <= 4, n = 1000 at N <= 54
+    but 29, 34, 41, 42, 44 and 50, and n = 10^4 at N = 3, ..., 79, 100, 200,
+    300 and 500 but not 400, of n in {10, 25, 50, 100, 1000, 10^4}.
     """
     n, N = check_grid(n, N)
     if not 0.0 < sigma < np.inf:
@@ -79,8 +80,7 @@ def kappa(n: int, N: int, tol: float = 1e-3, sigma: float = 1.0) -> KappaResult:
     def dual_direction(mu):  # C^T mu = D^T (d sum(mu) - B^T mu)
         return np.diff(d * mu.sum() - generator.rmatvec(mu), prepend=0.0, append=0.0)
 
-    start = math.floor(_kappa_level(n)[0] * N)
-    block = sorted({min(max(i, 0), m - 1) for i in range(start - 2, start + 2)})
+    block = _grid_block([_kappa_level(n)[0]], N, 2, 2)
     rows = np.array([dual_direction(np.eye(1, m, i)[0]) for i in block])
     w = np.full(len(block), 1.0 / len(block))
     rounds = projections = line_searches = 0
@@ -172,10 +172,10 @@ def _min_norm_mixture(rows: np.ndarray, w: np.ndarray):
 
 def pareto_band(N: int, p0: float, p1: float) -> tuple[np.ndarray, np.ndarray]:
     """The Pareto-like band (q_lo, q_hi) on the cumulative quantiles u_i, i < N:
-    the i/N-quantiles (N/(N-i))^{1/p} of P(X > x) = x^{-p} at p = p0 and p1."""
+    the i/N-quantiles (N/(N-i))^{1/p} of P(X > x) = x^{-p} at finite p0 > p1 > 1."""
     check_integer(N, "grid size", 3)
-    if not p0 > p1 > 1.0:
-        raise ValueError(f"need p0 > p1 > 1, got p0={p0!r}, p1={p1!r}")
+    if not np.inf > p0 > p1 > 1.0:
+        raise ValueError(f"need finite p0 > p1 > 1, got p0={p0!r}, p1={p1!r}")
     base = N / (N - np.arange(1, N, dtype=np.float64))
     return base ** (1.0 / p0), base ** (1.0 / p1)
 

@@ -8,10 +8,10 @@ solve_game takes any dense payoff matrix, starts from its first row and
 column, and finds the best responses by full matrix-vector products.  The
 sharp games never form their (N-1) x (N-1) matrix: the reward-weight
 matrix B of the generator is semiseparable, so their best responses come
-from the O(N) products B v and B^T lam, and their start block
-(_saddle_block) holds the grid levels around the continuum game's
-pure-level saddle, which depends on n alone (kernel._saddle_levels): the
-grid solution sits there, so one or two rounds close the gap.
+from the O(N) products B v and B^T lam, and their start block holds the
+grid levels (kernel._grid_block) around the continuum game's pure-level
+saddle, which depends on n alone (kernel._saddle_levels): the grid
+solution sits there, so one or two rounds close the gap.
 constrained.pareto_ratio runs on the same driver.  Every returned solution
 is re-verified by arithmetic: value and gap are computed by replaying the
 strategies against the payoff matrix, never taken from solver internals.
@@ -19,7 +19,6 @@ strategies against the payoff matrix, never taken from solver internals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -34,6 +33,7 @@ from .dist import DiscreteDistribution, lfd_from_mu_diff, lfd_from_mu_ratio
 from .kernel import (
     Generator,
     KernelKind,
+    _grid_block,
     _saddle_levels,
     check_grid,
     err_bound_diff,
@@ -194,11 +194,12 @@ def sharp_regret(n: int, N: int, tol: float = 1e-7) -> SharpConstantReport:
 
 def _sharp_report(kind: KernelKind, n: int, N: int, tol: float) -> SharpConstantReport:
     """Solve the grid game by _matrix_game with M = R_N, or M = -A_N for the
-    regret (value negated), from the block _saddle_block seeds, on one
-    kernel.Generator: its blocks are the restricted game's entries, and mu
-    and lam are replayed through its O(N) products B v and B^T lam.  The
-    seed only saves rounds: value and gap come from the replay whatever the
-    start."""
+    regret (value negated), on one kernel.Generator: its blocks are the
+    restricted game's entries, and mu and lam are replayed through its O(N)
+    products B v and B^T lam.  The start block is the grid levels around the
+    continuum saddle (kernel._saddle_levels): the pair of levels around
+    each atom, and around x* with the two levels below.  The seed only
+    saves rounds: value and gap come from the replay whatever the start."""
     n, N = check_grid(n, N)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -214,9 +215,11 @@ def _sharp_report(kind: KernelKind, n: int, N: int, tol: float) -> SharpConstant
     def rmatvec(lam):  # R^T lam = (B^T lam)/d, -A^T lam = B^T lam - d
         return generator.rmatvec(lam) / d if ratio else generator.rmatvec(lam) - d
 
+    x, atoms = _saddle_levels(kind, n)
+    # two extra stopper rows: the grid solution can sit a level below x*'s pair
     mu, lam, value, gap, stats = _matrix_game(
         lambda rows, cols: sgn * generator.block(kind, rows, cols), matvec, rmatvec, (m, m),
-        *_saddle_block(kind, n, N), tol)
+        _grid_block([x], N, 3, 1), _grid_block(atoms, N, 1, 1), tol)
     value *= sgn
     mu = _cleanup(mu)
     if ratio:
@@ -231,20 +234,6 @@ def _sharp_report(kind: KernelKind, n: int, N: int, tol: float) -> SharpConstant
         n=n, N=N, kind=kind, value=value, bracket=bracket, gap=gap,
         rule=rule, lfd=lfd, lam=lam, mu=mu, certified=certified, stats=stats,
     )
-
-
-def _saddle_block(kind: KernelKind, n: int, N: int) -> tuple[list, list]:
-    """The grid game's starting block from the continuum saddle
-    (kernel._saddle_levels), the one place where the saddle meets the grid:
-    the levels floor(zN)/N and floor(zN)/N + 1/N around x* and each atom z,
-    and the two stopper levels below x*'s pair, since the grid solution's
-    levels can sit a level below it.  0-based indices (level i is
-    (i+1)/N), clipped to [0, N-2]."""
-    x, atoms = _saddle_levels(kind, n)
-    top = math.floor(x * N)
-    rows = range(top - 3, top + 1)
-    cols = [k for y in atoms for k in (math.floor(y * N) - 1, math.floor(y * N))]
-    return tuple(sorted({min(max(i, 0), N - 2) for i in indices}) for indices in (rows, cols))
 
 
 def double_oracle(entries, respond, rows, cols) -> tuple[object, dict]:

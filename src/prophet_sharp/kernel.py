@@ -18,9 +18,9 @@ array and the dense B (reward_weights) is the tests' oracle.  Also: the
 horizon check, the continuum game's pure-level saddle at horizon n, which
 knows no grid and seeds the grid games (_saddle_levels), the level x*_n
 whose continuum single-level bound on kappa_n is least, which seeds kappa
-the same way (_kappa_level), the discretization error bounds, the
-support-exclusion constant, and the Lipschitz constants used by property
-tests.
+the same way (_kappa_level), the one map of such levels to grid indices
+(_grid_block), the discretization error bounds, the support-exclusion
+constant, and the Lipschitz constants used by property tests.
 """
 
 from __future__ import annotations
@@ -63,11 +63,14 @@ def kernel_r(x, y, n: int):
 
 def kernel_a(x, y, n: int):
     """Difference kernel A(x, y) = (1 - y^n) - b(x, y) >= 0; vanishes on the
-    diagonal.  For y <= x it is y (x^{n-1} - y^{n-1}), factored so that no
-    two terms near 1 cancel; for y > x it is (y - x)(1 - y) h_{n-2}(1, x, y)
-    (_h3).  A float for scalar x and y, else their broadcast array."""
+    diagonal.  For y <= x it is y x^{n-1} (1 - (1 - r)^{n-1}), r = (x - y)/x,
+    the bracket by expm1 and log1p so that nothing cancels near the
+    diagonal; for y > x it is (y - x)(1 - y) h_{n-2}(1, x, y) (_h3).  A
+    float for scalar x and y, else their broadcast array."""
     x, y = _check_point(x, y, n)
-    below = y * (x ** (n - 1) - y ** (n - 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.clip((x - y) / x, 0.0, 1.0)  # 0 on and above the diagonal, nan at x = 0
+        below = np.where(r > 0.0, -y * x ** (n - 1) * np.expm1((n - 1) * np.log1p(-r)), 0.0)
     return _scalar_or_array(np.where(y <= x, below, (y - x) * (1.0 - y) * _h3(x, y, n)))
 
 
@@ -342,6 +345,14 @@ def _kappa_level(n: int) -> tuple[float, tuple[float, float]]:
     t = brentq(stationarity, 0.9, 1.3)
     _, _, u1, u2, _ = bridge(t)
     return 1.0 - t / n, (1.0 - u1 / n, 1.0 - u2 / n)
+
+
+def _grid_block(levels, N: int, below: int, above: int) -> list:
+    """The one place where continuum levels meet the N-grid: for each level
+    z the 0-based indices floor(zN) + k, k = -below, ..., above - 1 (level
+    i is (i+1)/N), clipped to [0, N-2], sorted and without repeats."""
+    return sorted({min(max(math.floor(z * N) + k, 0), N - 2)
+                   for z in levels for k in range(-below, above)})
 
 
 def err_bound_diff(n: int, N: int) -> float:

@@ -61,21 +61,18 @@ class OptimalRule:
 
 
 def _pieces(dist: DiscreteDistribution, rule: ThresholdRule):
-    theta, p = rule.theta, rule.p
-    F = dist.cdf(theta)
-    Fl = dist.cdf_left(theta)
-    Fp = p * Fl + (1.0 - p) * F
-    delta = F - Fl
+    theta = rule.theta
+    delta = dist.cdf(theta) - dist.cdf_left(theta)
     above = dist.values > theta
     tail_mean = float(dist.values[above] @ dist.probs[above])
     below_mean = float(dist.values[~above] @ dist.probs[~above])
-    return F, Fl, Fp, delta, tail_mean, below_mean
+    return dist.mixed_cdf(theta, rule.p), delta, tail_mean, below_mean
 
 
 def reward_v1(dist: DiscreteDistribution, n: int, rule: ThresholdRule) -> float:
     """First closed form: geometric sum up to n plus the terminal below-theta term."""
     check_horizon(n)
-    _, _, Fp, delta, tail_mean, below_mean = _pieces(dist, rule)
+    Fp, delta, tail_mean, below_mean = _pieces(dist, rule)
     if Fp >= _DEGENERATE:
         return dist.mean()
     head = tail_mean + rule.p * rule.theta * delta
@@ -90,7 +87,7 @@ def reward_v2(dist: DiscreteDistribution, n: int, rule: ThresholdRule) -> float:
     Agrees with reward_v1 to floating-point accuracy for every rule.
     """
     check_horizon(n)
-    _, _, Fp, delta, tail_mean, _ = _pieces(dist, rule)
+    Fp, delta, tail_mean, _ = _pieces(dist, rule)
     if Fp >= _DEGENERATE:
         return dist.mean()
     head = tail_mean + rule.p * rule.theta * delta

@@ -330,6 +330,7 @@ class TestParsing:
     @pytest.mark.parametrize("argv", [
         ["table2", "--sigma", "nan"], ["table2", "--sigma", "inf"], ["table2", "--tol", "nan"],
         ["table3", "--tol", "nan"], ["table3", "--tol", "0"], ["table3", "--tol", "-1"],
+        ["table3", "--p0", "inf"],
     ], ids=" ".join)
     def test_bad_sigma_or_tol_exit_2(self, tmp_path, capsys, argv):
         assert main(argv + ["--n", "4", "--N", "40", "--out", str(tmp_path)]) == 2

@@ -23,7 +23,7 @@ from prophet_sharp import (
     sharp_regret,
 )
 from prophet_sharp.constrained import _band_min, _band_windows, _dinkelbach, variance_q_matrix
-from prophet_sharp.kernel import Generator, prophet_weights
+from prophet_sharp.kernel import Generator, _kappa_level, prophet_weights
 
 
 class TestVariance:
@@ -205,6 +205,19 @@ class TestKappa:
                 continue
             assert rounds <= 2, (n, N, rounds)
 
+    @pytest.mark.parametrize("n,N", [(10, 200), (25, 200), (10, 2000)])
+    @pytest.mark.parametrize("shift", [-0.05, 0.05, 0.2])
+    def test_poorer_seed_costs_rounds_only(self, n, N, shift, monkeypatch):
+        # a seed away from x*_n grows the block by best responses over
+        # several rounds and certifies the same kappa_N as the seeded run
+        seeded = kappa(n, N)
+        monkeypatch.setattr(constrained, "_kappa_level",
+                            lambda n: (_kappa_level(n)[0] + shift, _kappa_level(n)[1]))
+        moved = kappa(n, N)
+        gaps = seeded.certificate["gap"], moved.certificate["gap"]
+        assert moved.certificate["rounds"] > 1 and gaps[1] <= 1e-3
+        assert abs(moved.value - seeded.value) <= sum(gaps)
+
     @pytest.mark.parametrize("n,N", [(50, 3), (100, 4)])
     def test_degenerate_corner_raises(self, n, N):
         # kappa is below 1e-8 here, and Pi_K(C^T mu) is constant or has one
@@ -243,6 +256,8 @@ class TestPareto:
         assert q_lo[0] > 1.0
         with pytest.raises(ValueError):
             pareto_band(100, 5.0, 20.0)
+        with pytest.raises(ValueError, match="finite"):
+            pareto_band(100, np.inf, 5.0)
 
     @pytest.mark.parametrize("N", [3, 200, 20000])
     @pytest.mark.parametrize("p0,p1", [(20.0, 5.0), (5.5, 5.0), (100.0, 1.01)])

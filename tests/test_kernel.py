@@ -26,8 +26,13 @@ from prophet_sharp import (
     support_cutoff,
 )
 from prophet_sharp.dist import grid_distribution, lfd_from_mu_ratio
-from prophet_sharp.game import _saddle_block
-from prophet_sharp.kernel import _kappa_level, _saddle_levels, check_grid, stop_weight_sums
+from prophet_sharp.kernel import (
+    _grid_block,
+    _kappa_level,
+    _saddle_levels,
+    check_grid,
+    stop_weight_sums,
+)
 from prophet_sharp.reward import (
     ThresholdRule,
     growth_bound_check,
@@ -121,9 +126,11 @@ class TestKernelA:
             np.testing.assert_allclose(kernel_a(x, y, n), expected, rtol=0.0, atol=1e-14)
 
     def test_below_diagonal_matches_exact_fractions(self):
-        # A = y x^{n-1} - y^n for y <= x, against exact rationals: half the
-        # points lie within a relative 1e-12 to 1e-1 of the diagonal, where
-        # (1 - y^n) - b cancels (0.0 at (0.010001, 0.01, 10) for 9.0036e-24)
+        # A = y x^{n-1} - y^n for y <= x, against exact rationals, to a
+        # relative 16 eps: half the points lie within a relative 1e-12 to
+        # 1e-1 of the diagonal, where (1 - y^n) - b cancels (0.0 at
+        # (0.010001, 0.01, 10) for 9.0036e-24) and so does
+        # y (x^{n-1} - y^{n-1}) (3.2e-5 off)
         assert kernel_a(0.010001, 0.01, 10) > 0.0
         rng = np.random.default_rng(29)
         eps = Fraction(np.finfo(float).eps)
@@ -131,8 +138,23 @@ class TestKernelA:
             n, x = int(rng.integers(2, 31)), float(rng.random())
             y = float(x * (rng.random() if i % 2 else 1 - 10.0 ** -rng.uniform(1, 12)))
             fx, fy = Fraction(x), Fraction(y)
-            top = fy * fx ** (n - 1)
-            assert abs(Fraction(kernel_a(x, y, n)) - (top - fy**n)) <= 4 * eps * top, (x, y, n)
+            exact = fy * fx ** (n - 1) - fy**n
+            assert abs(Fraction(kernel_a(x, y, n)) - exact) <= 16 * eps * exact, (x, y, n)
+
+    @pytest.mark.parametrize("x,y,n,want", [
+        # 200-digit mpmath values of y x^{n-1} - y^n; all but the first two
+        # lie within a relative 1e-12 of the diagonal
+        (1 - 2**-30, 1 - 2**-29, 10**6, 0.00093002154480690785367),
+        (0.9999999, 0.9999997, 10**6, 0.16401904521227314683),
+        (0.9999999999995, 0.999999999999, 10**12, 0.2386161204597079161),
+        (1 - 2**-46, 1 - 2**-45, 10**12, 0.013911254956246441348),
+        (0.9999, 0.9999 * (1 - 1e-13), 10**4, 3.6797543087087808877e-10),
+        (1 - 2**-50, 1 - 5 * 2**-52, 2**53 + 1, 0.00029006269814002572547),
+        (1 - 2**-53, 1 - 2**-52, 2**62, 4.3774910370529265523e-223),
+    ])
+    def test_below_diagonal_large_horizons(self, x, y, n, want):
+        assert kernel_a(x, y, n) == pytest.approx(want, rel=16 * np.finfo(float).eps, abs=0.0)
+        assert kernel_a(x, y, np.int64(n)) == kernel_a(x, y, n)
 
     def test_above_diagonal_matches_exact_fractions(self):
         # A = (1 - y^n) - (1 - y) g(x) for y > x, against exact rationals, to
@@ -475,20 +497,23 @@ class TestSaddleLevels:
 
     @pytest.mark.parametrize("N", [3, 4, 700, 200000])
     def test_total(self, N):
-        # _saddle_block takes the two levels around each of x*_n and the atoms
-        # that lie inside the grid's range, also where one lies on a level
-        # (the n = 2 regret's x* = 1/2 and atom 1/4 at N = 4), and clips the
-        # rest to the grid
+        # the start blocks _grid_block gives the sharp games (the two levels
+        # around each atom, and around x*_n with two more below) and kappa
+        # (two levels each side of x*_n) hold the levels that lie inside the
+        # grid's range, also where one lies on a level (the n = 2 regret's
+        # x* = 1/2 and atom 1/4 at N = 4), and clip the rest to the grid
         for n in (2, 3, 5, 10, 100, 10**3, 10**4, 10**6, 10**9, 10**12):
+            blocks = [(_grid_block([_kappa_level(n)[0]], N, 2, 2), (_kappa_level(n)[0],))]
             for kind in KernelKind:
                 x, atoms = _saddle_levels(kind, n)
-                blocks = _saddle_block(kind, n, N)
-                for indices, levels in zip(blocks, ((x,), atoms)):
-                    assert indices and 0 <= min(indices) and max(indices) <= N - 2
-                    grid = (np.asarray(indices) + 1.0) / N
-                    for z in levels:
-                        if 1.0 <= z * N < N - 1:
-                            assert grid.min() <= z < grid.max()
+                blocks += [(_grid_block([x], N, 3, 1), (x,)), (_grid_block(atoms, N, 1, 1), atoms)]
+            for indices, levels in blocks:
+                assert indices == sorted(set(indices))
+                assert indices and 0 <= min(indices) and max(indices) <= N - 2
+                grid = (np.asarray(indices) + 1.0) / N
+                for z in levels:
+                    if 1.0 <= z * N < N - 1:
+                        assert grid.min() <= z < grid.max()
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError, match="horizon"):
