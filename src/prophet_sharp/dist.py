@@ -22,6 +22,11 @@ from .kernel import _suffix_sum, check_horizon, check_integer, prophet_weights
 PROB_TOL = 1e-12
 
 
+def _mixed_cdf(cdf_left: float, cdf: float, p: float) -> float:
+    """p*F(x-) + (1-p)*F(x) from F(x-) and F(x), for a p already in [0, 1]."""
+    return p * cdf_left + (1.0 - p) * cdf
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Atomic distribution: strictly increasing values, positive probs."""
@@ -87,7 +92,7 @@ class DiscreteDistribution:
         """F_p(x) = p*F(x-) + (1-p)*F(x), the no-stop probability at level x."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p!r}")
-        return p * self.cdf_left(x) + (1.0 - p) * self.cdf(x)
+        return _mixed_cdf(self.cdf_left(x), self.cdf(x), p)
 
     def quantile(self, t: float) -> float:
         """Left-continuous inverse: smallest atom with cumulative prob >= t.

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.optimize import brentq
 
-from .dist import DiscreteDistribution
+from .dist import DiscreteDistribution, _mixed_cdf
 from .kernel import (_levels, _scalar_or_array, check_horizon, check_integer, stop_weight_sums,
                      weight_sums)
 
@@ -62,11 +62,12 @@ class OptimalRule:
 
 def _pieces(dist: DiscreteDistribution, rule: ThresholdRule):
     theta = rule.theta
-    delta = dist.cdf(theta) - dist.cdf_left(theta)
+    cdf, cdf_left = dist.cdf(theta), dist.cdf_left(theta)
     above = dist.values > theta
     tail_mean = float(dist.values[above] @ dist.probs[above])
     below_mean = float(dist.values[~above] @ dist.probs[~above])
-    return dist.mixed_cdf(theta, rule.p), delta, tail_mean, below_mean
+    # ThresholdRule has checked p, so mixed_cdf's check would be a repeat
+    return _mixed_cdf(cdf_left, cdf, rule.p), cdf - cdf_left, tail_mean, below_mean
 
 
 def reward_v1(dist: DiscreteDistribution, n: int, rule: ThresholdRule) -> float:

@@ -10,21 +10,22 @@ made once per process, on first use.  Observation t of a trial is its draw
 t (t < n) and the tie-break coin of step t its draw n + t, whether or not
 step t ties.  The loops stay on the integers (inversion by cut points,
 Devroye 1986, sec. III.2): the rule compares b with two cut points and the
-coin with ceil(p * 2**53), records each live trial's b (a trial that goes
-on overwrites it) and drops the stopped ones; the prophet keeps the largest
-64-bit word, whose top 53 bits are the largest b.  No draw that cannot
-change a trial's atom is made: none after a trial stops, none for a
+coin with ceil(p * 2**53) and drops the trials that stop; the prophet keeps
+the largest 64-bit word, whose top 53 bits are the largest b.  No draw that
+cannot change a trial's atom is made: none after a trial stops, none for a
 one-atom law, none before step n - 1 for a rule that no draw stops sooner
 (theta at or above the top atom, ties going on).  As draw k of trial t
 depends on (seed, t, k) alone, a skipped draw moves no other.  Trials run
 in chunks of _CHUNK: each chunk mixes its words in place in a few buffers
-of its own size, sorts its trials' final b in place and adds the number
-between each pair of neighbouring cut points, one binary search per cut
-point (_atom_counts), to one int64 count per atom.  The mean and standard
-error come from the counts alone (_summary), so memory is bounded by one
-chunk whatever the trial count, and the result depends neither on the
-chunk size nor on the order of the trials; a point mass returns its atom
-with standard error 0.
+of its own size and counts its trials that end on a draw b <= c, for each
+cut point c: the rule counts a trial at the step where it stops, the
+prophet its largest draw.  _counts_le makes one comparison per cut point
+below _SORT_CUTS of them, else sorts in place and binary-searches.  The
+differences are added to one int64 count per atom.  The mean and
+standard error come from the counts alone (_summary), so memory is
+bounded by one chunk whatever the trial count, and the result depends
+neither on the chunk size nor on the order of the trials; a point mass
+returns its atom with standard error 0.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ class SimResult:
 
 _U = np.uint64
 _CHUNK = 1 << 16
+_SORT_CUTS = 8  # from this many cut points up, a sort counts faster than comparisons
 _M1, _M2 = _U(_MIX1), _U(_MIX2)
 _S11, _S27, _S30, _S31 = _U(11), _U(27), _U(30), _U(31)
 
@@ -155,11 +157,14 @@ def _cuts(dist: DiscreteDistribution) -> np.ndarray:
     return np.floor(dist.cumulative[:-1] * _SCALE).astype(np.int64)
 
 
-def _atom_counts(b: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """bincount(searchsorted(cuts, b), minlength=cuts.size + 1) of 53-bit
-    draws b, which it sorts in place: atoms 0, ..., k take the b <= cuts[k]."""
+def _counts_le(b: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """#(b <= cuts[j]) for each j, of 53-bit draws b, which it may reorder:
+    one comparison per cut point when they are few, else a sort in place
+    and one binary search per cut point."""
+    if cuts.size < _SORT_CUTS:
+        return np.array([np.count_nonzero(b <= c) for c in cuts.tolist()], dtype=np.int64)
     b.sort()
-    return np.diff(np.searchsorted(b, cuts, side="right"), prepend=0, append=b.size)
+    return np.searchsorted(b, cuts, side="right")
 
 
 def _summary(values: np.ndarray, counts: np.ndarray, cfg: SimConfig) -> SimResult:
@@ -175,10 +180,10 @@ def _summary(values: np.ndarray, counts: np.ndarray, cfg: SimConfig) -> SimResul
     return SimResult(mean=mean, std_error=se, trials=cfg.trials, seed=cfg.seed)
 
 
-def _simulate(cfg: SimConfig, values: np.ndarray, cuts: np.ndarray, draws_of) -> SimResult:
-    """Count the trials at each atom, chunk by chunk, from draws_of(stream
-    states, uint64 scratch of their shape), which gives each trial's 53-bit
-    draw in an int64 array the chunk owns (_atom_counts sorts it)."""
+def _simulate(cfg: SimConfig, values: np.ndarray, cuts: np.ndarray, counts_of) -> SimResult:
+    """Count the trials at each atom, chunk by chunk, from counts_of(stream
+    states, uint64 scratch of their shape), which gives _counts_le's counts
+    of the chunk's trials over the cut points."""
     trials, seed = int(cfg.trials), int(cfg.seed)
     counts = np.zeros(values.size, dtype=np.int64)
     if cuts.size == 0:  # one atom: every trial takes it, so nothing is drawn
@@ -187,7 +192,8 @@ def _simulate(cfg: SimConfig, values: np.ndarray, cuts: np.ndarray, draws_of) ->
     for lo in range(0, trials, _CHUNK):
         hi = min(lo + _CHUNK, trials)
         tmp = np.empty(hi - lo, dtype=np.uint64)
-        counts += _atom_counts(draws_of(_stream_states(seed, lo, hi, tmp), tmp), cuts)
+        le = counts_of(_stream_states(seed, lo, hi, tmp), tmp)
+        counts += np.diff(le, prepend=0, append=hi - lo)
     return _summary(values, counts, cfg)
 
 
@@ -202,42 +208,46 @@ def run_rule(dist: DiscreteDistribution, rule: ThresholdRule, cfg: SimConfig) ->
     coin = int(np.ceil(p * _SCALE))  # coin b wins when b / 2**53 < p
     # if no draw b < 2**53 stops the rule before step n - 1, draw only that one
     first, steps = (0, n - 1) if hi < _SCALE - 1 or lo < hi else (n - 1, 0)
+    # a trial that goes on has b <= hi and one that stops b > lo, so no stop
+    # lies at or below a cut under hi, and at each cut c >= hi the stops
+    # with b <= c number #(b <= c) less the m trials that go on
+    j0 = int(np.searchsorted(cuts, hi))
 
-    def draws_of(states, tmp):
-        # stops holds each trial's latest draw: a trial that goes on
-        # overwrites it with its next one, drawn into the buffer w
-        stops = b = _bits(states, first, tmp)
+    def counts_of(states, tmp):
+        # count each trial where it stops; those that go on draw into w
+        le = np.zeros(cuts.size, dtype=np.int64)
+        b = _bits(states, first, tmp)
         w = np.empty_like(states)
-        live = np.arange(states.size)
         for t in range(steps):
             go = b <= hi
-            if lo < hi:
-                tie = np.flatnonzero(go & (b > lo))
-                j = tie.size  # the coins may overwrite b (in w): go now has it
+            tie = np.flatnonzero(go & (b > lo)) if lo < hi else None
+            le[j0:] += _counts_le(b, cuts[j0:])  # now: the coins may overwrite b (in w)
+            if tie is not None:
+                j = tie.size
                 go[tie] = _bits(states[tie], n + t, tmp[:j], w[:j]) >= coin
             keep = np.flatnonzero(go)
             m = keep.size
+            le[j0:] -= m
             if m == 0:
-                break
-            live, states = live[keep], states[keep]
+                return le
+            states = states[keep]
             b = _bits(states, t + 1, tmp[:m], w[:m])
-            stops[live] = b
-        return stops
+        return le + _counts_le(b, cuts)
 
-    return _simulate(cfg, values, cuts, draws_of)
+    return _simulate(cfg, values, cuts, counts_of)
 
 
 def run_prophet(dist: DiscreteDistribution, cfg: SimConfig) -> SimResult:
     """Estimate the prophet value E max of cfg.n iid draws."""
     values, cuts, n = dist.values, _cuts(dist), int(cfg.n)
 
-    def draws_of(states, tmp):
+    def counts_of(states, tmp):
         # the largest word has the largest top 53 bits
         best = _words(states, 0, tmp)
         w = np.empty_like(states)
         for k in range(1, n):
             np.maximum(best, _words(states, k, tmp, w), out=best)
         best >>= _S11
-        return best.view(np.int64)
+        return _counts_le(best.view(np.int64), cuts)
 
-    return _simulate(cfg, values, cuts, draws_of)
+    return _simulate(cfg, values, cuts, counts_of)

@@ -30,6 +30,7 @@ from prophet_sharp import (
     samuel_cahn_distribution,
     sharp_regret,
 )
+from prophet_sharp import reward
 from prophet_sharp.dist import grid_distribution
 
 COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
@@ -79,6 +80,17 @@ class TestClosedForms:
                     assert reward_v1(F, n, rule) == pytest.approx(
                         reward_v2(F, n, rule), abs=1e-12
                     )
+
+    def test_pieces_read_the_cdf_once(self):
+        # _pieces' F_p and tie mass, from one cdf and one cdf_left, equal
+        # mixed_cdf and the difference of the two bit for bit
+        rng = np.random.default_rng(109)
+        for _ in range(100):
+            F = random_dist(rng, max_atoms=6)
+            for theta, p in rule_grid(F):
+                Fp, delta, _, _ = reward._pieces(F, ThresholdRule(theta, p))
+                assert Fp == F.mixed_cdf(theta, p)
+                assert delta == F.cdf(theta) - F.cdf_left(theta)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(103)

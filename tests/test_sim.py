@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_dist
+from helpers import load_perfbench, random_dist
 from prophet_sharp import sim
 from prophet_sharp import (
     DiscreteDistribution,
@@ -23,6 +24,7 @@ FIVE = DiscreteDistribution.from_atoms(
 
 
 GOLDEN = 0x9E3779B97F4A7C15
+workloads = load_perfbench("workloads")
 
 
 def mix(z):
@@ -70,6 +72,19 @@ def sim_draws(seed, trial, k):
     """Draws 0, ..., k - 1 of one trial's stream as sim makes them."""
     states = sim._stream_states(seed, trial, trial + 1)
     return np.concatenate([sim._bits(states, j) for j in range(k)]) / 2**53
+
+
+def atom_counts(b, cuts):
+    """Draws per atom, bincount(searchsorted(cuts, b)), from _counts_le."""
+    return np.diff(sim._counts_le(b, cuts), prepend=0, append=b.size)
+
+
+def both_counting_branches(monkeypatch):
+    """Run the loop body once per branch of _counts_le: with _SORT_CUTS 0
+    every count sorts the draws, with 10**9 every count compares."""
+    for sort_cuts in (0, 10**9):
+        monkeypatch.setattr(sim, "_SORT_CUTS", sort_cuts)
+        yield sort_cuts
 
 
 class TestConfig:
@@ -313,17 +328,18 @@ class TestIntegerDraws:
         DiscreteDistribution(np.arange(10.0), np.full(10, 0.1)),  # cumsum ends at 1 - 2**-53
         DiscreteDistribution(np.array([1.0, 2.0]), np.array([0.5, 0.5 - 4e-13])),
     ])
-    def test_cut_points_match_quantile(self, dist):
+    def test_cut_points_match_quantile(self, monkeypatch, dist):
         assert dist.cumulative[-1] < 1.0  # the last atom also takes the missing mass
         cuts = sim._cuts(dist)
-        for b in sorted({0, 2**53 - 1} | {int(c) + d for c in cuts for d in (0, 1)}):
-            counts = sim._atom_counts(np.array([b]), cuts)
-            assert counts.sum() == 1
-            assert dist.values[np.argmax(counts)] == dist.quantile(b * 2.0**-53), b
+        for branch in both_counting_branches(monkeypatch):
+            for b in sorted({0, 2**53 - 1} | {int(c) + d for c in cuts for d in (0, 1)}):
+                counts = atom_counts(np.array([b]), cuts)
+                assert counts.sum() == 1
+                assert dist.values[np.argmax(counts)] == dist.quantile(b * 2.0**-53), (branch, b)
 
     @pytest.mark.parametrize("k", [0, 1, 4, 40, 10**4])
     @pytest.mark.parametrize("layout", ["uniform", "near top", "duplicates"])
-    def test_atom_index_matches_searchsorted(self, k, layout):
+    def test_atom_index_matches_searchsorted(self, monkeypatch, k, layout):
         rng = np.random.default_rng(k)
         if layout == "uniform":
             cuts = rng.integers(0, 2**53, k)
@@ -336,10 +352,11 @@ class TestIntegerDraws:
                              rng.integers(0, 2**53, 1000)))
         bs = bs[(bs >= 0) & (bs < 2**53)]
         want = np.bincount(np.searchsorted(cuts, bs), minlength=cuts.size + 1)
-        assert np.array_equal(sim._atom_counts(rng.permutation(bs), cuts), want)
+        for branch in both_counting_branches(monkeypatch):
+            assert np.array_equal(atom_counts(rng.permutation(bs), cuts), want), branch
 
     @pytest.mark.parametrize("k", [1, 4, 40])
-    def test_atom_index_cuts_at_top(self, k):
+    def test_atom_index_cuts_at_top(self, monkeypatch, k):
         # probabilities may sum to 1 + 1e-12: cumulative[:-1] then reaches 1,
         # and cut points reach 2**53 or above it
         rng = np.random.default_rng(k)
@@ -348,7 +365,8 @@ class TestIntegerDraws:
         bs = np.concatenate(([0, 2**53 - 1], cuts[cuts < 2**53] - 1, rng.integers(0, 2**53, 1000)))
         bs = bs[bs >= 0]
         want = np.bincount(np.searchsorted(cuts, bs), minlength=cuts.size + 1)
-        assert np.array_equal(sim._atom_counts(rng.permutation(bs), cuts), want)
+        for branch in both_counting_branches(monkeypatch):
+            assert np.array_equal(atom_counts(rng.permutation(bs), cuts), want), branch
 
     def test_cumulative_reaches_one_before_last_atom(self):
         F = DiscreteDistribution(np.array([1.0, 2.0]), np.array([1.0, 1e-13]))
@@ -367,7 +385,8 @@ class TestIntegerDraws:
             if 0 <= b < 2**53:
                 assert (b < coin) == (b * 2.0**-53 < p), b
 
-    def test_matches_sequential_walk_randomized(self):
+    def test_matches_sequential_walk_randomized(self, monkeypatch):
+        # each count through both branches of _counts_le
         rng = np.random.default_rng(41)
         for rep in range(5):
             F = random_dist(rng, max_atoms=40)
@@ -375,14 +394,17 @@ class TestIntegerDraws:
             v = F.values
             between = 0.5 * (v[0] + v[1]) if v.size > 1 else 0.25
             cfg = SimConfig(trials=60, seed=5000 + rep, n=int(rng.integers(2, 7)))
-            assert run_prophet(F, cfg) == summarize(F, walk_prophet(F, cfg), cfg)
+            want = summarize(F, walk_prophet(F, cfg), cfg)
+            for branch in both_counting_branches(monkeypatch):
+                assert run_prophet(F, cfg) == want, (rep, branch)
             for theta in (0.25, between, float(rng.choice(v)), v[-1] + 1.0):
                 for p in (0.0, 1e-17, 0.5, 1 - 2.0**-53, 1.0):
                     rule = ThresholdRule(float(theta), p)
                     want = summarize(F, walk_rule(F, rule, cfg), cfg)
-                    assert run_rule(F, rule, cfg) == want, (rep, theta, p)
+                    for branch in both_counting_branches(monkeypatch):
+                        assert run_rule(F, rule, cfg) == want, (rep, theta, p, branch)
 
-    def test_matches_sequential_walk_many_atoms(self):
+    def test_matches_sequential_walk_many_atoms(self, monkeypatch):
         # 3000 atoms, about a third of them with mass near 2**-53 (so that
         # neighbours share a cut point), and a heavy atom at theta to tie on
         rng = np.random.default_rng(43)
@@ -392,10 +414,13 @@ class TestIntegerDraws:
         F = DiscreteDistribution(np.sort(rng.random(3000)) + 0.5, probs / probs.sum())
         assert np.any(np.diff(sim._cuts(F)) == 0)
         cfg = SimConfig(trials=200, seed=6000, n=5)
-        assert run_prophet(F, cfg) == summarize(F, walk_prophet(F, cfg), cfg)
-        for p in (0.0, 0.5, 1.0):
-            rule = ThresholdRule(float(F.values[1500]), p)
-            assert run_rule(F, rule, cfg) == summarize(F, walk_rule(F, rule, cfg), cfg), p
+        wants = [summarize(F, walk_prophet(F, cfg), cfg)]
+        rules = [ThresholdRule(float(F.values[1500]), p) for p in (0.0, 0.5, 1.0)]
+        wants += [summarize(F, walk_rule(F, rule, cfg), cfg) for rule in rules]
+        for branch in both_counting_branches(monkeypatch):
+            assert run_prophet(F, cfg) == wants[0], branch
+            for rule, want in zip(rules, wants[1:]):
+                assert run_rule(F, rule, cfg) == want, (rule.p, branch)
 
     @pytest.mark.parametrize("dist,theta,p,seed,n,rule_hex,prophet_hex", [
         (THREE, 0.3, 0.25, 11, 2, ("0x1.104ed498171ffp+0", "0x1.c14c83cb94d0ep-9"),
@@ -504,6 +529,61 @@ class TestDecidedTrials:
         F, cfg = DiscreteDistribution.point_mass(1.25), SimConfig(trials=10**12, seed=1, n=9)
         for res in (run_rule(F, ThresholdRule(1.25, 0.5), cfg), run_prophet(F, cfg)):
             assert (res.mean, res.std_error, res.trials) == (1.25, 0.0, 10**12)
+
+
+def spy_words(monkeypatch):
+    """Record the number of words of every draw sim makes, as spy_positions
+    records their positions."""
+    seen, words = [], sim._words
+
+    def spy(states, k, *args):
+        seen.append(states.size)
+        return words(states, k, *args)
+
+    monkeypatch.setattr(sim, "_words", spy)
+    return seen
+
+
+def validate_case(c):
+    """The law, rule and config of one of the validate workload's
+    simulations (perfbench/workloads.mc_configs)."""
+    dist = DiscreteDistribution(np.array(c["values"]), np.array(c["probs"]))
+    cfg = SimConfig(trials=workloads.MC_TRIALS, seed=c["sim_seed"], n=c["n"])
+    return dist, ThresholdRule(c["theta"], c["p"]), cfg
+
+
+class TestValidateWorkload:
+    """The benchmark's validate simulations, pinned bit for bit: how the
+    atoms are counted may change, what is drawn and every summary may not."""
+
+    @pytest.mark.parametrize("seed,digest", [
+        (1, "59b367abb2166ef89f847ae21f07d404942fba1750c86a121bcc1a7f7c5a30ec"),
+        (2, "0e0d7bccd5f87567f316f355b338ac3abaf1af9a693a1e2e94d8f4005f5ece24"),
+        (3, "2b99e8f434ceb0d6eb7ed9c3ac1274bee31278d0f25451b8248eb8559d9813f9"),
+    ])
+    def test_summaries_digest(self, seed, digest):
+        rows = []
+        for c in workloads.mc_configs(seed):
+            dist, rule, cfg = validate_case(c)
+            r, p = run_rule(dist, rule, cfg), run_prophet(dist, cfg)
+            rows.append([r.mean.hex(), r.std_error.hex(), p.mean.hex(), p.std_error.hex()])
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("index,rule_words,prophet_words", [
+        (9, 60892, 80000),  # theta at an inner atom of five, p = 1/2: ties
+        (1, 52747, 60000),  # theta at the lower of two atoms, p = 1/2
+        (19, 20000, 140000),  # theta at the top atom, p = 0: no early stop
+    ])
+    def test_words_drawn(self, monkeypatch, index, rule_words, prophet_words):
+        # seed 1's configurations: how the atoms are counted must not change
+        # which words are drawn
+        dist, rule, cfg = validate_case(workloads.mc_configs(1)[index])
+        seen = spy_words(monkeypatch)
+        run_rule(dist, rule, cfg)
+        assert sum(seen) == rule_words
+        seen.clear()
+        run_prophet(dist, cfg)
+        assert sum(seen) == prophet_words == cfg.n * cfg.trials
 
 
 class TestSummary:
