@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .constrained import kappa, pareto_ratio
 from .dist import DiscreteDistribution
-from .game import SolverError, sharp_ratio, sharp_regret
+from .game import HIGHS_VERSION, SolverError, sharp_ratio, sharp_regret
 from .reward import ThresholdRule, ratio_floor, evaluate_rule, reward_v1, reward_v2
 from .sim import SimConfig, run_rule
 
@@ -31,7 +31,6 @@ def _manifest(args) -> dict:
     """How a run was made: the parsed options except --out, and the
     environment, read from the modules the solvers have loaded."""
     params = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "out")}
-    highs = sys.modules["scipy.optimize._highspy._core"]
     return {
         "command": args.command,
         "parameters": params,
@@ -42,8 +41,7 @@ def _manifest(args) -> dict:
             "python": platform.python_version(),
             "numpy": sys.modules["numpy"].__version__,
             "scipy": sys.modules["scipy"].__version__,
-            "highs": f"{highs.HIGHS_VERSION_MAJOR}.{highs.HIGHS_VERSION_MINOR}"
-                     f".{highs.HIGHS_VERSION_PATCH}",
+            "highs": HIGHS_VERSION,
             "cpu_count": os.cpu_count(),
         },
     }
@@ -77,12 +75,12 @@ def _write_table(path: Path, manifest: dict, header: list, rows: list, fmt: str)
 
 
 def _parse_n_list(text: str) -> list:
-    if not text.strip():
-        return []
     try:
         values = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad n-list {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError("no n given")
     if any(v < 2 for v in values):
         raise argparse.ArgumentTypeError("every n must be >= 2")
     return values

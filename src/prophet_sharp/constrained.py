@@ -26,12 +26,6 @@ from .kernel import Generator, _grid_block, _kappa_level, _suffix_sum, check_gri
 MAX_DINKELBACH_STEPS = 1000
 
 
-def variance_q_matrix(N: int) -> np.ndarray:
-    """Q with Q[i-1, j-1] = min(i, j)/N - ij/N^2 (Brownian-bridge covariance)."""
-    i = np.arange(1, N, dtype=np.float64)
-    return np.minimum.outer(i, i) / N - np.outer(i, i) / N**2
-
-
 @dataclass(frozen=True)
 class KappaResult:
     value: float

@@ -100,8 +100,6 @@ class DiscreteDistribution:
         Total on [0, 1]: t <= 0 maps to the smallest atom, t >= 1 (and any t
         above the accumulated mass) to the largest.
         """
-        if t <= 0.0:
-            return float(self.values[0])
         k = int(np.searchsorted(self._cum, min(t, 1.0), side="left"))
         return float(self.values[min(k, self.values.size - 1)])
 
@@ -156,11 +154,6 @@ class DiscreteDistribution:
         if not isinstance(obj, dict) or "atoms" not in obj:
             raise ValueError("distribution JSON must be an object with an 'atoms' key")
         return cls.from_atoms(obj["atoms"])
-
-    def to_csv(self) -> str:
-        lines = ["value,prob"]
-        lines += [f"{format(v, '.17g')},{format(p, '.17g')}" for v, p in zip(self.values, self.probs)]
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "DiscreteDistribution":

@@ -27,7 +27,8 @@ import numpy as np
 from scipy.optimize import linprog  # noqa: F401
 # HiGHS's incremental model interface (addRow, addCol, warm restarts), which
 # scipy exposes only through its private bindings
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.optimize._highspy._core import (HIGHS_VERSION_MAJOR, HIGHS_VERSION_MINOR,
+                                           HIGHS_VERSION_PATCH, HighsModelStatus, _Highs)
 
 from .dist import DiscreteDistribution, lfd_from_mu_diff, lfd_from_mu_ratio
 from .kernel import (
@@ -41,6 +42,8 @@ from .kernel import (
 )
 from .reward import ThresholdRule, ratio_floor, optimal_rule
 
+#: version of the HiGHS library behind _Highs, for run manifests
+HIGHS_VERSION = f"{HIGHS_VERSION_MAJOR}.{HIGHS_VERSION_MINOR}.{HIGHS_VERSION_PATCH}"
 #: entries of mu below this are zeroed before reconstructing distributions
 MU_CLEANUP = 1e-12
 #: options of the restricted game LP; the default feasibility tolerances

@@ -252,6 +252,12 @@ def band_ratio_lp(c, d, q_lo, q_hi) -> float:
     return res.fun
 
 
+def variance_q_matrix(N: int) -> np.ndarray:
+    """Q with Q[i-1, j-1] = min(i, j)/N - ij/N^2 (Brownian-bridge covariance)."""
+    i = np.arange(1, N, dtype=np.float64)
+    return np.minimum.outer(i, i) / N - np.outer(i, i) / N**2
+
+
 def kappa_ldp(n: int, N: int) -> float:
     """kappa_n as a least-distance program, solved densely by BVLS.
 
@@ -396,6 +402,13 @@ def random_dist(rng, max_atoms: int = 5, vmax: float = 3.0) -> DiscreteDistribut
     probs = rng.dirichlet(np.ones(k))
     probs = probs / probs.sum()
     return DiscreteDistribution(values, probs)
+
+
+def to_csv(dist: DiscreteDistribution) -> str:
+    """dist as the 'value,prob' CSV that DiscreteDistribution.from_csv reads."""
+    lines = ["value,prob"]
+    lines += [f"{format(v, '.17g')},{format(p, '.17g')}" for v, p in zip(dist.values, dist.probs)]
+    return "\n".join(lines) + "\n"
 
 
 def random_grid_member(rng, N: int, scale: float = 2.0) -> DiscreteDistribution:

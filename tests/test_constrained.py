@@ -9,6 +9,7 @@ from helpers import (
     load_perfbench,
     min_norm_mixture_bisecting,
     pareto_bisection,
+    variance_q_matrix,
 )
 from prophet_sharp import constrained
 from prophet_sharp import (
@@ -22,7 +23,7 @@ from prophet_sharp import (
     sharp_ratio,
     sharp_regret,
 )
-from prophet_sharp.constrained import _band_min, _band_windows, _dinkelbach, variance_q_matrix
+from prophet_sharp.constrained import _band_min, _band_windows, _dinkelbach
 from prophet_sharp.kernel import Generator, _kappa_level, prophet_weights
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import enumerate_prophet, random_dist
+from helpers import enumerate_prophet, random_dist, to_csv
 from prophet_sharp import (
     DiscreteDistribution,
     grid_distribution,
@@ -95,7 +95,10 @@ class TestCdf:
 
 
 class TestQuantile:
-    @pytest.mark.parametrize("t,expected", [(0.5, 0.0), (0.6, 1.0), (0.0, 0.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("t,expected", [
+        (0.5, 0.0), (0.6, 1.0), (0.0, 0.0), (1.0, 1.0),
+        (-np.inf, 0.0), (-1.0, 0.0), (-0.0, 0.0), (np.nan, 1.0), (1.5, 1.0), (np.inf, 1.0),
+    ])
     def test_quantile_coin(self, t, expected):
         assert COIN.quantile(t) == expected
 
@@ -256,7 +259,7 @@ class TestSerialization:
         rng = np.random.default_rng(29)
         for _ in range(20):
             F = random_dist(rng)
-            G = DiscreteDistribution.from_csv(F.to_csv())
+            G = DiscreteDistribution.from_csv(to_csv(F))
             assert np.array_equal(F.values, G.values)
             assert np.array_equal(F.probs, G.probs)
 
@@ -266,7 +269,7 @@ class TestSerialization:
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "f.csv"
-        path.write_text(COIN.to_csv())
+        path.write_text(to_csv(COIN))
         G = DiscreteDistribution.from_file(str(path))
         assert np.array_equal(G.values, COIN.values)
 
