@@ -120,11 +120,7 @@ class DiscreteDistribution:
         for y near 1; the jump at level 0 contributes values[0].
         """
         check_horizon(n, minimum=1)
-        _, weights, tails = self.quantile_jumps()
-        # probs may sum to 1 + PROB_TOL; at a tail of 1, log1p(-1) = -inf is exact
-        with np.errstate(divide="ignore"):
-            powers = -np.expm1(n * np.log1p(-np.minimum(tails[1:], 1.0)))
-        return float(self.values[0] + weights[1:] @ powers)
+        return _prophet_value(*self.quantile_jumps()[1:], n)
 
     def quantile_jumps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Levels, masses and tail masses of the measure dF^{<-} on [0, 1).
@@ -173,6 +169,14 @@ class DiscreteDistribution:
         if str(path).endswith(".csv"):
             return cls.from_csv(text)
         return cls.from_json(text)
+
+
+def _prophet_value(weights: np.ndarray, tails: np.ndarray, n: int) -> float:
+    """M_n from the masses and tail masses of dF^{<-} (quantile_jumps)."""
+    # probs may sum to 1 + PROB_TOL; at a tail of 1, log1p(-1) = -inf is exact
+    with np.errstate(divide="ignore"):
+        powers = -np.expm1(n * np.log1p(-np.minimum(tails[1:], 1.0)))
+    return float(weights[0] + weights[1:] @ powers)
 
 
 def grid_distribution(u: Sequence[float], N: int) -> DiscreteDistribution:

@@ -57,7 +57,7 @@ def kernel_r(x, y, n: int):
     limit g(x)/n.  A float for scalar x and y, else their broadcast array."""
     x, y = _check_point(x, y, n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(y == 1.0, _g(x, n) / n, stop_weight(x, y, n) / (1.0 - y**n))
+        r = np.where(y == 1.0, _g(x, n) / n, stop_weight(x, y, n) / (1.0 - _power(y, n)))
     return _scalar_or_array(np.where(x == y, 1.0, r))
 
 
@@ -70,7 +70,8 @@ def kernel_a(x, y, n: int):
     x, y = _check_point(x, y, n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.clip((x - y) / x, 0.0, 1.0)  # 0 on and above the diagonal, nan at x = 0
-        below = np.where(r > 0.0, -y * x ** (n - 1) * np.expm1((n - 1) * np.log1p(-r)), 0.0)
+        below = np.where(r > 0.0, -y * _power(x, n - 1) * np.expm1(_times(n - 1, np.log1p(-r))),
+                         0.0)
     return _scalar_or_array(np.where(y <= x, below, (y - x) * (1.0 - y) * _h3(x, y, n)))
 
 
@@ -85,8 +86,8 @@ def _h3(x, y, n: int):
     next."""
     u, v, d = 1.0 - x, 1.0 - y, y - x
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gy = np.where(v > 0.0, -np.expm1(n * np.log(y)) / v, n)
-        far = (gy + y**n * np.expm1(n * np.log1p(-d / y)) / d) / u
+        gy = np.where(v > 0.0, -np.expm1(_times(n, np.log(y))) / v, n)
+        far = (gy + _power(y, n) * np.expm1(_times(n, np.log1p(-d / y))) / d) / u
         # at n u < 1/2 term k is below 2 (k - 1) 2**(2 - k) / k! of the
         # first, 1e-19 at k = 18; C(n, k) = 0 for k > n
         near, h, vk, c = 0.0, 1.0, 1.0, 0.5 * n * (n - 1)
@@ -104,7 +105,7 @@ def stop_weight(x, y, n: int) -> np.ndarray:
     R(x, y) = b(x, y) / (1 - y^n).  Broadcasts over x and y.
     """
     x, y = _check_point(x, y, n)
-    return _weight(x, x ** (n - 1), _g(x, n), y)
+    return _weight(x, _power(x, n - 1), _g(x, n), y)
 
 
 def _weight(x, xp, g, y):
@@ -115,7 +116,23 @@ def _weight(x, xp, g, y):
 def _g(x, n: int):
     """g(x) = (1 - x^n) / (1 - x) = sum_{k<n} x^k, with g(1) = n, for level scans and kernels."""
     top = x >= 1.0
-    return np.where(top, n, (1.0 - x**n) / np.where(top, 1.0, 1.0 - x))
+    return np.where(top, n, (1.0 - _power(x, n)) / np.where(top, 1.0, 1.0 - x))
+
+
+def _split(k: int) -> tuple[float, int]:
+    """k >= 0 as a float e <= k plus the exact k - e, nonzero only where float(k) rounds."""
+    e = float(k) if float(k) <= int(k) else math.nextafter(float(k), 0.0)
+    return e, int(k) - int(e)
+
+
+def _power(x, k: int):  # x**k, as x**e * x**(k - e) when k is split
+    e, r = _split(k)
+    return x ** k if r == 0 else x ** e * x ** r
+
+
+def _times(k: int, z):  # k * z, as e * z + (k - e) * z when k is split
+    e, r = _split(k)
+    return k * z if r == 0 else e * z + r * z
 
 
 def _check_point(x, y, n):
@@ -234,7 +251,7 @@ def stop_weight_sums(x, y, w, tail, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     k = np.searchsorted(y, x, side="right")
     P, Q, T = weight_sums(y, w, tail)[:, k]
-    return P - x ** (n - 1) * Q + _g(x, n) * T
+    return P - _power(x, n - 1) * Q + _g(x, n) * T
 
 
 def _suffix_sum(a: np.ndarray) -> np.ndarray:

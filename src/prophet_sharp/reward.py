@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 from scipy.optimize import brentq
 
-from .dist import DiscreteDistribution, _mixed_cdf
-from .kernel import (_levels, _scalar_or_array, check_horizon, check_integer, stop_weight_sums,
-                     weight_sums)
+from .dist import DiscreteDistribution, _mixed_cdf, _prophet_value
+from .kernel import (_g, _levels, _power, _scalar_or_array, check_horizon, check_integer,
+                     stop_weight_sums, weight_sums)
 
 # below this no-stop probability complement the rule degenerates to "take the
 # last observation" and the reward is the mean
@@ -61,11 +60,12 @@ class OptimalRule:
 
 
 def _pieces(dist: DiscreteDistribution, rule: ThresholdRule):
-    theta = rule.theta
-    cdf, cdf_left = dist.cdf(theta), dist.cdf_left(theta)
-    above = dist.values > theta
-    tail_mean = float(dist.values[above] @ dist.probs[above])
-    below_mean = float(dist.values[~above] @ dist.probs[~above])
+    theta, values, probs, cum = rule.theta, dist.values, dist.probs, dist.cumulative
+    k = int(np.searchsorted(values, theta, side="right"))  # atoms <= theta, tie last
+    cdf = float(cum[k - 1]) if k > 0 else 0.0
+    cdf_left = (float(cum[k - 2]) if k > 1 else 0.0) if k > 0 and values[k - 1] == theta else cdf
+    tail_mean = float(values[k:] @ probs[k:])
+    below_mean = float(values[:k] @ probs[:k])
     # ThresholdRule has checked p, so mixed_cdf's check would be a repeat
     return _mixed_cdf(cdf_left, cdf, rule.p), cdf - cdf_left, tail_mean, below_mean
 
@@ -109,12 +109,13 @@ def rule_at_level(dist: DiscreteDistribution, x: float) -> ThresholdRule:
     theta is the x-quantile; p resolves the atom mass so that
     F_p(theta) = x, with p = 0 whenever F(theta) = x within 1e-12.
     """
-    x = float(_clamped_level(x))
-    theta = dist.quantile(x)
-    F = dist.cdf(theta)
+    cum = dist.cumulative
+    x = float(x) if 0.0 <= x <= 1.0 else float(_clamped_level(x))  # outside: check, clamp
+    k = min(int(np.searchsorted(cum, x, side="left")), cum.size - 1)
+    theta, F = float(dist.values[k]), float(cum[k])
     if F - x <= 1e-12:
         return ThresholdRule(theta, 0.0)
-    delta = F - dist.cdf_left(theta)
+    delta = F - (float(cum[k - 1]) if k > 0 else 0.0)
     return ThresholdRule(theta, min((F - x) / delta, 1.0))
 
 
@@ -130,8 +131,10 @@ def reward_by_level(dist: DiscreteDistribution, n: int, x):
 
 
 def evaluate_rule(dist: DiscreteDistribution, n: int, rule: ThresholdRule) -> RuleEvaluation:
-    value = reward_v1(dist, n, rule)
-    prophet = dist.expected_max(n)
+    return _evaluation(reward_v1(dist, n, rule), dist.expected_max(n))
+
+
+def _evaluation(value: float, prophet: float) -> RuleEvaluation:
     ratio = value / prophet if prophet > 0.0 else 1.0
     return RuleEvaluation(value=value, ratio=ratio, regret=prophet - value)
 
@@ -147,18 +150,22 @@ def optimal_rule(
     mode "grid-exact" takes the first of the levels {1/N, ..., (N-1)/N},
     N = grid_size (required), whose reward, scored in one reward_by_level
     call, is within 1e-9 of the best.  mode "level-search" maximizes over
-    every level in [0, 1] exactly (see best_level).
+    every level in [0, 1] exactly (see best_level).  One quantile measure
+    (quantile_jumps) serves the search and the prophet value.
     """
     check_horizon(n)
+    levels, weights, tails = dist.quantile_jumps()
     if mode == "grid-exact":
         xs = _levels(grid_size)
         vals = reward_by_level(dist, n, xs)
-        rule = rule_at_level(dist, xs[int(np.flatnonzero(vals >= vals.max() - 1e-9)[0])])
+        x = xs[int(np.flatnonzero(vals >= vals.max() - 1e-9)[0])]
     elif mode == "level-search":
-        rule = rule_at_level(dist, best_level(*dist.quantile_jumps(), n))
+        x = best_level(levels, weights, tails, n)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return OptimalRule(rule, evaluate_rule(dist, n, rule))
+    rule = rule_at_level(dist, x)
+    return OptimalRule(rule, _evaluation(reward_v1(dist, n, rule),
+                                         _prophet_value(weights, tails, n)))
 
 
 def best_level(levels, weights, tails, n: int) -> float:
@@ -174,21 +181,28 @@ def best_level(levels, weights, tails, n: int) -> float:
     by Descartes' rule it changes sign at most once on x > 0, from + to -.
     The reward is continuous in x, so each piece is settled by the
     derivative's signs at its ends and, when they differ, one bracketed
-    root; the candidates are scored in one stop_weight_sums call.
+    root.  One weight_sums call gives both the slopes and the candidates'
+    scores, stop_weight_sums' P - x^{n-1} Q + g(x) T at their level counts.
     """
     a, b = levels, np.append(levels[1:], 1.0)
-    _, Q, T = weight_sums(levels, weights, tails)[:, 1:]
-    ramp = np.arange(1.0, n)
+    sums = weight_sums(levels, weights, tails)
+    _, Q, T = sums[:, 1:]
 
     def slope(x, j):
-        return T[j] * polyval(x, ramp) - (n - 1) * Q[j] * x ** (n - 2)
+        # sum_{k<n} k x^{k-1} by Horner, in numpy's polyval order
+        ramp = n - 1.0 + x * 0.0
+        for k in range(n - 2, 0, -1):
+            ramp = k + ramp * x
+        return T[j] * ramp - (n - 1) * Q[j] * x ** (n - 2)
 
-    j = np.arange(levels.size)
-    rising_a, rising_b = slope(a, j) > 0.0, slope(b, j) >= 0.0
+    m, j = levels.size, np.arange(levels.size)
+    ends = slope(np.concatenate((a, b)), np.concatenate((j, j)))  # both ends of each piece
+    rising_a, rising_b = ends[:m] > 0.0, ends[m:] >= 0.0
     xs = np.where(rising_a, b, a)
     for k in np.flatnonzero(rising_a & ~rising_b):
         xs[k] = brentq(slope, a[k], b[k], args=(k,))
-    return float(xs[np.argmax(stop_weight_sums(xs, levels, weights, tails, n))])
+    at = sums[:, np.searchsorted(levels, xs, side="right")]  # P, Q, T at each candidate
+    return float(xs[np.argmax(at[0] - _power(xs, n - 1) * at[1] + _g(xs, n) * at[2])])
 
 
 def ratio_floor(n: int) -> float:

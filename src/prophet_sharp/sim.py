@@ -3,29 +3,26 @@
 RNG: counter-based splitmix64 streams, one per trial, keyed by (seed, trial
 index).  With mix splitmix64's finalizer and all arithmetic mod 2**64, the
 state of trial t is mix(mix(seed + golden) ^ mix((t + 1) * golden)) and its
-draw k is the 53-bit integer b = mix(state + (k + 1) * golden) >> 11, the
-uniform b * 2**-53: a pure function of (seed, trial, k), so every run
-replays by seed.  The seed-free inner mix of the first chunk's trials is
-made once per process, on first use.  Observation t of a trial is its draw
-t (t < n) and the tie-break coin of step t its draw n + t, whether or not
-step t ties.  The loops stay on the integers (inversion by cut points,
-Devroye 1986, sec. III.2): the rule compares b with two cut points and the
-coin with ceil(p * 2**53) and drops the trials that stop; the prophet keeps
-the largest 64-bit word, whose top 53 bits are the largest b.  No draw that
-cannot change a trial's atom is made: none after a trial stops, none for a
-one-atom law, none before step n - 1 for a rule that no draw stops sooner
-(theta at or above the top atom, ties going on).  As draw k of trial t
-depends on (seed, t, k) alone, a skipped draw moves no other.  Trials run
-in chunks of _CHUNK: each chunk mixes its words in place in a few buffers
-of its own size and counts its trials that end on a draw b <= c, for each
-cut point c: the rule counts a trial at the step where it stops, the
-prophet its largest draw.  _counts_le makes one comparison per cut point
-below _SORT_CUTS of them, else sorts in place and binary-searches.  The
-differences are added to one int64 count per atom.  The mean and
-standard error come from the counts alone (_summary), so memory is
-bounded by one chunk whatever the trial count, and the result depends
-neither on the chunk size nor on the order of the trials; a point mass
-returns its atom with standard error 0.
+draw k the 64-bit word w = mix(state + (k + 1) * golden), with uniform
+b * 2**-53, b = w >> 11: a pure function of (seed, trial, k), so every run
+replays by seed.  Observation t of a trial is its draw t (t < n) and the
+tie-break coin of step t its draw n + t, whether or not step t ties.  The
+loops compare raw words (inversion by cut points, Devroye 1986, sec.
+III.2): b <= c exactly when w <= c * 2**11 + 2047, so the CDF's cut points
+are words (_cuts), the rule compares each word with two of them and the
+coin with ceil(p * 2**53) * 2**11, and the prophet keeps the largest word.
+No draw that cannot change a trial's atom is made: none after a trial
+stops, none for a one-atom law, none before step n - 1 for a rule that no
+draw stops sooner (theta at or above the top atom, ties going on); as draw
+k of trial t depends on (seed, t, k) alone, a skipped draw moves no other.
+Trials run in chunks of _CHUNK, each mixing its words in place in a few
+buffers of its own size and counting, per cut point c, its trials that end
+on a word <= c (_counts_le): the rule counts a trial at the step where it
+stops, the prophet its largest word.  These counts, summed over the chunks
+and differenced once into one count per atom, alone give the mean and
+standard error (_summary): memory is bounded by one chunk, the result
+depends neither on the chunk size nor on the order of the trials, and a
+point mass returns its atom with standard error 0.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
-_SCALE = 2**53  # draw b is the uniform b / _SCALE
+_SCALE = 2**53  # the uniform of a word is its top 53 bits over _SCALE
 
 
 @dataclass(frozen=True)
@@ -140,99 +137,88 @@ def _words(states: np.ndarray, k: int, tmp: np.ndarray | None = None,
     return _mix(z, tmp)
 
 
-def _bits(states: np.ndarray, k: int, tmp: np.ndarray | None = None,
-          out: np.ndarray | None = None) -> np.ndarray:
-    """Draw k of each stream as a 53-bit int64: the top 53 bits of its word."""
-    z = _words(states, k, tmp, out)
-    z >>= _S11
-    return z.view(np.int64)
-
-
 # -- trial loops ----------------------------------------------------------------
 
 
 def _cuts(dist: DiscreteDistribution) -> np.ndarray:
-    """Draw b has atom searchsorted(cuts, b): b / 2**53 <= F_k exactly when
-    b <= floor(F_k * 2**53), and b past the last cut takes the last atom."""
-    return np.floor(dist.cumulative[:-1] * _SCALE).astype(np.int64)
+    """Word w has atom searchsorted(cuts, w): b = w >> 11 has b / 2**53 <= F_k
+    exactly when b <= c = floor(F_k * 2**53), or w <= c * 2**11 + 2047, which
+    is 2**64 - 1 from c = 2**53 - 1 up; w past the last cut takes the last atom."""
+    c = np.minimum(np.floor(dist.cumulative[:-1] * _SCALE), _SCALE - 1).astype(np.uint64)
+    return c << _S11 | _U(2047)
 
 
-def _counts_le(b: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """#(b <= cuts[j]) for each j, of 53-bit draws b, which it may reorder:
-    one comparison per cut point when they are few, else a sort in place
-    and one binary search per cut point."""
+def _counts_le(w: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """#(w <= cuts[j]) for each j, of words w, which it may reorder: one
+    comparison per cut point when they are few, else a sort in place and
+    one binary search per cut point."""
     if cuts.size < _SORT_CUTS:
-        return np.array([np.count_nonzero(b <= c) for c in cuts.tolist()], dtype=np.int64)
-    b.sort()
-    return np.searchsorted(b, cuts, side="right")
+        return np.array([np.count_nonzero(w <= c) for c in cuts], dtype=np.int64)
+    w.sort()
+    return np.searchsorted(w, cuts, side="right")
 
 
 def _summary(values: np.ndarray, counts: np.ndarray, cfg: SimConfig) -> SimResult:
     """Mean and standard error of cfg.trials rewards, counts[i] of them equal
-    to values[i]: each a single pairwise np.sum over the atoms hit, of the
+    to values[i]: each a single pairwise sum over the atoms hit, of the
     frequencies times the atoms and times their squared deviations."""
     trials = int(cfg.trials)
     hit = np.flatnonzero(counts)
     freq, x = counts[hit] / trials, values[hit]
-    mean = float(np.sum(freq * x))
+    mean = float((freq * x).sum())
     # sample variance sum(counts (x - mean)**2) / (trials - 1), over trials
-    se = float(np.sqrt(np.sum(freq * (x - mean) ** 2) / (trials - 1))) if trials > 1 else 0.0
+    se = float(np.sqrt((freq * (x - mean) ** 2).sum() / (trials - 1))) if trials > 1 else 0.0
     return SimResult(mean=mean, std_error=se, trials=cfg.trials, seed=cfg.seed)
 
 
 def _simulate(cfg: SimConfig, values: np.ndarray, cuts: np.ndarray, counts_of) -> SimResult:
-    """Count the trials at each atom, chunk by chunk, from counts_of(stream
-    states, uint64 scratch of their shape), which gives _counts_le's counts
-    of the chunk's trials over the cut points."""
+    """Trials per atom from the sum over chunks of counts_of(stream states,
+    uint64 scratch of their shape), _counts_le's counts of a chunk's trials."""
     trials, seed = int(cfg.trials), int(cfg.seed)
-    counts = np.zeros(values.size, dtype=np.int64)
-    if cuts.size == 0:  # one atom: every trial takes it, so nothing is drawn
-        counts[0] = trials
-        return _summary(values, counts, cfg)
-    for lo in range(0, trials, _CHUNK):
+    le = np.zeros(cuts.size, dtype=np.int64)
+    for lo in range(0, trials, _CHUNK) if cuts.size else ():  # one atom: nothing is drawn
         hi = min(lo + _CHUNK, trials)
         tmp = np.empty(hi - lo, dtype=np.uint64)
-        le = counts_of(_stream_states(seed, lo, hi, tmp), tmp)
-        counts += np.diff(le, prepend=0, append=hi - lo)
-    return _summary(values, counts, cfg)
+        le += counts_of(_stream_states(seed, lo, hi, tmp), tmp)
+    return _summary(values, np.diff(np.concatenate(([0], le, [trials]))), cfg)
 
 
 def run_rule(dist: DiscreteDistribution, rule: ThresholdRule, cfg: SimConfig) -> SimResult:
     """Estimate the reward of tau_p(theta) over cfg.trials independent runs."""
     values, cuts, n, p = dist.values, _cuts(dist), int(cfg.n), float(rule.p)
-    # b's atom is above theta when b > hi, at theta when lo < b <= hi
-    edges = np.concatenate(([-1], cuts, [_SCALE]))
-    lo, hi = (int(edges[np.searchsorted(values, rule.theta, side)]) for side in ("left", "right"))
+    # a word's atom is above theta when it is > hi, at theta when lo < it <= hi
+    edges = [-1, *cuts.tolist(), _MASK]
+    lo, hi = (edges[np.searchsorted(values, rule.theta, side)] for side in ("left", "right"))
     if p in (0.0, 1.0):  # every tie stops (p = 1) or none does (p = 0)
         lo = hi = lo if p else hi
-    coin = int(np.ceil(p * _SCALE))  # coin b wins when b / 2**53 < p
-    # if no draw b < 2**53 stops the rule before step n - 1, draw only that one
-    first, steps = (0, n - 1) if hi < _SCALE - 1 or lo < hi else (n - 1, 0)
-    # a trial that goes on has b <= hi and one that stops b > lo, so no stop
-    # lies at or below a cut under hi, and at each cut c >= hi the stops
-    # with b <= c number #(b <= c) less the m trials that go on
-    j0 = int(np.searchsorted(cuts, hi))
+    coin = int(np.ceil(p * _SCALE)) << 11  # a coin word wins when below it: b / 2**53 < p
+    # theta below every atom: all stop at step 0; none can stop early: draw step n - 1 only
+    first, steps = (0, 0) if hi < 0 else (0, n - 1) if hi < _MASK or lo < hi else (n - 1, 0)
+    # a trial that goes on has a word <= hi and one that stops a word > lo,
+    # so no stop lies at or below a cut under hi, and at each cut c >= hi
+    # the stops with words <= c number #(words <= c) less the m that go on
+    j0 = int(np.searchsorted(cuts, max(hi, 0)))
 
     def counts_of(states, tmp):
-        # count each trial where it stops; those that go on draw into w
+        # count each trial where it stops; those that go on draw into buf
         le = np.zeros(cuts.size, dtype=np.int64)
-        b = _bits(states, first, tmp)
-        w = np.empty_like(states)
+        w = _words(states, first, tmp)
+        buf = np.empty_like(states)
         for t in range(steps):
-            go = b <= hi
-            tie = np.flatnonzero(go & (b > lo)) if lo < hi else None
-            le[j0:] += _counts_le(b, cuts[j0:])  # now: the coins may overwrite b (in w)
+            go = w <= hi
+            tie = None if lo >= hi else np.flatnonzero(go & (w > lo) if lo >= 0 else go)
+            le[j0:] += _counts_le(w, cuts[j0:])  # now: the coins may overwrite w (in buf)
             if tie is not None:
                 j = tie.size
-                go[tie] = _bits(states[tie], n + t, tmp[:j], w[:j]) >= coin
+                go[tie] = _words(states[tie], n + t, tmp[:j], buf[:j]) >= coin
             keep = np.flatnonzero(go)
             m = keep.size
             le[j0:] -= m
             if m == 0:
                 return le
             states = states[keep]
-            b = _bits(states, t + 1, tmp[:m], w[:m])
-        return le + _counts_le(b, cuts)
+            w = _words(states, t + 1, tmp[:m], buf[:m])
+        return le + _counts_le(w, cuts)
 
     return _simulate(cfg, values, cuts, counts_of)
 
@@ -242,12 +228,11 @@ def run_prophet(dist: DiscreteDistribution, cfg: SimConfig) -> SimResult:
     values, cuts, n = dist.values, _cuts(dist), int(cfg.n)
 
     def counts_of(states, tmp):
-        # the largest word has the largest top 53 bits
+        # the largest word has the largest atom
         best = _words(states, 0, tmp)
         w = np.empty_like(states)
         for k in range(1, n):
             np.maximum(best, _words(states, k, tmp, w), out=best)
-        best >>= _S11
-        return _counts_le(best.view(np.int64), cuts)
+        return _counts_le(best, cuts)
 
     return _simulate(cfg, values, cuts, counts_of)

@@ -30,6 +30,7 @@ from prophet_sharp.kernel import (
     _grid_block,
     _kappa_level,
     _saddle_levels,
+    _split,
     check_grid,
     stop_weight_sums,
 )
@@ -194,6 +195,79 @@ class TestKernelA:
         for n in (2, 5, 10):
             y = rng.uniform(0.05, 0.95, 200)
             np.testing.assert_allclose(kernel_a(y + 1e-9, y, n), 0.0, rtol=0.0, atol=1e-6)
+
+
+class TestHorizonsAboveFloats:
+    """Above 2**53 an integer horizon may be no float: the powers x^{n-1} and
+    y^n take it split into a float and an exact remainder (kernel._split)."""
+
+    #: (x, y, n, A, R, b) as float.hex, A, R and b the nearest floats to
+    #: 100-digit mpmath values of y x^{n-1} - y^n (y <= x) or
+    #: (1 - y^n) - b (y > x), b / (1 - y^n), and b; a seeded sweep with n
+    #: log-uniform in (2**53, 2**62] and x^{n-1} above the underflow; the
+    #: first was 73 eps off with the float horizon
+    PINS = [
+        ("0x1.fffffffffff6ep-1", "0x1.ffffffd776653p-1", 29663500994767948,
+         "0x1.3f44e83c13b06p-694", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.ffffffffffffep-1", "0x1.fffffffffd8dcp-1", 754847702827305735,
+         "0x1.240d8f636ca13p-242", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.ffffffffffffcp-1", "0x1.ffffffffffffbp-1", 21271830749421451,
+         "0x1.2bf4ff2cf37a6p-14", "0x1.fff6a0537412dp-1", "0x1.fff5a6993e3d7p-1"),
+        ("0x1.ffffffffffffep-1", "0x1.fffffffffaa76p-1", 107167286432700120,
+         "0x1.973e4e0671cb5p-35", "0x1.ffffffff9a307p-1", "0x1.ffffffff9a307p-1"),
+        ("0x1.fffffffffffffp-1", "0x1.fffdbb760b70bp-1", 61109126575899110,
+         "0x1.2888422de1549p-10", "0x1.ff6bbbdee90f5p-1", "0x1.ff6bbbdee90f5p-1"),
+        ("0x1.fffffffffff9cp-1", "0x1.fffffffffffb1p-1", 9128584359606989,
+         "0x1.ae147ae147ae1p-3", "0x1.947ae147ae148p-1", "0x1.947ae147ae148p-1"),
+        ("0x1.fffffffffffffp-1", "0x1.ffffffffffffdp-1", 28194564237495322,
+         "0x1.655f16e2b5751p-5", "0x1.e9a994558ea00p-1", "0x1.e99f1ccf2dc4ap-1"),
+        ("0x1.fffffffffffe9p-1", "0x1.ffffffffffff3p-1", 146942585624544903,
+         "0x1.bd37a6f4de9bdp-2", "0x1.21642c8590b21p-1", "0x1.21642c8590b21p-1"),
+        ("0x1.fffffffffff45p-1", "0x1.fffffffffff40p-1", 11161251979756629,
+         "0x1.9e61a18c2db18p-335", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.fffffffffffeep-1", "0x1.fffffffffffefp-1", 29552244396896943,
+         "0x1.c71c71c71c71cp-5", "0x1.e38e38e38e38ep-1", "0x1.e38e38e38e38ep-1"),
+        ("0x1.ffffffffffffep-1", "0x1.fffffffff3ddfp-1", 20293980568060554,
+         "0x1.69c7e9cb1dcecp-7", "0x1.fa58e058d388cp-1", "0x1.fa58e058d388cp-1"),
+        ("0x1.ffffffffffffep-1", "0x1.fed5328649a82p-1", 17172435075688191,
+         "0x1.68f27b885d10dp-6", "0x1.f4b86c23bd178p-1", "0x1.f4b86c23bd178p-1"),
+        ("0x1.fffffffffffffp-1", "0x1.ffffffffffffep-1", 38674933548924850,
+         "0x1.b947c150f36d2p-7", "0x1.f91a8cbaf5b5dp-1", "0x1.f90272165b174p-1"),
+        ("0x1.fffffffffffb8p-1", "0x1.fffffffffffd4p-1", 35094796982665427,
+         "0x1.8e38e38e38e39p-2", "0x1.38e38e38e38e4p-1", "0x1.38e38e38e38e4p-1"),
+        ("0x1.ffffffffffffep-1", "0x1.fffffffffffffp-1", 290113757486295426,
+         "0x1.fffffffffff47p-2", "0x1.000000000002ep-1", "0x1.0000000000000p-1"),
+        ("0x1.ffffffffffff3p-1", "0x1.ffffffffffff7p-1", 16903089502166449,
+         "0x1.3b13ae211ba1ep-2", "0x1.62762875401f9p-1", "0x1.627627624f7a0p-1"),
+        ("0x1.ffffffffffffdp-1", "0x1.fd89675f2e644p-1", 326705079018114111,
+         "0x1.01306c55faebcp-157", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.fffffffffffe8p-1", "0x1.fffffffffcf01p-1", 71601267594687324,
+         "0x1.b08cb78a93fe8p-276", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.fffffffffffedp-1", "0x1.ffffffffffffep-1", 244214293428211967,
+         "0x1.ca1af286bca1bp-1", "0x1.af286bca1af28p-4", "0x1.af286bca1af28p-4"),
+        ("0x1.fffffffffff72p-1", "0x1.fffffffffff80p-1", 31468317642809351,
+         "0x1.93d4bb7e327a9p-4", "0x1.cd85689039b0bp-1", "0x1.cd85689039b0bp-1"),
+        ("0x1.fffffffffffffp-1", "0x1.ffff62af2294bp-1", 454294603293815682,
+         "0x1.2d4b1338ec165p-73", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ]
+
+    @pytest.mark.parametrize("x,y,n,a,r,b", PINS)
+    def test_within_16_eps_of_mpmath(self, x, y, n, a, r, b):
+        x, y = float.fromhex(x), float.fromhex(y)
+        for fn, want in ((kernel_a, a), (kernel_r, r), (stop_weight, b)):
+            want = float.fromhex(want)
+            assert fn(x, y, n) == pytest.approx(want, rel=16 * np.finfo(float).eps, abs=0.0), fn
+
+    def test_split_is_exact(self):
+        # e + r = k with e a float <= k; r = 0 at every k <= 2**53 and at
+        # floats above it, so those horizons keep their plain powers
+        rng = np.random.default_rng(59)
+        ks = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**62, 2**62 + 1, 2**63 - 1]
+        ks += [int(k) for k in rng.integers(2, 2**63 - 1, 200, dtype=np.int64)]
+        for k in ks:
+            e, r = _split(k)
+            assert isinstance(e, float) and int(e) + r == k and r >= 0, k
+            assert (r == 0) == (k <= 2**53 or float(k) == k), k
 
 
 class TestArrays:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from helpers import (
     exact_best_level,
     exact_expected_max,
     exact_level_reward,
+    load_perfbench,
     random_dist,
     random_grid_member,
 )
@@ -28,12 +31,15 @@ from prophet_sharp import (
     rule_at_level,
     samuel_cahn_closed_forms,
     samuel_cahn_distribution,
+    sharp_ratio,
     sharp_regret,
 )
 from prophet_sharp import reward
 from prophet_sharp.dist import grid_distribution
 
 COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
+FIVE_ATOMS = DiscreteDistribution.from_atoms(
+    [(0.1, 0.15), (0.4, 0.25), (0.9, 0.2), (1.7, 0.3), (3.2, 0.1)])
 #: the fixed distributions of acceptance criteria 1 (n = 10) and 2 (n = 25):
 #: a 1e-6 atom far out, next to the jump level 0.999999
 CRITERIA = {
@@ -293,6 +299,48 @@ class TestOptimalRule:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             optimal_rule(COIN, 3, mode="bogus")
+
+    def test_outputs_digest(self):
+        # (theta, p, value, ratio, regret) bit for bit: level search on the
+        # validate workload's laws (perfbench/workloads.mc_configs, seeds
+        # 1-3) and on 200 seeded laws with 1-60 atoms and n in 2..40, and
+        # grid-exact on two sharp-game lfds
+        workloads = load_perfbench("workloads")
+        cases = [(DiscreteDistribution(np.array(c["values"]), np.array(c["probs"])), c["n"], {})
+                 for seed in (1, 2, 3) for c in workloads.mc_configs(seed)]
+        rng = np.random.default_rng(191)
+        cases += [(random_dist(rng, max_atoms=60), int(rng.integers(2, 41)), {})
+                  for _ in range(200)]
+        grid = {"mode": "grid-exact", "grid_size": 250}
+        cases += [(solve(10, 125).lfd, 10, grid) for solve in (sharp_ratio, sharp_regret)]
+        rows = []
+        for F, n, kwargs in cases:
+            res = optimal_rule(F, n, **kwargs)
+            ev = res.evaluation
+            rows.append([x.hex() for x in (res.rule.theta, res.rule.p, ev.value, ev.ratio,
+                                           ev.regret)])
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "3c4e579d4e7683379cee34559cd2a092cf16cf59af00ccfe58bd00cbd849d1f5")
+
+    def test_level_search_reads_one_measure(self, monkeypatch):
+        # one quantile measure and one set of its running sums per search
+        import prophet_sharp.kernel as kernel
+
+        jumps, sums = [], []
+        quantile_jumps, weight_sums = DiscreteDistribution.quantile_jumps, kernel.weight_sums
+
+        def spy(*args):
+            sums.append(1)
+            return weight_sums(*args)
+
+        monkeypatch.setattr(DiscreteDistribution, "quantile_jumps",
+                            lambda self: jumps.append(1) or quantile_jumps(self))
+        for mod in (kernel, reward):
+            monkeypatch.setattr(mod, "weight_sums", spy)
+        for F, n in ((FIVE_ATOMS, 7), (COIN, 2), (DiscreteDistribution.point_mass(2.0), 3)):
+            del jumps[:], sums[:]
+            optimal_rule(F, n)
+            assert (len(jumps), len(sums)) == (1, 1)
 
 
 class TestFloorBounds:

@@ -71,12 +71,24 @@ def summarize(dist, rewards, cfg):
 def sim_draws(seed, trial, k):
     """Draws 0, ..., k - 1 of one trial's stream as sim makes them."""
     states = sim._stream_states(seed, trial, trial + 1)
-    return np.concatenate([sim._bits(states, j) for j in range(k)]) / 2**53
+    return np.concatenate([sim._words(states, j) >> 11 for j in range(k)]) / 2**53
+
+
+def word_counts(words, cuts):
+    """Words per atom from _counts_le, for word cut points cuts."""
+    return np.diff(sim._counts_le(words, cuts), prepend=0, append=words.size)
 
 
 def atom_counts(b, cuts):
-    """Draws per atom, bincount(searchsorted(cuts, b)), from _counts_le."""
-    return np.diff(sim._counts_le(b, cuts), prepend=0, append=b.size)
+    """Draws per atom, bincount(searchsorted(cuts, b)), of 53-bit draws b and
+    cut points cuts, from _counts_le on words: each b as the least and the
+    greatest word with top bits b, each cut c as the word cut
+    min(c, 2**53 - 1) * 2**11 + 2047, both of which must count alike."""
+    words = np.asarray(b, dtype=np.uint64) << np.uint64(11)
+    cuts = np.minimum(cuts, 2**53 - 1).astype(np.uint64) << np.uint64(11) | np.uint64(2047)
+    least, greatest = word_counts(words.copy(), cuts), word_counts(words | np.uint64(2047), cuts)
+    assert np.array_equal(least, greatest)
+    return least
 
 
 def both_counting_branches(monkeypatch):
@@ -116,7 +128,7 @@ class TestConfig:
         states = sim._stream_states(8, 0, 3)
         for k in (0, 1, 2**63, 2**64 - 2):
             want = [mix((int(s) + (k + 1) * GOLDEN) % 2**64) >> 11 for s in states]
-            assert sim._bits(states, k).tolist() == want, k
+            assert (sim._words(states, k) >> 11).tolist() == want, k
 
     @pytest.mark.parametrize("lo,hi", [
         (0, 1), (0, 2 * 10**4), (0, sim._CHUNK), (sim._CHUNK, sim._CHUNK + 7), (5, 9)])
@@ -136,7 +148,7 @@ class TestConfig:
 
 class TestStreams:
     def test_streams_distinct_across_trials(self):
-        u = set((sim._bits(sim._stream_states(9, 0, 1000), 0) / 2**53).tolist())
+        u = set((sim._words(sim._stream_states(9, 0, 1000), 0) >> 11).tolist())
         assert len(u) == 1000
 
     def test_uniform_range(self):
@@ -322,7 +334,8 @@ class TestRunProphet:
 
 
 class TestIntegerDraws:
-    """The loops work on the 53-bit draw integers b, the uniform b * 2**-53."""
+    """The loops work on the 64-bit words w, whose uniform is b * 2**-53 with
+    b = w >> 11, the 53-bit draw integer."""
 
     @pytest.mark.parametrize("dist", [
         DiscreteDistribution(np.arange(10.0), np.full(10, 0.1)),  # cumsum ends at 1 - 2**-53
@@ -332,9 +345,10 @@ class TestIntegerDraws:
         assert dist.cumulative[-1] < 1.0  # the last atom also takes the missing mass
         cuts = sim._cuts(dist)
         for branch in both_counting_branches(monkeypatch):
-            for b in sorted({0, 2**53 - 1} | {int(c) + d for c in cuts for d in (0, 1)}):
-                counts = atom_counts(np.array([b]), cuts)
-                assert counts.sum() == 1
+            for b in sorted({0, 2**53 - 1} | {(int(c) >> 11) + d for c in cuts for d in (0, 1)}):
+                # the least and the greatest word with top bits b
+                counts = word_counts(np.array([b << 11, b << 11 | 2047], dtype=np.uint64), cuts)
+                assert counts.max() == 2
                 assert dist.values[np.argmax(counts)] == dist.quantile(b * 2.0**-53), (branch, b)
 
     @pytest.mark.parametrize("k", [0, 1, 4, 40, 10**4])
@@ -370,7 +384,7 @@ class TestIntegerDraws:
 
     def test_cumulative_reaches_one_before_last_atom(self):
         F = DiscreteDistribution(np.array([1.0, 2.0]), np.array([1.0, 1e-13]))
-        assert sim._cuts(F)[0] >= 2**53
+        assert sim._cuts(F)[0] == 2**64 - 1  # takes every word
         cfg = SimConfig(trials=200, seed=3, n=4)
         assert run_prophet(F, cfg) == summarize(F, walk_prophet(F, cfg), cfg)
         for rule in (ThresholdRule(1.0, 0.5), ThresholdRule(0.5, 0.0)):
@@ -443,9 +457,47 @@ class TestIntegerDraws:
         assert (prophet.mean.hex(), prophet.std_error.hex()) == prophet_hex
 
 
+#: probabilities summing to 1 + 6e-13: the inner cumulative reaches 1
+SATURATED = DiscreteDistribution(np.array([0.5, 1.0, 2.0]), np.array([0.4, 0.6 + 5e-13, 1e-13]))
+
+
+class TestWordEdges:
+    """Edge cases of the word cut points and thresholds, each through both
+    branches of _counts_le, against the walks."""
+
+    @pytest.mark.parametrize("dist,theta,p", [
+        (FIVE, 0.0, 0.5), (FIVE, 0.05, 0.0), (FIVE, 0.05, 1.0),  # below every atom
+        (FIVE, 3.2, 0.0), (FIVE, 3.2, 0.5), (FIVE, 3.2, 1.0),  # at the top atom
+        (THREE, 2.0, 0.0), (THREE, 2.0, 0.5), (THREE, 2.0, 1.0),
+        (FIVE, 4.0, 0.5), (THREE, 2.5, 1.0),  # above the top atom
+        (FIVE, 0.9, 1 - 2.0**-53), (THREE, 0.0, 1 - 2.0**-53),  # coin 2**53 - 1
+        (THREE, 0.0, 0.5),  # ties at the lowest atom: no word lies below the band
+        (SATURATED, 0.0, 0.5), (SATURATED, 0.5, 0.5), (SATURATED, 1.0, 0.0),
+        (SATURATED, 1.0, 0.5), (SATURATED, 1.0, 1.0), (SATURATED, 2.0, 0.5),
+    ])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_rule_matches_walk(self, monkeypatch, dist, theta, p, n):
+        rule, cfg = ThresholdRule(theta, p), SimConfig(trials=200, seed=29, n=n)
+        want = summarize(dist, walk_rule(dist, rule, cfg), cfg)
+        for branch in both_counting_branches(monkeypatch):
+            assert run_rule(dist, rule, cfg) == want, branch
+
+    @pytest.mark.parametrize("dist", [THREE, FIVE, SATURATED])
+    def test_prophet_matches_walk(self, monkeypatch, dist):
+        cfg = SimConfig(trials=200, seed=31, n=5)
+        want = summarize(dist, walk_prophet(dist, cfg), cfg)
+        for branch in both_counting_branches(monkeypatch):
+            assert run_prophet(dist, cfg) == want, branch
+
+    def test_saturated_cuts_take_every_word(self):
+        cuts = sim._cuts(SATURATED)
+        assert cuts.dtype == np.uint64 and cuts[1] == 2**64 - 1 and cuts[0] < 2**64 - 1
+        assert int(cuts[0]) % 2**11 == 2047  # the greatest word of its top bits
+
+
 def spy_positions(monkeypatch):
     """Record the position k of every draw sim makes: each goes through
-    _words, _bits too."""
+    _words."""
     seen, words = [], sim._words
 
     def spy(states, k, *args):
@@ -463,7 +515,7 @@ UNDECIDED = [
     (THREE, ThresholdRule(2.5, 0.5)),
     (FIVE, ThresholdRule(3.2, 0.0)),
     (FIVE, ThresholdRule(4.0, 1.0)),
-    # the cumulative reaches 1 before the top atom: the first cut is >= 2**53
+    # the cumulative reaches 1 before the top atom: the first cut takes every word
     (DiscreteDistribution(np.array([1.0, 2.0]), np.array([1.0, 1e-13])), ThresholdRule(1.0, 0.0)),
 ]
 
