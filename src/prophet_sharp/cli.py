@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .constrained import kappa, pareto_ratio
 from .dist import DiscreteDistribution
-from .game import HIGHS_VERSION, SolverError, sharp_ratio, sharp_regret
+from .game import SolverError, sharp_ratio, sharp_regret
 from .reward import ThresholdRule, ratio_floor, evaluate_rule, reward_v1, reward_v2
 from .sim import SimConfig, run_rule
 
@@ -41,7 +41,6 @@ def _manifest(args) -> dict:
             "python": platform.python_version(),
             "numpy": sys.modules["numpy"].__version__,
             "scipy": sys.modules["scipy"].__version__,
-            "highs": HIGHS_VERSION,
             "cpu_count": os.cpu_count(),
         },
     }

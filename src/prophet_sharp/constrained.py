@@ -18,7 +18,7 @@ import numpy as np
 # unused: perfbench/spans.py's SOLVERS wraps constrained.linprog and .minimize by name
 from scipy.optimize import isotonic_regression, linprog, minimize, nnls  # noqa: F401
 
-from .game import SolverError, double_oracle
+from .game import SolverError, _beats, double_oracle
 from .kernel import Generator, _grid_block, _kappa_level, _suffix_sum, check_grid, check_integer
 
 #: cap on the steps of one _dinkelbach call; pareto_ratio at N = 20000 and
@@ -190,8 +190,8 @@ def pareto_ratio(n: int, N: int, p0: float, p1: float, tol: float = 1e-6) -> Par
     q_lo <= u <= q_hi, the band pareto_band(N, p0, p1): the value of min over
     w in W = {v / d^T v} of max over lam of lam^T B w, by game.double_oracle
     on stopper levels and points of W, stored as B w_k.  The stopper responds
-    by argmax B w, the adversary by _dinkelbach on c = B^T lam, new when
-    1e-12 (relative) below the block's best.  value is the ratio of the
+    by argmax B w, the adversary by _dinkelbach on c = B^T lam, each new when
+    it beats the block's own best (game._beats).  value is the ratio of the
     witness u = y / s, (y, s) the mixture of the columns' (cumsum(w), s),
     replayed through B v; the lower end is the last certified rho.  One
     kernel.Generator gives d and every product B w and B^T lam."""
@@ -210,21 +210,21 @@ def pareto_ratio(n: int, N: int, p0: float, p1: float, tol: float = 1e-6) -> Par
         nonlocal payoffs
         lam = np.zeros(m)
         lam[rows] = weights / weights.sum()
-        best_row = int(np.argmax(payoffs[:, cols] @ alpha))
+        row_payoffs = payoffs[:, cols] @ alpha
+        best_row = int(np.argmax(row_payoffs))
         restricted = float((lam @ payoffs[:, cols]).min())
         lower, best, taken = _dinkelbach(generator.rmatvec(lam), d, band, restricted)
         steps.append(taken)
         new_cols = []
-        if best is not None and best[0] < restricted - 1e-12 * abs(restricted):
+        if best is not None and _beats(-best[0], -restricted):
             new_cols = [len(points)]
             points.append(best[1])
             payoffs = np.column_stack((payoffs, generator.matvec(best[1][0])))
-        return [] if best_row in rows else [best_row], new_cols, (cols, alpha / alpha.sum(), lower)
+        new_rows = [best_row] if _beats(row_payoffs[best_row], row_payoffs[rows].max()) else []
+        return new_rows, new_cols, (cols, alpha / alpha.sum(), lower)
 
-    shift = float(payoffs[m // 2, 0])  # keeps the strategies; unshifted, HiGHS failed at N >= 1e5
-    # scaled exactly by 2^10, so that HiGHS's absolute 1e-10 tolerances admit 1e-12 better columns
     (cols, alpha, lower), stats = double_oracle(
-        lambda rows, cols: 1024.0 * (payoffs[np.ix_(rows, cols)] - shift), respond, [m // 2], [0])
+        lambda rows, cols: payoffs[np.ix_(rows, cols)], respond, [m // 2], [0])
     y = np.cumsum(sum(a * points[k][0] for k, a in zip(cols, alpha)))
     u = y / sum(a * points[k][1] for k, a in zip(cols, alpha))
     violation = float(max(np.max(q_lo - u, initial=0.0), np.max(u - q_hi, initial=0.0)))

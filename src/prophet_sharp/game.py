@@ -1,9 +1,10 @@
 """Zero-sum matrix game solver with duality-gap certificates and the
 sharp-constant pipelines for the ratio and difference games.
 
-Every game is solved by double oracle (double_oracle) on one small HiGHS
-LP over a restricted block of rows and columns that grows from a start
-block by both players' best responses until neither is new (_matrix_game).
+Every game is solved by double oracle (double_oracle): a small dense
+simplex in numpy (_simplex) solves the restricted game on a block of rows
+and columns that grows from a start block by both players' best responses
+until neither beats the block (_matrix_game).
 solve_game takes any dense payoff matrix, starts from its first row and
 column, and finds the best responses by full matrix-vector products.  The
 sharp games never form their (N-1) x (N-1) matrix: the reward-weight
@@ -25,10 +26,6 @@ from typing import Iterable
 import numpy as np
 # unused: perfbench/spans.py's SOLVERS wraps game.linprog by name
 from scipy.optimize import linprog  # noqa: F401
-# HiGHS's incremental model interface (addRow, addCol, warm restarts), which
-# scipy exposes only through its private bindings
-from scipy.optimize._highspy._core import (HIGHS_VERSION_MAJOR, HIGHS_VERSION_MINOR,
-                                           HIGHS_VERSION_PATCH, HighsModelStatus, _Highs)
 
 from .dist import DiscreteDistribution, lfd_from_mu_diff, lfd_from_mu_ratio
 from .kernel import (
@@ -42,14 +39,15 @@ from .kernel import (
 )
 from .reward import ThresholdRule, ratio_floor, optimal_rule
 
-#: version of the HiGHS library behind _Highs, for run manifests
-HIGHS_VERSION = f"{HIGHS_VERSION_MAJOR}.{HIGHS_VERSION_MINOR}.{HIGHS_VERSION_PATCH}"
 #: entries of mu below this are zeroed before reconstructing distributions
 MU_CLEANUP = 1e-12
-#: options of the restricted game LP; the default feasibility tolerances
-#: (1e-7) let the replayed gap stall near 1e-8 for N >= 2000
-_HIGHS_OPTIONS = {"output_flag": False, "primal_feasibility_tolerance": 1e-10,
-                  "dual_feasibility_tolerance": 1e-10}
+#: _simplex's pivot cap per row and column of the block
+PIVOTS_PER_LINE = 50
+#: a best response is new only when it beats the block's own best by more
+#: than this, relative: at n = 2 the payoff is linear in the stopper's level
+#: off the diagonal, the restricted optimum is not unique, and without the
+#: margin the optimal vertex wanders between equally good levels
+TIE = 1e-12
 #: cap on double_oracle's rounds; the seeded sharp games take at most 2
 #: (n = 2 to 1e12, N = 3 to 2e5) and pareto_ratio at most 19 at N = 20000
 MAX_ROUNDS = 1000
@@ -108,21 +106,22 @@ def solve_game(payoff, sense: str, tol: float = 1e-7) -> GameSolution:
 def _matrix_game(entries, matvec, rmatvec, shape, rows, cols, tol):
     """min_mu max_i (M mu)_i for the (rows, cols) = shape matrix M by
     double_oracle from the block rows x cols, entries(rows, cols) being M's
-    block.  Each round replays mu and lam over all rows and columns,
-    matvec(mu) = M mu and rmatvec(lam) = M^T lam: lower <= value* <= upper;
-    the argmax row and argmin column are new when not in the block.  Returns
-    (mu, lam, value, gap, stats), value the midpoint and gap the half-width;
-    SolverError when gap is not <= tol."""
+    block.  Each round re-solves the restricted mu and lam on their supports
+    (_from_supports) and replays them over all rows and columns, matvec(mu)
+    = M mu and rmatvec(lam) = M^T lam: lower <= value* <= upper; the argmax
+    row and argmin column are new when they beat the block's own best
+    (_beats).  Returns (mu, lam, value, gap, stats), value the midpoint and
+    gap the half-width; SolverError when gap is not <= tol."""
 
     def respond(rows, cols, alpha, weights):
         mu, lam = np.zeros(shape[1]), np.zeros(shape[0])
-        mu[cols], lam[rows] = alpha, weights
-        mu /= mu.sum()
-        lam /= lam.sum()
+        mu[cols], lam[rows] = alpha / alpha.sum(), weights / weights.sum()
+        mu, lam = _from_supports(entries, mu, lam) or (mu, lam)
         row_payoffs, col_payoffs = matvec(mu), rmatvec(lam)
         best_row, best_col = int(np.argmax(row_payoffs)), int(np.argmin(col_payoffs))
         upper, lower = float(row_payoffs[best_row]), float(col_payoffs[best_col])
-        return ([] if best_row in rows else [best_row], [] if best_col in cols else [best_col],
+        return ([best_row] if _beats(upper, row_payoffs[rows].max()) else [],
+                [best_col] if _beats(-lower, -col_payoffs[cols].min()) else [],
                 (mu, lam, upper, lower))
 
     (mu, lam, upper, lower), stats = double_oracle(entries, respond, rows, cols)
@@ -132,11 +131,43 @@ def _matrix_game(entries, matvec, rmatvec, shape, rows, cols, tol):
     return mu, lam, 0.5 * (upper + lower), gap, stats
 
 
+def _beats(payoff: float, block_best: float) -> bool:
+    """Whether a best response's payoff beats the block's best by more than
+    TIE, relative; a minimizer's payoffs are passed negated."""
+    return payoff > block_best + TIE * abs(block_best)
+
+
+def _from_supports(entries, mu: np.ndarray, lam: np.ndarray):
+    """(mu, lam) re-solved from their supports alone: on the k x k block of
+    the supports, the equalizers of [block, -1; 1^T, 0] [mu; v] = [0; 1] and
+    of its transpose for lam.  None unless the supports have equal size and
+    both solutions are >= 0.  Two starts that end on the same support so
+    give the same strategies to the bit."""
+    cols, rows = np.flatnonzero(mu), np.flatnonzero(lam)
+    k = cols.size
+    if rows.size != k:
+        return None
+    systems = np.zeros((2, k + 1, k + 1))
+    block = entries(rows, cols)
+    systems[0, :k, :k], systems[1, :k, :k] = block, block.T
+    systems[:, :k, k], systems[:, k, :k] = -1.0, 1.0
+    try:
+        weights = np.linalg.solve(systems, np.eye(k + 1)[k])[:, :k]
+    except np.linalg.LinAlgError:
+        return None
+    if not (weights >= 0.0).all():
+        return None
+    solutions = weights / weights.sum(axis=1, keepdims=True)
+    new_mu, new_lam = np.zeros_like(mu), np.zeros_like(lam)
+    new_mu[cols], new_lam[rows] = solutions
+    return new_mu, new_lam
+
+
 @dataclass(frozen=True)
 class SharpConstantReport:
     """Sharp constant at (n, N) with its continuum bracket and reconstruction.
 
-    stats records how the game was solved: HiGHS iterations over all
+    stats records how the game was solved: simplex pivots over all
     rounds, the double-oracle rounds, and the final block's rows (stopper
     levels) and columns (adversary levels).
     """
@@ -240,46 +271,78 @@ def _sharp_report(kind: KernelKind, n: int, N: int, tol: float) -> SharpConstant
 
 
 def double_oracle(entries, respond, rows, cols) -> tuple[object, dict]:
-    """min over alpha of max_i (M alpha)_i by double oracle on one warm-started
-    HiGHS LP (min t s.t. M alpha <= t, sum alpha = 1, alpha >= 0) over a block
-    of row and column keys grown from the start lists rows and cols;
-    entries(rows, cols) is M's block.  After each run respond(rows, cols,
-    alpha, lam) gets alpha and the payoff rows' duals lam (clipped at 0,
-    unnormalized) and returns the lists of new rows and columns and an
-    outcome.  Returns the last outcome and stats; SolverError after
-    MAX_ROUNDS rounds."""
-    highs = _Highs()
-    for option, setting in _HIGHS_OPTIONS.items():
-        highs.setOptionValue(option, setting)
-    # column 0 is t, row 0 is sum alpha = 1; then one column and one row
-    # per block column and row, in the order they entered
-    highs.addCol(1.0, -np.inf, np.inf, 0, np.empty(0, np.int32), np.empty(0))
-    highs.addRow(1.0, 1.0, 0, np.empty(0, np.int32), np.empty(0))
+    """min over alpha of max_i (M alpha)_i by double oracle over a block of
+    row and column keys grown from the start lists rows and cols;
+    entries(rows, cols) is M's block, read whole each round and solved from
+    scratch by _simplex.  After each solve respond(rows, cols, alpha, lam)
+    gets alpha and the row strategy lam (both unnormalized) and returns the
+    lists of new rows and columns and an outcome.  Returns the last outcome
+    and stats, iterations counting the pivots of every round; SolverError
+    after MAX_ROUNDS rounds."""
     new_rows, new_cols, rows, cols, iterations, rounds = list(rows), list(cols), [], [], 0, 0
     while new_rows or new_cols:
         if rounds == MAX_ROUNDS:
             raise SolverError(f"double oracle still growing after {MAX_ROUNDS} rounds")
-        for row in new_rows:
-            rows.append(row)
-            highs.addRow(-np.inf, 0.0, len(cols) + 1, np.arange(len(cols) + 1, dtype=np.int32),
-                         np.append(-1.0, entries([row], cols)[0]))
-        for col in new_cols:
-            cols.append(col)
-            highs.addCol(0.0, 0.0, np.inf, len(rows) + 1, np.arange(len(rows) + 1, dtype=np.int32),
-                         np.append(1.0, entries(rows, [col])[:, 0]))
-        highs.run()
-        if (status := highs.getModelStatus()) != HighsModelStatus.kOptimal:
-            raise SolverError(f"restricted game LP ended {highs.modelStatusToString(status)}")
-        iterations += int(highs.getInfo().simplex_iteration_count)
+        rows += new_rows
+        cols += new_cols
+        alpha, lam, pivots = _simplex(entries(rows, cols))
+        iterations += pivots
         rounds += 1
-        solution = highs.getSolution()
-        alpha = np.maximum(np.asarray(solution.col_value)[1:], 0.0)
-        lam = np.maximum(-np.asarray(solution.row_dual)[1:], 0.0)
         if lam.sum() <= 0.0:
             raise SolverError("LP returned a degenerate dual; no row strategy available")
         new_rows, new_cols, outcome = respond(rows, cols, alpha, lam)
     return outcome, {"iterations": iterations, "rounds": rounds,
                      "block_rows": len(rows), "block_cols": len(cols)}
+
+
+def _simplex(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Optimal strategies of min over alpha of max_i (M alpha)_i on a small
+    dense block M, as (alpha, lam, pivots), alpha and lam >= 0 unnormalized.
+
+    M is normalized to A = (M - min M) / (max M - min M) + 1, entries in
+    [1, 2], which moves neither player's optimal strategies; then
+    max 1^T y s.t. A y <= 1, y >= 0 is solved by a dense tableau from the
+    slack basis, which is feasible, by Dantzig's rule: a column enters when
+    its reduced cost is below -1e-12, and the row of the least ratio over
+    pivot entries above 1e-12 leaves.  The final basis B is solved afresh
+    from A, alpha = y from B y_B = 1 and lam, the dual, from B^T lam = 1 on
+    the structural columns and 0 on the slacks: a pivot on an entry near
+    the 1e-12 floor leaves the tableau's own values off by far more than
+    rounding.  SolverError after PIVOTS_PER_LINE * (rows + cols) pivots, so
+    that a cycle ends."""
+    rows, cols = M.shape
+    lo, hi = M.min(), M.max()
+    T = np.zeros((rows + 1, cols + rows + 1))
+    T[:rows, :cols] = (M - lo) / (hi - lo if hi > lo else 1.0) + 1.0
+    T[:rows, cols:-1].flat[::rows + 1] = 1.0
+    T[:rows, -1] = 1.0
+    T[rows, :cols] = -1.0
+    start = T[:rows, :-1].copy()
+    objective, rhs, ratios = T[rows, :-1], T[:rows, -1], np.empty(rows)
+    basis = np.arange(cols, cols + rows)
+    cap = PIVOTS_PER_LINE * (rows + cols)
+    for pivots in range(cap + 1):
+        enter = objective.argmin()
+        if not objective[enter] < -1e-12:
+            B, y, z = start[:, basis], np.zeros(cols + rows), objective[cols:]
+            try:
+                y[basis] = np.linalg.solve(B, np.ones(rows))
+                z = np.linalg.solve(B.T, (basis < cols).astype(np.float64))
+                z[basis[basis >= cols] - cols] = 0.0  # a basic slack's row has no dual
+            except np.linalg.LinAlgError:
+                y[basis] = rhs
+            return np.maximum(y[:cols], 0.0), np.maximum(z, 0.0), pivots
+        column = T[:rows, enter]
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=column > 1e-12)
+        leave = ratios.argmin()
+        if pivots == cap or ratios[leave] == np.inf:
+            break
+        pivot = T[leave] / T[leave, enter]
+        T -= T[:, enter, None] * pivot
+        T[leave] = pivot
+        basis[leave] = enter
+    raise SolverError(f"restricted game simplex stopped after {pivots} pivots")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
+import ast
 import functools
 import json
 import os
 import platform
-import re
 import threading
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from prophet_sharp.cli import build_parser, main
 from prophet_sharp.reward import ratio_floor, reward_v1, reward_v2
 
 COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
-ENVIRONMENT = {"python", "numpy", "scipy", "highs", "cpu_count"}
+ENVIRONMENT = {"python", "numpy", "scipy", "cpu_count"}
 
 
 def assert_environment(manifest):
@@ -36,7 +37,6 @@ def assert_environment(manifest):
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
     assert env["cpu_count"] == os.cpu_count()
-    assert re.fullmatch(r"\d+\.\d+\.\d+", env["highs"])
 
 
 def as_json(obj):
@@ -164,21 +164,18 @@ class TestTable2And3:
     def test_round_cap_exit_3(self, tmp_path, monkeypatch, capsys):
         from prophet_sharp import game
 
-        # (2, 60) takes 2 rounds from its seeded block
+        # the ratio game at (10, 700) takes 2 rounds from its seeded block
         monkeypatch.setattr(game, "MAX_ROUNDS", 1)
-        assert main(["table1", "--n", "2", "--N", "60", "--out", str(tmp_path)]) == 3
+        assert main(["table1", "--n", "10", "--N", "700", "--out", str(tmp_path)]) == 3
         assert "1 rounds" in capsys.readouterr().err
 
     def test_unknown_lp_status_exit_3(self, tmp_path, monkeypatch, capsys):
         from prophet_sharp import game
 
-        class Unknown(game._Highs):
-            def getModelStatus(self):
-                return game.HighsModelStatus.kUnknown
-
-        monkeypatch.setattr(game, "_Highs", Unknown)
+        # a restricted game that does not settle within the pivot cap
+        monkeypatch.setattr(game, "PIVOTS_PER_LINE", 0)
         assert main(["table1", "--n", "4", "--N", "40", "--out", str(tmp_path)]) == 3
-        assert "restricted game LP ended" in capsys.readouterr().err
+        assert "simplex stopped after 0 pivots" in capsys.readouterr().err
 
 
 class TestEval:
@@ -444,6 +441,23 @@ def test_star_import_binds_no_submodule():
     exec("from prophet_sharp import *", namespace)
     assert namespace["dist"] == "my distribution"
     assert namespace["sharp_ratio"] is sharp_ratio
+
+
+def test_no_private_scipy_import():
+    # every module reads scipy through its public API: no import under
+    # scipy names a module or an object with a leading underscore
+    private = []
+    for path in sorted(Path(prophet_sharp.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            private += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"
+                        and any(part.startswith("_") for part in name.split("."))]
+    assert private == []
 
 
 PIPELINE, ACCEPTANCE, TRACER, PAPER, ITEM_9 = (

@@ -320,22 +320,19 @@ class TestPareto:
         assert np.all(u >= q_lo * (1 - 1e-12)) and np.all(u <= q_hi * (1 + 1e-12))
 
     def test_bracket_survives_perturbed_highs_output(self, monkeypatch):
-        # both ends are replayed: strategies that HiGHS got wrong by up to
-        # 1e-4 widen the bracket, but it still holds the optimum
+        # both ends are replayed: strategies that the restricted game's solver
+        # got wrong by up to 1e-4 widen the bracket, but it still holds the optimum
         from prophet_sharp import game
 
         expected = pareto_ratio(5, 60, 20.0, 5.0)
+        simplex = game._simplex
 
-        class Perturbed(game._Highs):
-            def getSolution(self):
-                solution = super().getSolution()
-                for name in ("col_value", "row_dual"):
-                    values = getattr(solution, name)
-                    setattr(solution, name,
-                            [x * (1.0 + 1e-4 * (-1) ** i) for i, x in enumerate(values)])
-                return solution
+        def perturbed(M):
+            alpha, lam, pivots = simplex(M)
+            return (*(x * (1.0 + 1e-4 * (-1.0) ** np.arange(x.size)) for x in (alpha, lam)),
+                    pivots)
 
-        monkeypatch.setattr(game, "_Highs", Perturbed)
+        monkeypatch.setattr(game, "_simplex", perturbed)
         res = pareto_ratio(5, 60, 20.0, 5.0, tol=1e-3)
         lower, upper = res.certificate["bracket"]
         assert lower < expected.certificate["bracket"][0] <= expected.value < upper
@@ -347,14 +344,35 @@ class TestPareto:
         with pytest.raises(SolverError, match="Dinkelbach"):
             pareto_ratio(5, 120, 20.0, 5.0)
 
-    # at N = 1e5 the raw restricted block clusters its entries and HiGHS
-    # ended Unknown on it; the shifted block certifies
+    # at N = 1e5 the restricted block clusters its entries in a narrow range
     @pytest.mark.parametrize("N", [20000, 100000])
     def test_large_grid(self, N):
         res = pareto_ratio(10, N, 20.0, 5.0)
         q_lo, q_hi = pareto_band(N, 20.0, 5.0)
         lower, upper = res.certificate["bracket"]
         assert 0.0 <= upper - lower <= 1e-6 and res.value == upper
+        u = np.cumsum(res.v)
+        assert res.v.min() >= 0.0
+        assert np.all(u >= q_lo * (1 - 1e-12)) and np.all(u <= q_hi * (1 + 1e-12))
+
+    @pytest.mark.parametrize("start", [None, [177480], [177274, 177275]],
+                             ids=["m-half", "177480", "177274-177275"])
+    def test_large_grid_any_start(self, start, monkeypatch):
+        # the band's clustered blocks at N = 2e5 certify from the default start
+        # row (m // 2) and from two starts near the solution's levels; the
+        # start moves the rounds only
+        from prophet_sharp import game
+
+        if start is not None:
+            monkeypatch.setattr(constrained, "double_oracle",
+                                lambda entries, respond, rows, cols:
+                                game.double_oracle(entries, respond, start, cols))
+        N = 200000
+        res = pareto_ratio(10, N, 20.0, 5.0)
+        q_lo, q_hi = pareto_band(N, 20.0, 5.0)
+        lower, upper = res.certificate["bracket"]
+        assert 0.0 <= upper - lower <= 1e-13 and res.value == upper
+        assert abs(res.value - 0.896346347133221) <= 1e-13
         u = np.cumsum(res.v)
         assert res.v.min() >= 0.0
         assert np.all(u >= q_lo * (1 - 1e-12)) and np.all(u <= q_hi * (1 + 1e-12))

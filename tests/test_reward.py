@@ -320,7 +320,7 @@ class TestOptimalRule:
             rows.append([x.hex() for x in (res.rule.theta, res.rule.p, ev.value, ev.ratio,
                                            ev.regret)])
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-            "3c4e579d4e7683379cee34559cd2a092cf16cf59af00ccfe58bd00cbd849d1f5")
+            "d562c8fbf326b51f0e22857f94c77d99f1f0e6fd471a2f8f13b744f1bdd4ab6d")
 
     def test_level_search_reads_one_measure(self, monkeypatch):
         # one quantile measure and one set of its running sums per search

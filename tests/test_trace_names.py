@@ -21,7 +21,7 @@ def test_traced_name_resolves(module, name):
 
 
 def test_pareto_ratio_makes_no_lp_call():
-    # the band is solved by double oracle on game's HiGHS driver, so the
+    # the band is solved by double oracle on game's simplex driver, so the
     # wrapped constrained.linprog never fires
     tracer = spans.Tracer()
     tracer.install()
