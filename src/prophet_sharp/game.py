@@ -27,7 +27,7 @@ import numpy as np
 # unused: perfbench/spans.py's SOLVERS wraps game.linprog by name
 from scipy.optimize import linprog  # noqa: F401
 
-from .dist import DiscreteDistribution, lfd_from_mu_diff, lfd_from_mu_ratio
+from .dist import DiscreteDistribution, grid_distribution
 from .kernel import (
     Generator,
     KernelKind,
@@ -37,7 +37,7 @@ from .kernel import (
     err_bound_diff,
     err_bound_ratio,
 )
-from .reward import ThresholdRule, ratio_floor, optimal_rule
+from .reward import ThresholdRule, _grid_rule, ratio_floor, optimal_rule
 
 #: entries of mu below this are zeroed before reconstructing distributions
 MU_CLEANUP = 1e-12
@@ -55,7 +55,7 @@ VERIFY_SLACK = 1e-9  #: verify_solution's allowance for rounding past a bracket 
 
 
 class SolverError(RuntimeError):
-    """LP did not produce a certified solution; carries the best gap achieved."""
+    """A solver stopped uncertified (gap, degenerate strategy or cap hit); carries the best gap."""
 
     def __init__(self, message: str, gap: float = float("inf")):
         super().__init__(message)
@@ -207,9 +207,9 @@ def sharp_ratio(n: int, N: int, tol: float = 1e-7) -> SharpConstantReport:
     family, the stopper to the levels {i/N}.  The game min_mu max_i (R_N mu)_i
     is solved by double oracle (see _sharp_report); value and gap come from
     replaying (lam, mu) through the O(N) products B v and B^T lam.
-    rule is the best grid-level rule on the lfd.  The bracket always floors
-    at ratio_floor(n); the two-sided discretization certificate exists for
-    n >= 4 only.
+    rule is the best grid-level rule on the lfd, scored by B (mu/d).  The
+    bracket always floors at ratio_floor(n); the two-sided discretization
+    certificate exists for n >= 4 only.
     """
     return _sharp_report(KernelKind.RATIO, n, N, tol)
 
@@ -221,7 +221,7 @@ def sharp_regret(n: int, N: int, tol: float = 1e-7) -> SharpConstantReport:
     the levels {i/N}.  The game max_mu min_i (A_N mu)_i, with
     A_N mu = (d^T mu) 1 - B mu, is solved by double oracle (see
     _sharp_report); value and gap come from the O(N) replay.  rule is the
-    best grid-level rule on the lfd.
+    best grid-level rule on the lfd, scored by B mu.
     """
     return _sharp_report(KernelKind.DIFFERENCE, n, N, tol)
 
@@ -229,11 +229,12 @@ def sharp_regret(n: int, N: int, tol: float = 1e-7) -> SharpConstantReport:
 def _sharp_report(kind: KernelKind, n: int, N: int, tol: float) -> SharpConstantReport:
     """Solve the grid game by _matrix_game with M = R_N, or M = -A_N for the
     regret (value negated), on one kernel.Generator: its blocks are the
-    restricted game's entries, and mu and lam are replayed through its O(N)
-    products B v and B^T lam.  The start block is the grid levels around the
-    continuum saddle (kernel._saddle_levels): the pair of levels around
-    each atom, and around x* with the two levels below.  The seed only
-    saves rounds: value and gap come from the replay whatever the start."""
+    restricted game's entries, its O(N) products B v and B^T lam replay mu
+    and lam, and its B v scores rule (reward._grid_rule) on the lfd of
+    increments v = mu/d (ratio) or mu.  The start block is the grid levels
+    around the continuum saddle (kernel._saddle_levels): the pair of levels
+    around each atom, and around x* with the two levels below.  The seed
+    only saves rounds: value and gap come from the replay whatever the start."""
     n, N = check_grid(n, N)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -256,17 +257,17 @@ def _sharp_report(kind: KernelKind, n: int, N: int, tol: float) -> SharpConstant
         _grid_block([x], N, 3, 1), _grid_block(atoms, N, 1, 1), tol)
     value *= sgn
     mu = _cleanup(mu)
+    v = mu / d if ratio else mu  # the lfd's increments; B v is its reward at each level
+    lfd = grid_distribution(np.cumsum(v), N)
     if ratio:
-        lfd, floor, certified = lfd_from_mu_ratio(mu, n, N), ratio_floor(n), bool(n >= 4)
+        floor, certified = ratio_floor(n), bool(n >= 4)
         err = err_bound_ratio(n, N) if certified else 0.0
     else:
-        lfd, floor, certified = lfd_from_mu_diff(mu, N), 0.0, True
-        err = err_bound_diff(n, N)
-    rule = optimal_rule(lfd, n, mode="grid-exact", grid_size=N).rule
+        floor, certified, err = 0.0, True, err_bound_diff(n, N)
     bracket = (max(floor, value - err - gap if certified else -np.inf), value + err + gap)
     return SharpConstantReport(
-        n=n, N=N, kind=kind, value=value, bracket=bracket, gap=gap,
-        rule=rule, lfd=lfd, lam=lam, mu=mu, certified=certified, stats=stats,
+        n=n, N=N, kind=kind, value=value, bracket=bracket, gap=gap, lfd=lfd, lam=lam, mu=mu,
+        rule=_grid_rule(lfd, generator.y, generator.matvec(v)), certified=certified, stats=stats,
     )
 
 

@@ -147,25 +147,29 @@ def optimal_rule(
 ) -> OptimalRule:
     """Best single-threshold rule for dist.
 
-    mode "grid-exact" takes the first of the levels {1/N, ..., (N-1)/N},
-    N = grid_size (required), whose reward, scored in one reward_by_level
-    call, is within 1e-9 of the best.  mode "level-search" maximizes over
-    every level in [0, 1] exactly (see best_level).  One quantile measure
-    (quantile_jumps) serves the search and the prophet value.
+    mode "grid-exact" scores the levels {1/N, ..., (N-1)/N}, N = grid_size
+    (required), in one reward_by_level call and takes _grid_rule's choice;
+    "level-search" (no grid_size) maximizes over all of [0, 1] exactly by
+    best_level.  One quantile measure serves search and prophet value.
     """
     check_horizon(n)
     levels, weights, tails = dist.quantile_jumps()
     if mode == "grid-exact":
         xs = _levels(grid_size)
-        vals = reward_by_level(dist, n, xs)
-        x = xs[int(np.flatnonzero(vals >= vals.max() - 1e-9)[0])]
+        rule = _grid_rule(dist, xs, reward_by_level(dist, n, xs))
     elif mode == "level-search":
-        x = best_level(levels, weights, tails, n)
+        if grid_size is not None:
+            raise ValueError(f"grid_size is for mode 'grid-exact' only, got {grid_size!r}")
+        rule = rule_at_level(dist, best_level(levels, weights, tails, n))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    rule = rule_at_level(dist, x)
     return OptimalRule(rule, _evaluation(reward_v1(dist, n, rule),
                                          _prophet_value(weights, tails, n)))
+
+
+def _grid_rule(dist: DiscreteDistribution, xs: np.ndarray, rewards: np.ndarray) -> ThresholdRule:
+    """The rule at the first level of xs whose reward is within 1e-9 of the best."""
+    return rule_at_level(dist, xs[int(np.flatnonzero(rewards >= rewards.max() - 1e-9)[0])])
 
 
 def best_level(levels, weights, tails, n: int) -> float:

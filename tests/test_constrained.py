@@ -378,7 +378,7 @@ class TestPareto:
         assert np.all(u >= q_lo * (1 - 1e-12)) and np.all(u <= q_hi * (1 + 1e-12))
 
     def test_gap_above_tol_raises(self):
-        # the replayed gap (5.6e-16 here) cannot meet a 1e-300 tolerance
+        # the replayed gap (2.2e-16 here) cannot meet a 1e-300 tolerance
         with pytest.raises(SolverError, match="exceeds the lower end") as info:
             pareto_ratio(10, 200, 20.0, 5.0, tol=1e-300)
         assert info.value.gap > 0.0

@@ -13,7 +13,8 @@ from helpers import (
     oracle_minmax,
     random_grid_member,
 )
-from prophet_sharp import game
+import prophet_sharp
+from prophet_sharp import constrained, dist, game, kernel, reward
 from prophet_sharp import (
     DiscreteDistribution,
     Generator,
@@ -21,7 +22,11 @@ from prophet_sharp import (
     SolverError,
     ratio_floor,
     err_bound_diff,
+    kappa,
+    lfd_from_mu_diff,
+    lfd_from_mu_ratio,
     optimal_rule,
+    pareto_ratio,
     payoff_matrix,
     reward_by_level,
     sharp_ratio,
@@ -412,6 +417,62 @@ class TestStructuredLP:
         assert rep.gap <= 1e-9
         assert rep.stats["rounds"] <= 40
         assert rep.bracket[0] <= rep.value <= rep.bracket[1]
+
+
+def _count_calls(monkeypatch, fns) -> dict:
+    """Rebind each function of fns, in every module of the package that holds
+    it, to a wrapper that counts its calls; the counts by function name."""
+    counts = dict.fromkeys((fn.__name__ for fn in fns), 0)
+    for fn in fns:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (prophet_sharp, kernel, dist, reward, game, constrained):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+class TestReportFromGenerator:
+    """The sharp report reads its lfd and its rule off the solve's own
+    Generator: v = mu/d (ratio) or mu (regret) are the lfd's increments, and
+    B v is the lfd's reward at each grid level."""
+
+    SIZES = [(n, N) for n in (2, 3, 4, 5, 10, 25, 100, 1000, 10**12)
+             for N in (3, 10, 60, 125, 250, 500, 700, 2000, 20000)] + [(10, 200000)]
+
+    @pytest.mark.parametrize("solve", [sharp_ratio, sharp_regret])
+    def test_matches_public_path(self, solve):
+        # bit for bit what lfd_from_mu_* and grid-exact optimal_rule give
+        for n, N in self.SIZES:
+            rep = solve(n, N)
+            lfd = (lfd_from_mu_ratio(rep.mu, n, N) if rep.kind is KernelKind.RATIO
+                   else lfd_from_mu_diff(rep.mu, N))
+            np.testing.assert_array_equal(rep.lfd.values, lfd.values)
+            np.testing.assert_array_equal(rep.lfd.probs, lfd.probs)
+            best = optimal_rule(rep.lfd, n, mode="grid-exact", grid_size=N).rule
+            assert rep.rule == best, (n, N)
+
+    @pytest.mark.parametrize("solve", [sharp_ratio, sharp_regret, kappa,
+                                       lambda n, N: pareto_ratio(n, N, 20.0, 5.0)],
+                             ids=["sharp_ratio", "sharp_regret", "kappa", "pareto_ratio"])
+    def test_one_generator(self, solve, monkeypatch):
+        built = []
+        init = kernel.Generator.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(kernel.Generator, "__init__", counted_init)
+        counts = _count_calls(monkeypatch, [
+            reward.optimal_rule, reward.reward_by_level, dist.lfd_from_mu_ratio,
+            dist.lfd_from_mu_diff, kernel.prophet_weights])
+        solve(10, 200)
+        assert len(built) == 1
+        assert counts == dict.fromkeys(counts, 0)
 
 
 class TestVerify:

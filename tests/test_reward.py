@@ -300,6 +300,13 @@ class TestOptimalRule:
         with pytest.raises(ValueError):
             optimal_rule(COIN, 3, mode="bogus")
 
+    @pytest.mark.parametrize("mode", [{}, {"mode": "level-search"}])
+    def test_level_search_rejects_grid_size(self, mode):
+        # the search is exact over [0, 1]: it would ignore the grid and
+        # return a level off it
+        with pytest.raises(ValueError, match="grid_size is for mode 'grid-exact' only"):
+            optimal_rule(samuel_cahn_distribution(3, 0.5, 1.0, 1.0), 3, grid_size=4, **mode)
+
     def test_outputs_digest(self):
         # (theta, p, value, ratio, regret) bit for bit: level search on the
         # validate workload's laws (perfbench/workloads.mc_configs, seeds
