@@ -22,7 +22,8 @@ from .game import SolverError, _beats, double_oracle
 from .kernel import Generator, _grid_block, _kappa_level, _suffix_sum, check_grid, check_integer
 
 #: cap on the steps of one _dinkelbach call; pareto_ratio at N = 20000 and
-#: n in {10, 100} takes at most 7 per call
+#: 2e5 takes one step in every call but the final certifying one, and at
+#: most 6 in that one
 MAX_DINKELBACH_STEPS = 1000
 
 
@@ -190,11 +191,15 @@ def pareto_ratio(n: int, N: int, p0: float, p1: float, tol: float = 1e-6) -> Par
     q_lo <= u <= q_hi, the band pareto_band(N, p0, p1): the value of min over
     w in W = {v / d^T v} of max over lam of lam^T B w, by game.double_oracle
     on stopper levels and points of W, stored as B w_k.  The stopper responds
-    by argmax B w, the adversary by _dinkelbach on c = B^T lam, each new when
-    it beats the block's own best (game._beats).  value is the ratio of the
-    witness u = y / s, (y, s) the mixture of the columns' (cumsum(w), s),
-    replayed through B v; the lower end is the last certified rho.  One
-    kernel.Generator gives d and every product B w and B^T lam."""
+    by argmax B w when it beats the block's own best (game._beats); the
+    adversary by _dinkelbach on c = B^T lam from the block's value, which
+    returns the first band point that beats it, so a round costs about one
+    band minimization, and only the final round, which adds nothing, steps on
+    to a certified rho.  value is the ratio of the witness u = y / s, (y, s)
+    the mixture of the columns' (cumsum(w), s), replayed through B v; the
+    lower end is the final round's rho.  One kernel.Generator gives d and
+    every product B w and B^T lam, and each round's other products read the
+    N x k store once."""
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     n, N = check_grid(n, N)
@@ -204,27 +209,34 @@ def pareto_ratio(n: int, N: int, p0: float, p1: float, tol: float = 1e-6) -> Par
     d = generator.d
     band = _band_windows(q_lo, q_hi)
     points = [_scaled(np.diff(q_hi, prepend=0.0), d)]  # the first column: u = q_hi
-    payoffs, steps = generator.matvec(points[0][0])[:, None], []
+    store, steps = np.empty((m, 8), order="F"), []  # column k: B w_k, grown by doubling
+    store[:, 0] = generator.matvec(points[0][0])
 
     def respond(rows, cols, alpha, weights):
-        nonlocal payoffs
+        nonlocal store
+        payoffs = store[:, :len(points)]
+        weights = weights / weights.sum()
         lam = np.zeros(m)
-        lam[rows] = weights / weights.sum()
-        row_payoffs = payoffs[:, cols] @ alpha
+        lam[rows] = weights
+        row_payoffs = payoffs @ alpha  # cols is every stored column, in order
         best_row = int(np.argmax(row_payoffs))
-        restricted = float((lam @ payoffs[:, cols]).min())
-        lower, best, taken = _dinkelbach(generator.rmatvec(lam), d, band, restricted)
+        restricted = float((weights @ payoffs[rows]).min())
+        lower, point, taken = _dinkelbach(generator.rmatvec(lam), d, band, restricted)
         steps.append(taken)
         new_cols = []
-        if best is not None and _beats(-best[0], -restricted):
-            new_cols = [len(points)]
-            points.append(best[1])
-            payoffs = np.column_stack((payoffs, generator.matvec(best[1][0])))
+        if point is not None:
+            k = len(points)
+            if k == store.shape[1]:
+                store = np.empty((m, 2 * k), order="F")
+                store[:, :k] = payoffs
+            store[:, k] = generator.matvec(point[0])
+            new_cols = [k]
+            points.append(point)
         new_rows = [best_row] if _beats(row_payoffs[best_row], row_payoffs[rows].max()) else []
         return new_rows, new_cols, (cols, alpha / alpha.sum(), lower)
 
     (cols, alpha, lower), stats = double_oracle(
-        lambda rows, cols: payoffs[np.ix_(rows, cols)], respond, [m // 2], [0])
+        lambda rows, cols: store[np.ix_(rows, cols)], respond, [m // 2], [0])
     y = np.cumsum(sum(a * points[k][0] for k, a in zip(cols, alpha)))
     u = y / sum(a * points[k][1] for k, a in zip(cols, alpha))
     violation = float(max(np.max(q_lo - u, initial=0.0), np.max(u - q_hi, initial=0.0)))
@@ -259,12 +271,14 @@ def _band_windows(q_lo: np.ndarray, q_hi: np.ndarray):
 
 
 def _dinkelbach(c: np.ndarray, d: np.ndarray, band, rho: float):
-    """min of c^T v / d^T v over the band by Dinkelbach steps from a point's
-    ratio rho (Management Sci. 13, 1967).  Returns the first rho at which
-    min (c - rho d)^T v >= 0 in float (a stalled descent steps rho down), the
-    last (ratio, point) that lowered rho or None, and steps; SolverError
-    after MAX_DINKELBACH_STEPS steps."""
-    best, stall, steps = None, 2.0**-52, 0
+    """Dinkelbach steps on min of c^T v / d^T v over the band from a start
+    ratio rho (Management Sci. 13, 1967).  Returns (ratio, point, steps) at
+    the first step whose point's ratio beats the start by more than game.TIE
+    (game._beats); otherwise steps on until min (c - rho d)^T v >= 0 in
+    float (a stalled descent steps rho down) and returns (rho, None, steps),
+    rho then a certified lower end.  SolverError after MAX_DINKELBACH_STEPS
+    steps."""
+    start, stall, steps = rho, 2.0**-52, 0
     while True:
         if steps == MAX_DINKELBACH_STEPS:
             raise SolverError(f"Dinkelbach steps did not settle in {MAX_DINKELBACH_STEPS}")
@@ -272,10 +286,12 @@ def _dinkelbach(c: np.ndarray, d: np.ndarray, band, rho: float):
         e = c - rho * d
         v = np.diff(_band_min(e, *band), prepend=0.0)
         if e @ v >= 0.0:
-            return rho, best, steps
-        candidate = float(c @ v) / float(d @ v), _scaled(v, d)
-        if candidate[0] < rho:
-            rho, best = candidate[0], candidate
+            return rho, None, steps
+        ratio = float(c @ v) / float(d @ v)
+        if _beats(-ratio, -start):
+            return ratio, _scaled(v, d), steps
+        if ratio < rho:
+            rho = ratio
         else:
             rho, stall = rho - stall, 2.0 * stall
 

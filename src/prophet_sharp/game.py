@@ -50,6 +50,7 @@ PIVOTS_PER_LINE = 50
 TIE = 1e-12
 #: cap on double_oracle's rounds; the seeded sharp games take at most 2
 #: (n = 2 to 1e12, N = 3 to 2e5) and pareto_ratio at most 19 at N = 20000
+#: and 18 to 21 at N = 2e5
 MAX_ROUNDS = 1000
 VERIFY_SLACK = 1e-9  #: verify_solution's allowance for rounding past a bracket end
 

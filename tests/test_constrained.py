@@ -24,6 +24,7 @@ from prophet_sharp import (
     sharp_regret,
 )
 from prophet_sharp.constrained import _band_min, _band_windows, _dinkelbach
+from prophet_sharp.game import _beats
 from prophet_sharp.kernel import Generator, _kappa_level, prophet_weights
 
 
@@ -391,6 +392,16 @@ class TestPareto:
         assert res.stats["dinkelbach_steps"] >= res.stats["rounds"]
         assert max(res.stats["block_rows"], res.stats["block_cols"]) <= res.stats["rounds"]
 
+    @pytest.mark.parametrize("n,N", [(10, 200), (25, 2000), (10, 20000)])
+    @pytest.mark.parametrize("p0,p1", [(20.0, 5.0), (10.0, 3.0)])
+    def test_one_band_minimization_per_round(self, n, N, p0, p1):
+        # the adversary returns its first band point that beats the block, so
+        # a round costs about one band minimization and only the final round
+        # steps on to certify; Dinkelbach to convergence took 28, 42 and 45
+        # steps for 11, 13 and 17 rounds at (20, 5)
+        stats = pareto_ratio(n, N, p0, p1).stats
+        assert stats["dinkelbach_steps"] <= stats["rounds"] + 3
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
     def test_rejects_bad_tol(self, tol):
         with pytest.raises(ValueError):
@@ -446,17 +457,23 @@ class TestBandOracle:
             d = prophet_weights(n, m + 1)
             c = Generator(n, m + 1).rmatvec(rng.dirichlet(np.full(m, 0.5)))
             v_hi = np.diff(q_hi, prepend=0.0)
-            lower, best, steps = _dinkelbach(c, d, _band_windows(q_lo, q_hi),
-                                             (c @ v_hi) / (d @ v_hi))
+            band = _band_windows(q_lo, q_hi)
             reference = band_ratio_lp(c, d, q_lo, q_hi)
-            assert steps >= 1
-            assert lower == pytest.approx(reference, rel=1e-9)
-            if best is not None:
+            # each call returns at its first point that beats its start by
+            # TIE; called again from that point's ratio, the last call certifies
+            start = (c @ v_hi) / (d @ v_hi)
+            while True:
+                lower, best, steps = _dinkelbach(c, d, band, start)
+                assert steps >= 1
+                if best is None:
+                    break
                 # a Charnes-Cooper point (w, s): s q_lo <= cumsum(w) <= s q_hi, d^T w = 1
-                ratio, (w, s) = best
+                w, s = best
                 y = np.cumsum(w)
-                assert ratio == pytest.approx(reference, rel=1e-9)
-                assert ratio == pytest.approx(c @ w, rel=1e-14)
+                assert _beats(-lower, -start)
+                assert lower == pytest.approx(c @ w, rel=1e-14)
                 assert d @ w == pytest.approx(1.0) and w.min() >= 0.0
                 assert np.all(s * q_lo <= y * (1 + 1e-12)) and np.all(y <= s * q_hi * (1 + 1e-12))
                 assert s > 0.0
+                start = lower
+            assert lower == pytest.approx(reference, rel=1e-9)
