@@ -2,6 +2,8 @@
 evaluation, and simulation.
 
 Exit codes: 0 success, 2 invalid arguments, 3 solver failure, 4 I/O error.
+main reuses one argparse parser per process and reads PROPHET_SHARP_JOBS,
+the tables' --jobs default, on each call.
 Tables and result files hold a run manifest (command, every parsed option but
 --out, version, timestamp, seeds, environment), then the result's as_dict();
 lfd_*.json files are bare distributions.  Numeric columns are reproducible.
@@ -10,6 +12,7 @@ lfd_*.json files are bare distributions.  Numeric columns are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -184,7 +187,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, tuple]:
+    """The argparse tree, built once per process, and its table subparsers."""
     parser = argparse.ArgumentParser(
         prog="prophet-sharp",
         description="Sharp prophet-inequality constants for single-threshold rules",
@@ -194,18 +199,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def table(name, fn, help, tol=1e-7, **floats):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--n", type=_parse_n_list, default=[10, 25, 50, 100])
+        # string defaults go through type= at each parse, so every run gets
+        # its own list, and a bad --jobs default is a usage error (exit 2)
+        p.add_argument("--n", type=_parse_n_list, default="10,25,50,100")
         for option, default in floats.items():
             p.add_argument(f"--{option}", type=float, default=default)
         p.add_argument("--N", type=int, default=1000, help="grid size (default 1000)")
         p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        # a string default goes through type= at parse time, so a bad
-        # PROPHET_SHARP_JOBS is a usage error (exit 2), not a traceback
-        p.add_argument("--jobs", type=_jobs,
-                       default=os.environ.get("PROPHET_SHARP_JOBS", "").strip() or "1")
+        p.add_argument("--jobs", type=_jobs)
         p.set_defaults(fn=fn)
+        return p
 
     def rule(name, fn, help, **ints):
         p = sub.add_parser(name, help=help)
@@ -218,12 +223,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="")
         p.set_defaults(fn=fn)
 
-    table("table1", cmd_table1, "sharp ratio and regret constants per n")
-    table("table2", cmd_table2, "bounded-variance constants kappa_n",
-          tol=inspect.signature(kappa).parameters["tol"].default, sigma=1.0)
-    table("table3", cmd_table3, "Pareto-band ratio constants", p0=20.0, p1=5.0)
+    tables = (
+        table("table1", cmd_table1, "sharp ratio and regret constants per n"),
+        table("table2", cmd_table2, "bounded-variance constants kappa_n",
+              tol=inspect.signature(kappa).parameters["tol"].default, sigma=1.0),
+        table("table3", cmd_table3, "Pareto-band ratio constants", p0=20.0, p1=5.0),
+    )
     rule("eval", cmd_eval, "closed-form evaluation of one rule")
     rule("simulate", cmd_simulate, "Monte Carlo estimate of one rule", trials=100000, seed=0)
+    return parser, tables
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, with the tables' --jobs default set from
+    PROPHET_SHARP_JOBS as it is now (1 when unset or blank)."""
+    parser, tables = _parser()
+    jobs = os.environ.get("PROPHET_SHARP_JOBS", "").strip() or "1"
+    for p in tables:
+        p.set_defaults(jobs=jobs)
     return parser
 
 

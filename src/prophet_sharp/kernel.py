@@ -20,11 +20,15 @@ knows no grid and seeds the grid games (_saddle_levels), the level x*_n
 whose continuum single-level bound on kappa_n is least, which seeds kappa
 the same way (_kappa_level), the one map of such levels to grid indices
 (_grid_block), the discretization error bounds, the support-exclusion
-constant, and the Lipschitz constants used by property tests.
+constant, and the Lipschitz constants used by property tests.  The two
+levels that depend on n alone are solved once per horizon and kept in
+bounded caches (_LEVELS_CACHE horizons each), so a loop over N or sigma at
+one n reuses them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -263,13 +267,24 @@ def _log_power(t: float, k: int, n: int) -> float:
     return k * math.log1p(-t / n)
 
 
+#: horizons kept by each cache of levels that depend on n alone: more than
+#: a table or a loop over N and sigma asks for, and a few kB in all
+_LEVELS_CACHE = 256
+
+
+# typed, so that a float equal to a cached horizon (2.0) is a key of its
+# own and still raises
+@functools.lru_cache(maxsize=_LEVELS_CACHE, typed=True)
 def _saddle_levels(kind: KernelKind | str, n: int) -> tuple[float, tuple[float, float]]:
     """The pure stopper level x* and the adversary's two atoms of the
     continuum game's conjectured saddle point at horizon n: a starting
     block for the grid games, certified by nothing.  Ratio: y0 minimizes
     R(x, y) = (1 - a y)/(1 - y^n), a = x^{n-1}, over y <= x, which gives
     a = n y0^{n-1} / (1 + (n-1) y0^n); y0 solves R(x, y0) = g(x)/n, and the
-    atoms are {y0, 1}.  Regret: A(x, y) peaks at y1 = x n^{-1/(n-1)} below x
+    atoms are {y0, 1}.  It is solved through b = 1 - a =
+    (1 - y0^{n-1} (1 + (n-1)(1 - y0))) / (1 + (n-1) y0^n), which does not
+    cancel; log a, a difference of terms near log n, rounds to 0 for n
+    beyond about 2^45.  Regret: A(x, y) peaks at y1 = x n^{-1/(n-1)} below x
     and at y2 = (g(x)/n)^{1/(n-1)} above it, and x equalizes the two peaks.
     One brentq per kind, by expm1 and log1p so that nothing cancels near 1
     at any n: the ratio in t = n (1 - y0) on [1/2, min(ln n + 2, 0.999 n)]
@@ -284,15 +299,14 @@ def _saddle_levels(kind: KernelKind | str, n: int) -> tuple[float, tuple[float, 
         return -math.expm1(_log_power(t, k, n))
 
     if kind is KernelKind.RATIO:
-        def level(t):  # s and log a of the x whose minimizing y0 is 1 - t/n
-            log_a = (math.log(n) + _log_power(t, n - 1, n)
-                     - math.log1p((n - 1) * math.exp(_log_power(t, n, n))))
-            return -n * math.expm1(log_a / (n - 1)), log_a
+        def level(t):  # s and b = 1 - a of the x whose minimizing y0 is 1 - t/n
+            b = (-math.expm1(_log_power(t, n - 1, n) + math.log1p((n - 1) * t / n))
+                 / (1.0 + (n - 1) * math.exp(_log_power(t, n, n))))
+            return -n * math.expm1(math.log1p(-b) / (n - 1)), b
 
         def excess(t):  # R(x, y0) - g(x)/n
-            s, log_a = level(t)
-            return ((-math.expm1(log_a) + math.exp(log_a) * t / n) / one_minus_power(t, n)
-                    - one_minus_power(s, n) / s)
+            s, b = level(t)
+            return (b + (1.0 - b) * t / n) / one_minus_power(t, n) - one_minus_power(s, n) / s
 
         t = brentq(excess, 0.5, min(math.log(n) + 2.0, 0.999 * n))
         return 1.0 - level(t)[0] / n, (1.0 - t / n, 1.0)
@@ -313,6 +327,7 @@ def _saddle_levels(kind: KernelKind | str, n: int) -> tuple[float, tuple[float, 
     return x, (x * shrink, 1.0 - upper_atom(s)[0] / n)
 
 
+@functools.lru_cache(maxsize=_LEVELS_CACHE, typed=True)
 def _kappa_level(n: int) -> tuple[float, tuple[float, float]]:
     """The level x* minimizing the continuum single-level guarantee
     h(x)^2 = int_0^1 (C_x')^2 at horizon n, and the ends y1 < x* < y2 of

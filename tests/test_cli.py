@@ -83,6 +83,13 @@ class TestTable1:
         _, _, rows_par = read_csv_table(tmp_path / "par" / "table1.csv")
         assert rows_seq == rows_par
 
+    def test_horizon_beyond_floats(self, tmp_path):
+        # the ratio game's continuum seed divided by zero at such n
+        assert main(["table1", "--n", "9007199254740993", "--N", "40",
+                     "--out", str(tmp_path)]) == 0
+        _, _, rows = read_csv_table(tmp_path / "table1.csv")
+        assert [row[0] for row in rows] == ["9007199254740993"]
+
     def test_json_format(self, tmp_path):
         code = main(["table1", "--n", "4", "--N", "40", "--out", str(tmp_path),
                      "--format", "json"])
@@ -292,6 +299,26 @@ class TestParsing:
         monkeypatch.setenv("PROPHET_SHARP_JOBS", "3")
         args = build_parser().parse_args(["table1", "--n", "5"])
         assert args.jobs == 3
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+        # each parse still gets its own default n list
+        first, second = (build_parser().parse_args(["table1"]) for _ in range(2))
+        assert first.n == second.n == [10, 25, 50, 100] and first.n is not second.n
+
+    def test_jobs_env_read_on_every_run(self, tmp_path, monkeypatch):
+        for jobs in ("1", "2"):
+            monkeypatch.setenv("PROPHET_SHARP_JOBS", jobs)
+            out = tmp_path / jobs
+            assert main(["table1", "--n", "4", "--N", "40", "--out", str(out)]) == 0
+            manifest_lines, _, _ = read_csv_table(out / "table1.csv")
+            manifest = json.loads(manifest_lines[0].removeprefix("# manifest: "))
+            assert manifest["parameters"]["jobs"] == int(jobs)
+        monkeypatch.setenv("PROPHET_SHARP_JOBS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--n", "4", "--N", "40", "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "bad").exists()
 
     def test_bad_jobs_env_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PROPHET_SHARP_JOBS", "abc")

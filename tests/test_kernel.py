@@ -589,6 +589,12 @@ class TestSaddleLevels:
                     if 1.0 <= z * N < N - 1:
                         assert grid.min() <= z < grid.max()
 
+    @pytest.mark.parametrize("n", [52501679176120, 2**53 + 1, 2**60, 10**20])
+    def test_ratio_levels_beyond_floats(self, n):
+        # log a rounded to 0 at such n, and the ratio's brentq divided by s = 0
+        x, (y0, top) = _saddle_levels("ratio", n)
+        assert 0.0 < y0 <= x <= 1.0 and top == 1.0
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError, match="horizon"):
             _saddle_levels("ratio", 1)
@@ -646,3 +652,31 @@ class TestKappaLevel:
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
             _kappa_level(1)
+
+
+class TestLevelCaches:
+    """_saddle_levels and _kappa_level depend on n alone, and each keeps
+    its levels in a bounded cache."""
+
+    def test_bounded_and_reused(self):
+        for levels in (_saddle_levels, _kappa_level):
+            maxsize = levels.cache_info().maxsize
+            assert isinstance(maxsize, int) and maxsize > 0
+        assert _kappa_level(10) is _kappa_level(10)
+        assert _saddle_levels("ratio", 10) is _saddle_levels("ratio", 10)
+
+    def test_kind_by_name_or_member(self):
+        for kind in KernelKind:
+            assert _saddle_levels(kind.value, 10) == _saddle_levels(kind, 10)
+
+    @pytest.mark.parametrize("bad", [1, 2.5, True, 2.0, np.float64(10.0)])
+    def test_bad_horizon_raises_after_a_valid_one(self, bad):
+        # 2.0 and 10.0 equal horizons that are cached by then
+        for _ in range(2):
+            for n in (2, 10):
+                _saddle_levels("ratio", n)
+                _kappa_level(n)
+            with pytest.raises(ValueError, match="horizon"):
+                _saddle_levels("ratio", bad)
+            with pytest.raises(ValueError, match="horizon"):
+                _kappa_level(bad)
