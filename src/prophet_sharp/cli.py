@@ -2,8 +2,9 @@
 evaluation, and simulation.
 
 Exit codes: 0 success, 2 invalid arguments, 3 solver failure, 4 I/O error.
-main reuses one argparse parser per process and reads PROPHET_SHARP_JOBS,
-the tables' --jobs default, on each call.
+main builds a fresh argparse parser on each call, declaring the options of
+the command it names alone, and so reads PROPHET_SHARP_JOBS, the tables'
+--jobs default, on each call.
 Tables and result files hold a run manifest (command, every parsed option but
 --out, version, timestamp, seeds, environment), then the result's as_dict();
 lfd_*.json files are bare distributions.  Numeric columns are reproducible.
@@ -12,7 +13,6 @@ lfd_*.json files are bare distributions.  Numeric columns are reproducible.
 from __future__ import annotations
 
 import argparse
-import functools
 import inspect
 import json
 import os
@@ -187,9 +187,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-@functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, tuple]:
-    """The argparse tree, built once per process, and its table subparsers."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A fresh argparse tree, whose tables read their --jobs default from
+    PROPHET_SHARP_JOBS now.  Every command is listed; given one's name, only
+    that command's options are declared, which is all that a parse of its
+    arguments reads, so usage lines and errors are the full tree's."""
     parser = argparse.ArgumentParser(
         prog="prophet-sharp",
         description="Sharp prophet-inequality constants for single-threshold rules",
@@ -197,23 +199,31 @@ def _parser() -> tuple[argparse.ArgumentParser, tuple]:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command_parser(name, fn, help):
+        # another command than the one named is listed, without options
+        declared = command in (None, name)
+        p = sub.add_parser(name, help=help, add_help=declared)
+        p.set_defaults(fn=fn)
+        return p if declared else None
+
     def table(name, fn, help, tol=1e-7, **floats):
-        p = sub.add_parser(name, help=help)
-        # string defaults go through type= at each parse, so every run gets
-        # its own list, and a bad --jobs default is a usage error (exit 2)
-        p.add_argument("--n", type=_parse_n_list, default="10,25,50,100")
+        if (p := command_parser(name, fn, help)) is None:
+            return
+        p.add_argument("--n", type=_parse_n_list, default=[10, 25, 50, 100])
         for option, default in floats.items():
             p.add_argument(f"--{option}", type=float, default=default)
         p.add_argument("--N", type=int, default=1000, help="grid size (default 1000)")
         p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--jobs", type=_jobs)
-        p.set_defaults(fn=fn)
-        return p
+        # a string default goes through type= at parse time, so a bad
+        # PROPHET_SHARP_JOBS is a usage error (exit 2), not a traceback
+        p.add_argument("--jobs", type=_jobs,
+                       default=os.environ.get("PROPHET_SHARP_JOBS", "").strip() or "1")
 
     def rule(name, fn, help, **ints):
-        p = sub.add_parser(name, help=help)
+        if (p := command_parser(name, fn, help)) is None:
+            return
         p.add_argument("--dist", required=True, help="distribution file (.json or .csv)")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--theta", type=float, required=True)
@@ -221,31 +231,22 @@ def _parser() -> tuple[argparse.ArgumentParser, tuple]:
         for option, default in ints.items():
             p.add_argument(f"--{option}", type=int, default=default)
         p.add_argument("--out", default="")
-        p.set_defaults(fn=fn)
 
-    tables = (
-        table("table1", cmd_table1, "sharp ratio and regret constants per n"),
-        table("table2", cmd_table2, "bounded-variance constants kappa_n",
-              tol=inspect.signature(kappa).parameters["tol"].default, sigma=1.0),
-        table("table3", cmd_table3, "Pareto-band ratio constants", p0=20.0, p1=5.0),
-    )
+    table("table1", cmd_table1, "sharp ratio and regret constants per n")
+    table("table2", cmd_table2, "bounded-variance constants kappa_n",
+          tol=inspect.signature(kappa).parameters["tol"].default, sigma=1.0)
+    table("table3", cmd_table3, "Pareto-band ratio constants", p0=20.0, p1=5.0)
     rule("eval", cmd_eval, "closed-form evaluation of one rule")
     rule("simulate", cmd_simulate, "Monte Carlo estimate of one rule", trials=100000, seed=0)
-    return parser, tables
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, with the tables' --jobs default set from
-    PROPHET_SHARP_JOBS as it is now (1 when unset or blank)."""
-    parser, tables = _parser()
-    jobs = os.environ.get("PROPHET_SHARP_JOBS", "").strip() or "1"
-    for p in tables:
-        p.set_defaults(jobs=jobs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no top-level option takes a value, so the first argument that is no
+    # option names the command (or is an invalid choice either way)
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as exc:

@@ -300,11 +300,23 @@ class TestParsing:
         args = build_parser().parse_args(["table1", "--n", "5"])
         assert args.jobs == 3
 
-    def test_parser_built_once(self):
-        assert build_parser() is build_parser()
-        # each parse still gets its own default n list
-        first, second = (build_parser().parse_args(["table1"]) for _ in range(2))
-        assert first.n == second.n == [10, 25, 50, 100] and first.n is not second.n
+    def test_parser_for_one_command(self):
+        assert build_parser() is not build_parser()
+        argv = ["table3", "--n", "5,6", "--p0", "9", "--jobs", "2"]
+        assert vars(build_parser("table3").parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["bogus"], ["-1", "table1"], ["--bogus", "table1"], ["table1", "--bogus"],
+        ["table1", "-h"], ["table2", "--sigma", "y"], ["eval"], ["simulate", "--n", "3"],
+    ])
+    def test_main_parses_as_the_full_parser(self, capsys, argv):
+        # main declares the named command's options alone
+        def run(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse()
+            return exc.value.code, capsys.readouterr()
+
+        assert run(lambda: main(argv)) == run(lambda: build_parser().parse_args(argv))
 
     def test_jobs_env_read_on_every_run(self, tmp_path, monkeypatch):
         for jobs in ("1", "2"):
